@@ -108,12 +108,13 @@ def _load_view_or_graph(args) -> ExtractorView:
     if any(given) and not all(given):
         raise UsageError("--K and --eps go together")
     with open(args.graph, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        text = fh.read()
     if all(given):
-        g = graphmod.from_json(json.dumps(
-            {k: doc[k] for k in ("n", "right_size", "max_degree", "neighbors")}))
-        return ExtractorView(g, args.K, args.eps)
-    if "K" in doc:
+        return ExtractorView(graphmod.from_json(text), args.K, args.eps)
+    doc = json.loads(text)
+    # anything but a bare graph object goes to the view parser, which names
+    # the missing or malformed field
+    if not isinstance(doc, dict) or "K" in doc or "eps" in doc:
         return load_view(args.graph)
     raise UsageError("graph file has no embedded K/eps; pass --K and --eps")
 
@@ -144,8 +145,7 @@ def cmd_offline_gen(args):
 
 def cmd_offline_hall(args):
     g = load(args.graph)
-    witness = hall_check(g, args.s, mode=args.mode, jobs=args.jobs,
-                         limits=default_limits())
+    witness = hall_check(g, args.s, mode=args.mode, limits=default_limits())
     return {"ok": witness is None, "witness": witness}, witness is None
 
 
@@ -661,7 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "matching"),
                    default="exhaustive")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="has no effect; the check runs in one thread")
     p.set_defaults(func=cmd_offline_hall)
     p = offsub.add_parser("bound", help="exact union-bound series")
     p.add_argument("--n", type=int, required=True)

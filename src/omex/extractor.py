@@ -10,13 +10,13 @@ which reduces the per-subset work to one total-variation distance computed
 in exact rational arithmetic.
 """
 
-import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import BipartiteGraph, from_json, to_json
+from .graph import BipartiteGraph, GraphFormatError, from_json, to_json
 from .limits import Limits, LimitExceeded, default_limits
 from .rng import SplitMix64
 
@@ -162,16 +162,73 @@ class ExtractorCheck:
         return "ok" if self.mode == "exhaustive" else "no-counterexample-found"
 
 
+def _exhaustive_walk(view: ExtractorView, counts, threshold_num: int,
+                     threshold_den: int, limits: Limits) -> ExtractorCheck:
+    """Depth-first walk of the size-K subsets in lexicographic order.
+
+    A node is a prefix v_1 < ... < v_j, and carries its deficit vector
+    g[y] = D*K - M*e[y], where e counts the prefix's edge endpoints; a child
+    subtracts one scaled count vector from its parent's. At a full subset
+    the positive and negative parts of M*e - D*K have equal mass, so the
+    deviation is sum(max(0, g[y])) / (D*K*M). That missing mass only
+    shrinks as vertices are added, so once a prefix's missing mass is
+    below eps every completion passes: the subtree is certified without
+    being visited and its C(N-1-v_j, K-j) subsets are added to `checked`.
+    The same comparison settles a leaf, so the first failing leaf is the
+    lexicographically first witness, exactly as a plain scan finds it.
+    Every node visited counts against `limits.subset_nodes`.
+    """
+    N, K, M, D = view.N, view.K, view.M, view.D
+    scaled = [tuple(M * c for c in cv) for cv in counts]
+    combo = [0] * K
+    deficits = [[D * K] * M] + [None] * K
+    budget = limits.subset_nodes
+    nodes = checked = 0
+    j, v = 0, 0
+    while True:
+        if v > N - K + j:               # position j has no candidates left
+            if j == 0:
+                return ExtractorCheck("exhaustive", None, None, checked)
+            j -= 1
+            v = combo[j] + 1
+            continue
+        nodes += 1
+        if nodes > budget:
+            raise LimitExceeded(
+                f"exhaustive walk exceeded limit {budget} nodes: visited "
+                f"{nodes - 1} nodes, certified {checked} of the "
+                f"C({N},{K}) = {math.comb(N, K)} size-K subsets; use "
+                f"sampled mode")
+        combo[j] = v
+        g = list(map(operator.sub, deficits[j], scaled[v]))
+        missing = sum(filter(_positive, g))
+        if missing * threshold_den < threshold_num:
+            checked += math.comb(N - 1 - v, K - 1 - j)
+            v += 1
+        elif j == K - 1:
+            witness = tuple(combo)
+            return ExtractorCheck("exhaustive", witness,
+                                  deviation(view, witness), checked + 1)
+        else:
+            j += 1
+            deficits[j] = g
+            v += 1
+
+
+def _positive(x: int) -> bool:
+    return x > 0
+
+
 def is_extractor(view: ExtractorView, *, samples: int | None = None,
                  seed: int | None = None,
                  limits: Limits | None = None) -> ExtractorCheck:
     """Check deviation(S) < eps on size-K subsets.
 
-    Exhaustive mode scans every size-K subset in lexicographic order and
-    the first failure is the witness; passing it certifies the property for
-    all larger subsets too. Sampled mode (samples given, seed required)
-    draws random size-K subsets and can only report that no counterexample
-    was found.
+    Exhaustive mode settles every size-K subset in lexicographic order (see
+    `_exhaustive_walk`) and the first failure is the witness; passing it
+    certifies the property for all larger subsets too. Sampled mode
+    (samples given, seed required) draws random size-K subsets and can
+    only report that no counterexample was found.
     """
     limits = limits or default_limits()
     N, K, M, D = view.N, view.K, view.M, view.D
@@ -179,6 +236,10 @@ def is_extractor(view: ExtractorView, *, samples: int | None = None,
     counts = [tuple(view.endpoint_counts(v)) for v in range(N)]
     threshold_num = eps.numerator * D * K * M    # compare against eps exactly:
     threshold_den = eps.denominator              # positive*den < num*D*K*M
+
+    if samples is None:
+        return _exhaustive_walk(view, counts, threshold_num, threshold_den,
+                                limits)
 
     def fails(combo) -> bool:
         e = [0] * M
@@ -188,20 +249,6 @@ def is_extractor(view: ExtractorView, *, samples: int | None = None,
                 e[y] += cv[y]
         positive = sum(c * M - D * K for c in e if c * M > D * K)
         return positive * threshold_den >= threshold_num
-
-    if samples is None:
-        total = math.comb(N, K)
-        if total > limits.subset_nodes:
-            raise LimitExceeded(
-                f"C({N},{K}) = {total} size-K subsets exceed limit "
-                f"{limits.subset_nodes}; use sampled mode")
-        checked = 0
-        for combo in itertools.combinations(range(N), K):
-            checked += 1
-            if fails(combo):
-                return ExtractorCheck("exhaustive", combo,
-                                      deviation(view, combo), checked)
-        return ExtractorCheck("exhaustive", None, None, checked)
 
     if seed is None:
         raise ValueError("sampled mode needs a seed")
@@ -358,10 +405,22 @@ def view_to_json(view: ExtractorView) -> str:
 
 
 def view_from_json(text: str) -> ExtractorView:
+    """Parse `view_to_json` output; malformed or missing fields raise
+    GraphFormatError."""
+    graph = from_json(text)
     doc = json.loads(text)
-    K = doc.pop("K")
-    eps = Fraction(doc.pop("eps"))
-    graph = from_json(json.dumps(doc))
+    for key in ("K", "eps"):
+        if key not in doc:
+            raise GraphFormatError(f"missing field {key!r}")
+    K, eps = doc["K"], doc["eps"]
+    if not isinstance(K, int) or isinstance(K, bool):
+        raise GraphFormatError("field 'K' must be an integer")
+    if not isinstance(eps, str):
+        raise GraphFormatError("field 'eps' must be a fraction string")
+    try:
+        eps = Fraction(eps)
+    except (ValueError, ZeroDivisionError) as e:
+        raise GraphFormatError(f"field 'eps' is not a fraction: {eps!r}") from e
     return ExtractorView(graph, K, eps)
 
 

@@ -10,7 +10,6 @@ draws the graphs whose failure probability `series_bound` upper-bounds.
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,7 +101,7 @@ def _scan_for_witness(g: BipartiteGraph, combos, size: int, mode: str) -> tuple[
 
 
 def hall_check(g: BipartiteGraph, s_max: int, *, mode: str = "exhaustive",
-               jobs: int = 1, limits: Limits | None = None) -> list[int] | None:
+               limits: Limits | None = None) -> list[int] | None:
     """None when every left subset of size <= s_max has enough neighbors;
     otherwise the smallest violating subset in (size, lexicographic) order.
 
@@ -114,6 +113,8 @@ def hall_check(g: BipartiteGraph, s_max: int, *, mode: str = "exhaustive",
         raise ValueError(f"unknown mode {mode!r}")
     limits = limits or default_limits()
     nleft = g.left_size
+    if s_max < 1:
+        raise ValueError(f"need s_max >= 1, got {s_max}")
     if s_max > 2 ** g.n:
         raise ValueError(f"s_max {s_max} exceeds left index space 2^{g.n}")
     if mode == "exhaustive" and nleft > limits.hall_left_size:
@@ -128,25 +129,10 @@ def hall_check(g: BipartiteGraph, s_max: int, *, mode: str = "exhaustive",
             raise LimitExceeded(
                 f"subset enumeration would visit {examined} > {limits.subset_nodes} nodes")
         combos = itertools.combinations(range(nleft), size)
-        if jobs <= 1:
-            witness = _scan_for_witness(g, combos, size, mode)
-        else:
-            # Shard this size class; min-index witness wins, so the result
-            # does not depend on the shard count.
-            chunks = _chunked(list(combos), jobs)
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                found = list(pool.map(
-                    lambda ch: _scan_for_witness(g, ch, size, mode), chunks))
-            hits = [w for w in found if w is not None]
-            witness = min(hits) if hits else None
+        witness = _scan_for_witness(g, combos, size, mode)
         if witness is not None:
             return list(witness)
     return None
-
-
-def _chunked(items: list, parts: int) -> list[list]:
-    size = max(1, -(-len(items) // parts))
-    return [items[i:i + size] for i in range(0, len(items), size)]
 
 
 def series_base(n: int, k: int, c: int) -> Fraction:

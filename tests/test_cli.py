@@ -30,6 +30,7 @@ def test_hall_on_counterexample_ok(capsys, cx_path):
                             "--s", "2")
     assert code == 0
     assert report["outcome"] == {"ok": True, "witness": None}
+    assert report["params"]["jobs"] == 1   # --jobs is still echoed
 
 
 def test_hall_witness_gives_exit_1(capsys, cx_path):
@@ -37,6 +38,14 @@ def test_hall_witness_gives_exit_1(capsys, cx_path):
                             "--s", "3")
     assert code == 1
     assert report["outcome"]["witness"] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("s", ["0", "-1"])
+def test_hall_s_below_one_is_failure(capsys, cx_path, s):
+    code, report = run_json(capsys, "offline", "hall", "--graph", cx_path,
+                            "--s", s)
+    assert code == 1
+    assert "s_max >= 1" in report["outcome"]["error"]
 
 
 def test_game_counterexample_exit_1(capsys, cx_path):
@@ -208,6 +217,29 @@ def test_ext_hazards(capsys, tmp_path):
                             "--set", str(set_path))
     assert code == 0
     assert report["outcome"]["subset"] == [0, 3, 5]
+
+
+@pytest.mark.parametrize("drop, change, extra", [
+    pytest.param("eps", {}, [], id="no-eps"),
+    pytest.param("K", {}, [], id="no-K"),
+    pytest.param(None, {"K": "4"}, [], id="string-K"),
+    pytest.param("n", {}, [], id="no-n"),
+    pytest.param("neighbors", {}, ["--K", "2", "--eps", "1/2"],
+                 id="no-neighbors-with-flags"),
+])
+def test_ext_check_malformed_view_is_failure_not_crash(capsys, tmp_path, drop,
+                                                       change, extra):
+    doc = {"n": 1, "right_size": 2, "max_degree": 2,
+           "neighbors": [[0, 1], [1, 0]], "K": 2, "eps": "1/2", **change}
+    if drop is not None:
+        del doc[drop]
+    path = tmp_path / "view.json"
+    path.write_text(json.dumps(doc))
+    code = main(["ext", "check", "--graph", str(path), *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error" in json.loads(captured.out)["outcome"]
+    assert captured.err == ""
 
 
 def test_trev_design_eval_decode(capsys, tmp_path):

@@ -1,17 +1,22 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from omex import (BipartiteGraph, ExtractorView, LimitExceeded, deviation,
-                  hazard_report, is_extractor, is_prefix_extractor, next_pow2,
-                  optimal_degree, optimal_degree_pow2, prefix_failure_bound,
+from omex import (BipartiteGraph, ExtractorView, GraphFormatError,
+                  LimitExceeded, deviation, hazard_report, is_extractor,
+                  is_prefix_extractor, next_pow2, optimal_degree,
+                  optimal_degree_pow2, prefix_failure_bound,
                   random_extractor_search, truncate, uniform_view)
 from omex.extractor import load_view, save_view, view_from_json, view_to_json
 from omex.limits import Limits
 
 from conftest import random_view
+from oracles import naive_is_extractor, naive_is_prefix_extractor
 
 
 def brute_deviation(view, S):
@@ -141,6 +146,49 @@ def test_exhaustive_limit_guard():
     view = random_view(1, n=4, m=2, d=3, K=4)
     with pytest.raises(LimitExceeded):
         is_extractor(view, limits=Limits(subset_nodes=100))
+
+
+def test_exhaustive_limit_message_reports_progress():
+    # the first three nodes are (0), (0, 1) and (0, 1, 2); the third already
+    # certifies its 5 completions, and the fourth node is over the budget
+    view = uniform_view(3, 1, K=4)
+    with pytest.raises(LimitExceeded,
+                       match=r"visited 3 nodes, certified 5 of the "
+                             r"C\(8,4\) = 70 size-K subsets"):
+        is_extractor(view, limits=Limits(subset_nodes=3))
+
+
+def test_exhaustive_frontier_n5_K8():
+    # C(32, 8) = 10,518,300 subsets, more than the default subset_nodes
+    # budget; certified prefixes keep the walk far below it
+    res = is_extractor(random_view(5, n=5, m=3, d=6, K=8))
+    assert res.ok
+    assert res.checked == math.comb(32, 8) == 10_518_300
+
+
+@st.composite
+def small_views(draw):
+    n = draw(st.integers(min_value=0, max_value=4))
+    m = draw(st.integers(min_value=0, max_value=3))
+    d = draw(st.integers(min_value=0, max_value=4))
+    N, M, D = 2 ** n, 2 ** m, 2 ** d
+    rows = tuple(
+        tuple(draw(st.lists(st.integers(min_value=0, max_value=M - 1),
+                            min_size=D, max_size=D)))
+        for _ in range(N))
+    K = draw(st.integers(min_value=1, max_value=N))
+    eps = Fraction(draw(st.integers(min_value=1, max_value=15)), 16)
+    return ExtractorView(BipartiteGraph(n, M, D, rows), K, eps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_views())
+def test_exhaustive_walk_matches_naive_scan(view):
+    assert is_extractor(view) == naive_is_extractor(view)
+    for k in range(min(view.n, view.m) + 1):
+        pview = ExtractorView(view.graph, 2 ** k, view.eps)
+        assert (is_prefix_extractor(pview, k)
+                == naive_is_prefix_extractor(pview, k))
 
 
 def test_sampled_mode_reports_samples():
@@ -341,6 +389,28 @@ def test_view_invariants_enforced():
         ExtractorView(BipartiteGraph(1, 2, 1, ((0,), (1,))), 3, Fraction(1, 2))
     with pytest.raises(ValueError, match="eps"):
         ExtractorView(BipartiteGraph(1, 2, 1, ((0,), (1,))), 2, Fraction(3, 2))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"K": None}, "missing field 'K'"),
+    ({"eps": None}, "missing field 'eps'"),
+    ({"neighbors": None}, "missing field 'neighbors'"),
+    ({"K": "2"}, "'K' must be an integer"),
+    ({"K": True}, "'K' must be an integer"),
+    ({"eps": 0.5}, "'eps' must be a fraction string"),
+    ({"eps": "half"}, "'eps' is not a fraction"),
+    ({"eps": "1/0"}, "'eps' is not a fraction"),
+    ({"n": "3"}, "'n' must be an integer"),
+])
+def test_view_from_json_rejects_bad_fields(change, message):
+    doc = json.loads(view_to_json(uniform_view(2, 1, K=2)))
+    for key, value in change.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    with pytest.raises(GraphFormatError, match=message):
+        view_from_json(json.dumps(doc))
 
 
 def test_view_file_roundtrip(tmp_path):

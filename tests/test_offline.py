@@ -71,6 +71,13 @@ def test_hall_s_max_beyond_index_space_rejected():
         hall_check(counterexample_graph(), 5)
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "matching"])
+@pytest.mark.parametrize("s_max", [0, -1])
+def test_hall_s_max_below_one_rejected(mode, s_max):
+    with pytest.raises(ValueError, match="s_max >= 1"):
+        hall_check(counterexample_graph(), s_max, mode=mode)
+
+
 def test_exhaustive_guard_respects_limit():
     g = complete_graph(5, 2)  # 32 left vertices
     with pytest.raises(LimitExceeded):
@@ -93,12 +100,6 @@ def test_hall_pass_is_downward_closed(g, s):
     if hall_check(g, s) is None:
         for smaller in range(1, s):
             assert hall_check(g, smaller) is None
-
-
-def test_sharded_hall_matches_sequential():
-    g = BipartiteGraph(2, 2, 2, ((0,), (0,), (1,), (0, 1)))
-    for s in (1, 2, 3, 4):
-        assert hall_check(g, s, jobs=3) == hall_check(g, s)
 
 
 # --- series bound -----------------------------------------------------------
