@@ -43,6 +43,10 @@ DESIGN_GRID = [(1, 4, 4), (2, 3, 6), (2, 4, 10), (2, 6, 14), (3, 4, 16),
                (3, 6, 24), (4, 4, 24)]
 
 
+# --flavor value -> the `flavor` field of that flavor's fingerprint files
+FP_FLAVORS = {"match": "matching", "ext": "extractor", "two": "two-condition"}
+
+
 class UsageError(Exception):
     """Flag combinations argparse cannot express statically."""
 
@@ -56,9 +60,15 @@ def _plain(x):
         return {str(k): _plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
-    if isinstance(x, float):
-        return x
     return x
+
+
+def _fraction(text: str) -> Fraction:
+    """argparse type of every --eps/--delta; `1/0` is a usage error too."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
 
 
 def _emit(args, argv, outcome, ok, started) -> int:
@@ -175,9 +185,8 @@ def cmd_online_run(args):
     requests = _read_requests(args.requests)
     capacity = args.capacity if args.capacity is not None else len(requests)
     session = MatchingSession(lg, capacity=capacity)
-    outcomes = {}
     for v in requests:
-        outcomes[v] = session.request(v)
+        session.request(v)
     violation = half_rejection_audit(session)
     ok = not session.rejections and violation is None
     return {"ok": ok,
@@ -342,6 +351,9 @@ def cmd_fp_decode(args):
     _check_fp_inputs(args)
     with open(args.fingerprint, "r", encoding="utf-8") as fh:
         fp = fingerprint_from_doc(json.load(fh))
+    if fp.flavor != FP_FLAVORS[args.flavor]:
+        raise ValueError(f"fingerprint file holds a {fp.flavor} fingerprint, "
+                         f"not --flavor {args.flavor}")
     eset = load_set(args.set)
     if args.flavor == "match":
         base = load(args.graph)
@@ -696,7 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = extsub.add_parser("check", help="verify a view exhaustively or sampled")
     p.add_argument("--graph", required=True, help="graph or view file")
     p.add_argument("--K", type=int)
-    p.add_argument("--eps", type=Fraction)
+    p.add_argument("--eps", type=_fraction)
     p.add_argument("--prefix", type=int,
                    help="check all truncation levels up to this k")
     p.add_argument("--samples", type=int,
@@ -708,7 +720,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--eps", type=Fraction, required=True)
+    p.add_argument("--eps", type=_fraction, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--attempts", type=int, default=64)
     p.add_argument("--prefix", action="store_true")
@@ -717,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = extsub.add_parser("hazards", help="bad/dangerous analysis for a set")
     p.add_argument("--graph", required=True, help="graph or view file")
     p.add_argument("--K", type=int)
-    p.add_argument("--eps", type=Fraction)
+    p.add_argument("--eps", type=_fraction)
     p.add_argument("--set", required=True)
     p.add_argument("--bad-factor", type=int, default=2)
     p.set_defaults(func=cmd_ext_hazards)
@@ -725,12 +737,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--K", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
-    p.add_argument("--eps", type=Fraction, required=True)
+    p.add_argument("--eps", type=_fraction, required=True)
     p.set_defaults(func=cmd_ext_degree)
     p = extsub.add_parser("pbound", help="prefix failure bound")
     for flag in ("--n", "--k", "--m", "--d"):
         p.add_argument(flag, type=int, required=True)
-    p.add_argument("--eps", type=Fraction, required=True)
+    p.add_argument("--eps", type=_fraction, required=True)
     p.set_defaults(func=cmd_ext_pbound)
 
     trev = groups.add_parser("trev", help="weak designs and the Hadamard code")
@@ -747,18 +759,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True, help="message bits")
     p.add_argument("--y", required=True, help="seed bits")
     p.add_argument("--design", required=True)
-    p.add_argument("--delta", type=Fraction, default=Fraction(1, 4))
+    p.add_argument("--delta", type=_fraction, default=Fraction(1, 4))
     p.set_defaults(func=cmd_trev_eval)
     p = trevsub.add_parser("decode", help="brute-force list decoding")
     p.add_argument("--word", required=True)
-    p.add_argument("--delta", type=Fraction, required=True)
+    p.add_argument("--delta", type=_fraction, required=True)
     p.set_defaults(func=cmd_trev_decode)
 
     fp = groups.add_parser("fp", help="fingerprint encode/decode")
     fpsub = fp.add_subparsers(dest="cmd", required=True)
     for name in ("encode", "decode"):
         p = fpsub.add_parser(name)
-        p.add_argument("--flavor", choices=("match", "ext", "two"),
+        p.add_argument("--flavor", choices=tuple(FP_FLAVORS),
                        required=True)
         p.add_argument("--graph", help="base graph file (match flavor)")
         p.add_argument("--views", nargs="+",
@@ -795,7 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = demosub.add_parser(name, help=helptext)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--k", type=int, required=True)
-        p.add_argument("--eps", type=Fraction, required=True)
+        p.add_argument("--eps", type=_fraction, required=True)
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--m", type=int)
         p.add_argument("--d", type=int)
@@ -806,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = demosub.add_parser("prefix", help="prefix search plus failure bounds")
     for flag, default in (("--n", 4), ("--k", 2), ("--m", 2), ("--d", 4)):
         p.add_argument(flag, type=int, default=default)
-    p.add_argument("--eps", type=Fraction, default=Fraction(1, 2))
+    p.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--attempts", type=int, default=64)
     p.set_defaults(func=cmd_demo_prefix)

@@ -16,7 +16,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import BipartiteGraph, GraphFormatError, from_json, to_json
+from .graph import (INT, BipartiteGraph, GraphFormatError, from_json,
+                    read_fields, to_json)
 from .limits import Limits, LimitExceeded, default_limits
 from .rng import SplitMix64
 
@@ -408,15 +409,8 @@ def view_from_json(text: str) -> ExtractorView:
     """Parse `view_to_json` output; malformed or missing fields raise
     GraphFormatError."""
     graph = from_json(text)
-    doc = json.loads(text)
-    for key in ("K", "eps"):
-        if key not in doc:
-            raise GraphFormatError(f"missing field {key!r}")
-    K, eps = doc["K"], doc["eps"]
-    if not isinstance(K, int) or isinstance(K, bool):
-        raise GraphFormatError("field 'K' must be an integer")
-    if not isinstance(eps, str):
-        raise GraphFormatError("field 'eps' must be a fraction string")
+    K, eps = read_fields(json.loads(text), K=INT,
+                         eps=("a fraction string", lambda x: isinstance(x, str)))
     try:
         eps = Fraction(eps)
     except (ValueError, ZeroDivisionError) as e:
@@ -454,8 +448,7 @@ def random_extractor_search(n: int, k: int, m: int, eps, d: int, seed: int,
         raise LimitExceeded(f"{edges} edge draws exceed limit {limits.gen_edges}")
     rng = SplitMix64(seed)
     for attempt in range(1, max_attempts + 1):
-        rows = tuple(tuple(rng.below(M) for _ in range(D)) for _ in range(N))
-        view = ExtractorView(BipartiteGraph(n, M, D, rows), K, eps)
+        view = ExtractorView(BipartiteGraph(n, M, D, rng.rows(N, D, M)), K, eps)
         if prefix:
             verified = is_prefix_extractor(view, k, limits=limits).ok
         else:

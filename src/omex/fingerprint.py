@@ -13,11 +13,12 @@ enumerations, and replaying the same order is what makes decoding work.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import ceil
 
 from .extractor import ExtractorView, hazard_report, truncate
+from .graph import INT, INTS, STR, read_fields
 from .online import LayeredGraph, MatchingSession
 
 
@@ -60,8 +61,9 @@ def set_to_json(s: EnumeratedSet) -> str:
 
 
 def set_from_json(text: str) -> EnumeratedSet:
-    doc = json.loads(text)
-    return EnumeratedSet(doc["label"], doc["k"], tuple(doc["elements"]))
+    label, k, elements = read_fields(json.loads(text), label=STR, k=INT,
+                                     elements=INTS)
+    return EnumeratedSet(label, k, tuple(elements))
 
 
 def load_set(path) -> EnumeratedSet:
@@ -331,18 +333,13 @@ def decode_two_conditions(pview: ExtractorView, eset: EnumeratedSet,
 
 
 def fingerprint_from_doc(doc: dict):
-    flavor = doc.get("flavor")
-    if flavor == "matching":
-        return MatchingFingerprint(doc["right_index"], doc["payload_bits"],
-                                   doc["neighbor_ordinal"], doc["neighbor_bits"])
-    if flavor == "extractor":
-        return ExtractorFingerprint(doc["layer"], doc["right_index"],
-                                    doc["ordinal"], doc["payload_bits"],
-                                    doc["layer_bits"], doc["ordinal_bound"],
-                                    doc["ordinal_bits"])
-    if flavor == "two-condition":
-        return TwoConditionFingerprint(doc["p"], doc["q"], doc["bound"],
-                                       doc["second_bound"], doc["payload_bits"],
-                                       doc["prefix_bits"], doc["ordinal_b"],
-                                       doc["ordinal_c"])
+    """Inverse of `to_doc` for all three flavors, whose fields are all
+    integers; a missing or ill-typed field raises GraphFormatError, an
+    unknown flavor ValueError."""
+    flavor, = read_fields(doc, flavor=STR)
+    for cls in (MatchingFingerprint, ExtractorFingerprint,
+                TwoConditionFingerprint):
+        if cls.flavor == flavor:
+            kinds = {f.name: INT for f in fields(cls)}
+            return cls(*read_fields(doc, **kinds))
     raise ValueError(f"unknown fingerprint flavor {flavor!r}")

@@ -110,27 +110,47 @@ def to_json(g: BipartiteGraph) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_ints(x) -> bool:
+    return isinstance(x, list) and all(map(_is_int, x))
+
+
+# field kinds of the JSON files: (name used in errors, test of a value)
+INT = ("an integer", _is_int)
+STR = ("a string", lambda x: isinstance(x, str))
+INTS = ("an array of integers", _is_ints)
+ROWS = ("an array of integer arrays",
+        lambda x: isinstance(x, list) and all(map(_is_ints, x)))
+
+
+def read_fields(doc, **kinds) -> list:
+    """Values of the named fields of a parsed JSON object, in argument
+    order, each checked against its kind (INT, STR, INTS, ROWS, or another
+    (name, test) pair). A non-object, a missing field or an ill-typed one
+    raises GraphFormatError."""
+    if not isinstance(doc, dict):
+        raise GraphFormatError("top level must be an object")
+    values = []
+    for key, (kind, test) in kinds.items():
+        if key not in doc:
+            raise GraphFormatError(f"missing field {key!r}")
+        if not test(doc[key]):
+            raise GraphFormatError(f"field {key!r} must be {kind}")
+        values.append(doc[key])
+    return values
+
+
 def from_json(text: str) -> BipartiteGraph:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise GraphFormatError(f"not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise GraphFormatError("top level must be an object")
-    for key in ("n", "right_size", "max_degree", "neighbors"):
-        if key not in doc:
-            raise GraphFormatError(f"missing field {key!r}")
-    for key in ("n", "right_size", "max_degree"):
-        if not isinstance(doc[key], int) or isinstance(doc[key], bool):
-            raise GraphFormatError(f"field {key!r} must be an integer")
-    rows = doc["neighbors"]
-    if not isinstance(rows, list):
-        raise GraphFormatError("field 'neighbors' must be an array of arrays")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or any(
-                not isinstance(r, int) or isinstance(r, bool) for r in row):
-            raise GraphFormatError(f"neighbors[{i}] must be an array of integers")
-    g = BipartiteGraph(doc["n"], doc["right_size"], doc["max_degree"],
+    n, right_size, max_degree, rows = read_fields(
+        doc, n=INT, right_size=INT, max_degree=INT, neighbors=ROWS)
+    g = BipartiteGraph(n, right_size, max_degree,
                        tuple(tuple(row) for row in rows))
     v = validate(g)
     if v is not None:

@@ -172,9 +172,7 @@ def random_offline_graph(p: OfflineParams, seed: int,
     if edges > limits.gen_edges:
         raise LimitExceeded(f"{edges} edge draws exceed limit {limits.gen_edges}")
     rng = SplitMix64(seed)
-    rows = tuple(
-        tuple(rng.below(p.right_size) for _ in range(p.degree))
-        for _ in range(p.left_size))
+    rows = rng.rows(p.left_size, p.degree, p.right_size)
     g = BipartiteGraph(p.n, p.right_size, p.degree, rows)
     violation = validate(g)
     if violation is not None:  # construction bug, not an input error
@@ -195,10 +193,8 @@ def construct_verified_offline_graph(
     limits = limits or default_limits()
     rng = SplitMix64(seed)
     for attempt in range(1, max_attempts + 1):
-        rows = tuple(
-            tuple(rng.below(p.right_size) for _ in range(p.degree))
-            for _ in range(p.left_size))
-        g = BipartiteGraph(p.n, p.right_size, p.degree, rows)
+        g = BipartiteGraph(p.n, p.right_size, p.degree,
+                           rng.rows(p.left_size, p.degree, p.right_size))
         mode = "exhaustive" if p.left_size <= limits.hall_left_size else "matching"
         if hall_check(g, 2 ** p.k, mode=mode, limits=limits) is None:
             return g, attempt

@@ -49,14 +49,6 @@ class LayeredGraph:
                                  base.max_degree * copies, rows)
         return LayeredGraph(base, copies, derived)
 
-    def layer_of(self, right_index: int) -> int:
-        if not 0 <= right_index < self.graph.right_size:
-            raise IndexError(f"right index {right_index} out of range")
-        return right_index // self.base.right_size
-
-    def base_right(self, right_index: int) -> int:
-        return right_index % self.base.right_size
-
 
 def layered(base: BipartiteGraph, k: int,
             limits: Limits | None = None) -> LayeredGraph:
@@ -87,52 +79,80 @@ class MatchingSession:
     requested: set[int] = field(default_factory=set)
     reached: list[int] = field(init=False)
     forwarded: list[int] = field(init=False)
+    # requested vertices in request order, for `_undo`
+    _order: list[int] = field(init=False, default_factory=list, repr=False)
 
     def __post_init__(self):
-        self.reached = [0] * self.layers
-        self.forwarded = [0] * self.layers
-
-    @property
-    def layers(self) -> int:
-        return self.graph.copies if isinstance(self.graph, LayeredGraph) else 1
-
-    @property
-    def flat(self) -> BipartiteGraph:
-        return self.graph.graph if isinstance(self.graph, LayeredGraph) else self.graph
-
-    @property
-    def served(self) -> int:
-        return len(self.matched) + len(self.rejections)
-
-    def layer_of(self, right_index: int) -> int:
-        if isinstance(self.graph, LayeredGraph):
-            return self.graph.layer_of(right_index)
-        return 0
+        lg = self.graph
+        if not isinstance(lg, LayeredGraph):  # a plain graph is one layer
+            lg = LayeredGraph(lg, 1, lg)
+        self.reached = [0] * lg.copies
+        self.forwarded = [0] * lg.copies
+        self._rows = lg.graph.neighbors
+        # a right index divided by this is its layer
+        self._width = lg.base.right_size
 
     def request(self, left_index: int) -> int | None:
         """Serve one request: the matched right index, or None if rejected.
 
         Walks layers 0,1,... and takes the first unused neighbor (stored
         order) of the lowest layer that still has one; a request with no
-        unused neighbor in a layer counts as forwarded past it.
+        unused neighbor in a layer counts as forwarded past it. A request
+        out of range, repeated or over capacity raises ValueError and
+        leaves the session unchanged.
         """
+        if not 0 <= left_index < len(self._rows):
+            raise ValueError(f"left vertex {left_index} not in "
+                             f"[0, {len(self._rows)})")
         if left_index in self.requested:
             raise ValueError(f"left vertex {left_index} already requested")
-        if self.served >= self.capacity:
+        if len(self.requested) >= self.capacity:
             raise ValueError(f"capacity {self.capacity} exhausted")
+        return self._step(left_index)
+
+    def _step(self, left_index: int) -> int | None:
+        """The greedy walk of `request`, for a vertex known to be valid.
+
+        Each row lists layer 0's copies first, then layer 1's, and so on,
+        so the first unused neighbor in stored order lies in the lowest
+        layer that still has one; every layer below it forwarded the
+        request.
+        """
         self.requested.add(left_index)
-        row = self.flat.neighbors_of(left_index)
-        width = len(row) // self.layers
-        for layer in range(self.layers):
-            self.reached[layer] += 1
-            for r in row[layer * width:(layer + 1) * width]:
-                if r not in self.used:
-                    self.used.add(r)
-                    self.matched[left_index] = r
-                    return r
-            self.forwarded[layer] += 1
-        self.rejections.append(left_index)
-        return None
+        self._order.append(left_index)
+        reached, forwarded, used = self.reached, self.forwarded, self.used
+        for r in self._rows[left_index]:
+            if r not in used:
+                used.add(r)
+                self.matched[left_index] = r
+                layer = r // self._width
+                reached[layer] += 1
+                break
+        else:
+            r = None
+            self.rejections.append(left_index)
+            layer = len(reached)
+        for passed in range(layer):
+            reached[passed] += 1
+            forwarded[passed] += 1
+        return r
+
+    def _undo(self) -> None:
+        """Reverse the latest `_step` exactly."""
+        left_index = self._order.pop()
+        self.requested.remove(left_index)
+        reached, forwarded = self.reached, self.forwarded
+        r = self.matched.pop(left_index, None)
+        if r is None:
+            self.rejections.pop()
+            layer = len(reached)
+        else:
+            self.used.remove(r)
+            layer = r // self._width
+            reached[layer] -= 1
+        for passed in range(layer):
+            reached[passed] -= 1
+            forwarded[passed] -= 1
 
 
 @dataclass(frozen=True)
@@ -151,11 +171,10 @@ def half_rejection_audit(session: MatchingSession) -> AuditViolation | None:
     requests that reached it. On a layered graph whose base is off-line
     good this holds for every request order; a violation localizes a
     broken precondition to its layer."""
-    for layer in range(session.layers):
-        reached = session.reached[layer]
-        forwarded = session.forwarded[layer]
-        if forwarded > (reached + 1) // 2:
-            return AuditViolation(layer, reached, forwarded)
+    reached, forwarded = session.reached, session.forwarded
+    for layer in range(len(reached)):
+        if forwarded[layer] > (reached[layer] + 1) // 2:
+            return AuditViolation(layer, reached[layer], forwarded[layer])
     return None
 
 
@@ -250,75 +269,32 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int,
 
     Each prefix is itself a complete request stream, so rejection-freedom
     and the half-rejection audit are checked at every node of the tree.
+    The search stops at the first node that fails either check.
     """
     limits = limits or default_limits()
-    flat = lg.graph
-    nleft = flat.left_size
-    width = lg.base.right_size
-    layers = lg.copies
-    used = [False] * flat.right_size
-    reached = [0] * layers
-    forwarded = [0] * layers
-    sequence: list[int] = []
+    budget = limits.subset_nodes
+    nleft = lg.graph.left_size
+    session = MatchingSession(lg, capacity)
+    requested, step, undo = session.requested, session._step, session._undo
     sweep = SequenceSweep(0, None, None)
-    nodes = 0
-
-    def serve(v: int) -> tuple[int | None, int]:
-        """Greedy request; returns (right or None, layers_entered)."""
-        row = flat.neighbors[v]
-        deg = len(row) // layers
-        for layer in range(layers):
-            reached[layer] += 1
-            for r in row[layer * deg:(layer + 1) * deg]:
-                if not used[r]:
-                    used[r] = True
-                    return r, layer + 1
-            forwarded[layer] += 1
-        return None, layers
-
-    def unserve(v: int, r: int | None, entered: int) -> None:
-        for layer in range(entered):
-            reached[layer] -= 1
-        if r is None:
-            for layer in range(entered):
-                forwarded[layer] -= 1
-        else:
-            used[r] = False
-            for layer in range(entered - 1):
-                forwarded[layer] -= 1
-
-    def audit_now() -> AuditViolation | None:
-        for layer in range(layers):
-            if forwarded[layer] > (reached[layer] + 1) // 2:
-                return AuditViolation(layer, reached[layer], forwarded[layer])
-        return None
 
     def dfs() -> bool:
-        nonlocal nodes
-        if len(sequence) >= capacity:
+        if len(requested) >= capacity:
             return True
         for v in range(nleft):
-            if v in sequence:
+            if v in requested:
                 continue
-            nodes += 1
-            if nodes > limits.subset_nodes:
-                raise LimitExceeded(
-                    f"sequence tree exceeds {limits.subset_nodes} nodes")
-            r, entered = serve(v)
-            sequence.append(v)
+            if sweep.sequences == budget:
+                raise LimitExceeded(f"sequence tree exceeds {budget} nodes")
+            r = step(v)
             sweep.sequences += 1
-            ok = True
-            if r is None and sweep.first_rejection is None:
-                sweep.first_rejection = list(sequence)
-                ok = False
-            violation = audit_now()
-            if violation is not None and sweep.first_audit_violation is None:
-                sweep.first_audit_violation = (list(sequence), violation)
-                ok = False
-            if ok:
-                ok = dfs()
-            sequence.pop()
-            unserve(v, r, entered)
+            if r is None:
+                sweep.first_rejection = list(session._order)
+            violation = half_rejection_audit(session)
+            if violation is not None:
+                sweep.first_audit_violation = (list(session._order), violation)
+            ok = r is not None and violation is None and dfs()
+            undo()
             if not ok:
                 return False
         return True

@@ -48,10 +48,9 @@ class SplitMix64:
                 out.append(v)
         return out
 
-    def shuffled(self, items: list) -> list:
-        """Fisher-Yates shuffle of a copy of items."""
-        out = list(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = self.below(i + 1)
-            out[i], out[j] = out[j], out[i]
-        return out
+    def rows(self, count: int, degree: int,
+             bound: int) -> tuple[tuple[int, ...], ...]:
+        """`count` rows of `degree` draws from range(bound), row after row:
+        the neighbor lists of a random left-regular graph."""
+        return tuple(tuple(self.below(bound) for _ in range(degree))
+                     for _ in range(count))

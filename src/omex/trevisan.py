@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .extractor import ExtractorView
-from .graph import BipartiteGraph
+from .graph import INT, ROWS, BipartiteGraph, read_fields
 from .rng import SplitMix64
 
 
@@ -109,9 +109,9 @@ def design_to_json(design: WeakDesign) -> str:
 
 
 def design_from_json(text: str) -> WeakDesign:
-    doc = json.loads(text)
-    return WeakDesign(doc["d"], doc["block_size"],
-                      tuple(tuple(s) for s in doc["sets"]))
+    d, block_size, sets = read_fields(json.loads(text), d=INT,
+                                      block_size=INT, sets=ROWS)
+    return WeakDesign(d, block_size, tuple(tuple(s) for s in sets))
 
 
 def save_design(design: WeakDesign, path) -> None:

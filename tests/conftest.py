@@ -26,8 +26,7 @@ def random_view(seed: int, n: int, m: int, d: int, K: int,
     """One random left-regular view, no verification."""
     rng = SplitMix64(seed)
     N, M, D = 2 ** n, 2 ** m, 2 ** d
-    rows = tuple(tuple(rng.below(M) for _ in range(D)) for _ in range(N))
-    return ExtractorView(BipartiteGraph(n, M, D, rows), K, eps)
+    return ExtractorView(BipartiteGraph(n, M, D, rng.rows(N, D, M)), K, eps)
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,8 @@ against."""
 
 import itertools
 
-from omex import ExtractorCheck, PrefixCheck, deviation, truncate
+from omex import (ExtractorCheck, MatchingSession, PrefixCheck, SequenceSweep,
+                  deviation, half_rejection_audit, truncate)
 
 
 def naive_is_extractor(view) -> ExtractorCheck:
@@ -37,3 +38,33 @@ def naive_is_prefix_extractor(view, k: int) -> PrefixCheck:
         if check.witness is not None:
             return PrefixCheck(tuple(levels), i)
     return PrefixCheck(tuple(levels), None)
+
+
+def naive_online_check(lg, capacity: int) -> SequenceSweep:
+    """The sequence sweep without undo: every sequence of distinct left
+    vertices of length <= capacity, in depth-first preorder, replayed from
+    scratch in a fresh `MatchingSession` and audited; stops at the first
+    sequence that is rejected or fails the audit."""
+    nleft = lg.graph.left_size
+    sweep = SequenceSweep(0, None, None)
+
+    def preorder(prefix):
+        if len(prefix) < capacity:
+            for v in range(nleft):
+                if v not in prefix:
+                    yield prefix + [v]
+                    yield from preorder(prefix + [v])
+
+    for sequence in preorder([]):
+        session = MatchingSession(lg, capacity)
+        for v in sequence:
+            session.request(v)
+        sweep.sequences += 1
+        if session.rejections:
+            sweep.first_rejection = sequence
+        violation = half_rejection_audit(session)
+        if violation is not None:
+            sweep.first_audit_violation = (sequence, violation)
+        if not sweep.ok:
+            break
+    return sweep

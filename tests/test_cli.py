@@ -162,6 +162,99 @@ def test_online_run_reports_rejection(capsys, tmp_path, cx_path):
     assert report["outcome"]["rejections"] == [1]
 
 
+@pytest.mark.parametrize("bad", ["99", "-1", "3"])
+def test_online_run_bad_request_is_failure_not_crash(capsys, tmp_path,
+                                                    cx_path, bad):
+    req = tmp_path / "req.txt"
+    req.write_text(f"0\n{bad}\n")
+    code = main(["online", "run", "--graph", cx_path, "--layers", "2",
+                 "--requests", str(req)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "not in [0, 3)" in json.loads(captured.out)["outcome"]["error"]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["ext", "degree", "--N", "16", "--K", "4", "--M", "16", "--eps", "1/0"],
+    ["ext", "pbound", "--n", "4", "--k", "2", "--m", "2", "--d", "4",
+     "--eps", "1/0"],
+    ["ext", "search", "--n", "3", "--k", "1", "--m", "1", "--d", "4",
+     "--eps", "1/0", "--seed", "5"],
+    ["ext", "check", "--graph", "g.json", "--K", "2", "--eps", "1/0"],
+    ["ext", "hazards", "--graph", "g.json", "--K", "2", "--eps", "1/0",
+     "--set", "s.json"],
+    ["trev", "eval", "--u", "01", "--y", "0001", "--design", "d.json",
+     "--delta", "1/0"],
+    ["trev", "decode", "--word", "0110", "--delta", "1/0"],
+    ["trev", "decode", "--word", "0110", "--delta", "half"],
+    ["demo", "lemma1", "--n", "3", "--k", "1", "--eps", "1/0", "--seed", "1"],
+    ["demo", "prefix", "--eps", "1/0", "--seed", "1"],
+])
+def test_bad_fraction_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "not a fraction" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("file, text, argv, message", [
+    pytest.param("set", '{"label":"b","k":1}', ["fp", "encode"],
+                 "missing field 'elements'", id="set-no-elements"),
+    pytest.param("set", '{"label":"b","k":1,"elements":"ab"}', ["fp", "encode"],
+                 "'elements' must be an array", id="set-string-elements"),
+    pytest.param("set", '{"label":"b","k":"1","elements":[0]}',
+                 ["fp", "encode"], "'k' must be an integer", id="set-string-k"),
+    pytest.param("set", '[0, 1]', ["fp", "encode"], "must be an object",
+                 id="set-not-object"),
+    pytest.param("design", '{"d":8,"sets":[[1,2]]}', ["trev", "eval"],
+                 "missing field 'block_size'", id="design-no-block-size"),
+    pytest.param("design", '{"d":8,"block_size":2,"sets":[1,2]}',
+                 ["trev", "eval"], "'sets' must be an array of integer arrays",
+                 id="design-flat-sets"),
+    pytest.param("fingerprint", '{"flavor":"matching","payload_bits":3,'
+                 '"neighbor_ordinal":0,"neighbor_bits":2}', ["fp", "decode"],
+                 "missing field 'right_index'", id="fingerprint-no-right-index"),
+    pytest.param("fingerprint", '{"payload_bits":3}', ["fp", "decode"],
+                 "missing field 'flavor'", id="fingerprint-no-flavor"),
+    pytest.param("fingerprint", '{"flavor":"extractor","layer":0,'
+                 '"right_index":1.5,"ordinal":0,"payload_bits":1,'
+                 '"layer_bits":0,"ordinal_bound":4,"ordinal_bits":2}',
+                 ["fp", "decode"], "'right_index' must be an integer",
+                 id="fingerprint-float-field"),
+    pytest.param("fingerprint", '{"flavor":"two-condition","p":0,"q":0,'
+                 '"bound":1,"second_bound":0,"payload_bits":2,'
+                 '"prefix_bits":1,"ordinal_b":0,"ordinal_c":0}',
+                 ["fp", "decode"], "not --flavor match",
+                 id="fingerprint-other-flavor"),
+])
+def test_malformed_input_file_is_failure_not_crash(capsys, tmp_path, cx_path,
+                                                   file, text, argv, message):
+    files = {"set": '{"label":"b","k":1,"elements":[0,1]}',
+             "design": '{"d":8,"block_size":2,"sets":[[1,2],[3,4]]}',
+             "fingerprint": '{"flavor":"matching","right_index":0,'
+                            '"payload_bits":3,"neighbor_ordinal":0,'
+                            '"neighbor_bits":2}', file: text}
+    paths = {}
+    for name, body in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(body)
+    extra = {
+        ("fp", "encode"): ["--flavor", "match", "--graph", cx_path,
+                           "--set", str(paths["set"]), "--target", "0"],
+        ("fp", "decode"): ["--flavor", "match", "--graph", cx_path,
+                           "--set", str(paths["set"]),
+                           "--fingerprint", str(paths["fingerprint"])],
+        ("trev", "eval"): ["--u", "01", "--y", "00000001",
+                           "--design", str(paths["design"])],
+    }[tuple(argv)]
+    code = main([*argv, *extra])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert message in json.loads(captured.out)["outcome"]["error"]
+    assert captured.err == ""
+
+
 def test_online_layered_refuses_bad_base(capsys, tmp_path, cx_path):
     code, report = run_json(capsys, "online", "layered", "--graph", cx_path,
                             "--k", "2")

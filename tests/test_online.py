@@ -1,16 +1,24 @@
+import copy
+import dataclasses
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
-from omex import (BipartiteGraph, LayeredGraph, MatchingSession,
-                  OfflineParams, complete_graph,
-                  construct_verified_offline_graph, counterexample_graph,
-                  exhaustive_online_check, half_rejection_audit, hall_check,
-                  layered, online_strategy_exists)
+from omex import (AuditViolation, BipartiteGraph, LayeredGraph,
+                  LimitExceeded, Limits, MatchingSession, OfflineParams,
+                  complete_graph, construct_verified_offline_graph,
+                  counterexample_graph, exhaustive_online_check,
+                  half_rejection_audit, hall_check, layered,
+                  online_strategy_exists)
 from omex.rng import SplitMix64
 
 from conftest import small_graphs
+from oracles import naive_online_check
+
+
+# four left vertices funneled into one right vertex: fails Hall at size 2
+FUNNEL = BipartiteGraph(2, 1, 1, ((0,), (0,), (0,), (0,)))
 
 
 def verified_base(n, k, seed=7):
@@ -46,6 +54,58 @@ def test_capacity_enforced():
     session.request(0)
     with pytest.raises(ValueError, match="capacity"):
         session.request(1)
+
+
+def session_state(session):
+    """Every field of a session, deep-copied, with the matching's order."""
+    state = {f.name: copy.deepcopy(getattr(session, f.name))
+             for f in dataclasses.fields(session)}
+    state["matched order"] = list(session.matched)
+    return state
+
+
+@pytest.mark.parametrize("v, capacity, message", [
+    (99, 3, "not in"), (-1, 3, "not in"), (0, 3, "already requested"),
+    (2, 1, "capacity"),
+])
+def test_refused_request_leaves_session_unchanged(v, capacity, message):
+    session = MatchingSession(layered(counterexample_graph(), 1),
+                              capacity=capacity)
+    session.request(0)
+    before = session_state(session)
+    with pytest.raises(ValueError, match=message):
+        session.request(v)
+    assert session_state(session) == before
+
+
+@st.composite
+def layered_sessions(draw):
+    """A session over k+1 copies of a small base, Hall's condition not
+    assumed, and a request order over all of its left vertices."""
+    base = draw(small_graphs(max_n=3, max_right=4, max_degree=3))
+    lg = LayeredGraph.build(base, draw(st.integers(min_value=1, max_value=3)))
+    order = draw(st.permutations(range(base.left_size)))
+    return MatchingSession(lg, capacity=base.left_size), order
+
+
+@settings(max_examples=150, deadline=None)
+@given(layered_sessions())
+def test_request_then_undo_restores_every_field(drawn):
+    session, order = drawn
+    fresh = session_state(session)
+    states = []
+    for v in order:
+        states.append(session_state(session))
+        session.request(v)
+        after = session_state(session)
+        session._undo()
+        assert session_state(session) == states[-1]
+        session.request(v)
+        assert session_state(session) == after
+    for state in reversed(states):
+        session._undo()
+        assert session_state(session) == state
+    assert session_state(session) == fresh
 
 
 def test_greedy_deterministic():
@@ -93,14 +153,11 @@ def test_layered_rows_are_base_rows_per_layer():
         row = lg.graph.neighbors_of(v)
         basal = base.neighbors_of(v)
         assert row == tuple(basal) + tuple(r + width for r in basal)
-    assert lg.layer_of(0) == 0
-    assert lg.layer_of(width) == 1
 
 
 def test_layered_refuses_non_hall_base():
-    bad = BipartiteGraph(2, 1, 1, ((0,), (0,), (0,), (0,)))
     with pytest.raises(ValueError, match="hall_check"):
-        layered(bad, 1)
+        layered(FUNNEL, 1)
 
 
 def test_two_layers_over_counterexample_serve_any_pair():
@@ -124,10 +181,8 @@ def test_complete_graph_audit_clean():
 
 
 def test_audit_flags_overloaded_layer():
-    # four left vertices funneled into one right vertex, single layer:
-    # three of four requests get forwarded past layer 0
-    bad = LayeredGraph.build(BipartiteGraph(2, 1, 1, ((0,), (0,), (0,), (0,))), 1)
-    session = MatchingSession(bad, capacity=4)
+    # single layer: three of four requests get forwarded past layer 0
+    session = MatchingSession(LayeredGraph.build(FUNNEL, 1), capacity=4)
     for v in range(4):
         session.request(v)
     violation = half_rejection_audit(session)
@@ -147,10 +202,52 @@ def test_smuggled_counterexample_base_audit():
     assert half_rejection_audit(session) is None
 
 
+def test_sweep_reports_audit_violation_without_rejection():
+    # each of four copies of one right vertex serves one request, so the
+    # fourth request is served, yet layer 0 forwarded 3 of the 4 it saw
+    sweep = exhaustive_online_check(LayeredGraph.build(FUNNEL, 4), 4)
+    assert sweep.first_rejection is None
+    assert sweep.first_audit_violation == ([0, 1, 2, 3],
+                                           AuditViolation(0, 4, 3))
+    assert sweep.sequences == 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=3, max_right=4, max_degree=3),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=4))
+@example(FUNNEL, 4, 4)
+@example(FUNNEL, 1, 4)
+def test_sweep_matches_naive_replay(base, copies, capacity):
+    # LayeredGraph.build skips the Hall check, so rejections and audit
+    # violations occur as well as clean sweeps
+    lg = LayeredGraph.build(base, copies)
+    sweep = exhaustive_online_check(lg, capacity)
+    naive = naive_online_check(lg, capacity)
+    assert sweep.sequences == naive.sequences
+    assert sweep.first_rejection == naive.first_rejection
+    assert sweep.first_audit_violation == naive.first_audit_violation
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 2)])
+def test_sweep_matches_naive_replay_on_verified_bases(n, k):
+    lg = layered(verified_base(n, k), k)
+    sweep = exhaustive_online_check(lg, 2 ** k)
+    assert sweep.ok
+    assert sweep == naive_online_check(lg, 2 ** k)
+
+
 def test_exhaustive_sweep_n2_k1():
     sweep = exhaustive_online_check(layered(verified_base(2, 1), 1), 2)
     assert sweep.ok
     assert sweep.sequences == 4 + 4 * 3
+
+
+def test_sweep_node_budget():
+    lg = layered(verified_base(2, 1), 1)
+    assert exhaustive_online_check(lg, 2, limits=Limits(subset_nodes=16)).ok
+    with pytest.raises(LimitExceeded, match="exceeds 15 nodes"):
+        exhaustive_online_check(lg, 2, limits=Limits(subset_nodes=15))
 
 
 # --- strategy existence game ------------------------------------------------
