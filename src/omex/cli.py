@@ -401,14 +401,15 @@ def cmd_demo_om(args):
     mc_ok = freq <= float(bound) + 3 * sigma
     rows = []
     sweeps_ok = True
-    for n in (2, 3):
-        for k in range(1, n + 1):
-            base, attempts = construct_verified_offline_graph(
-                OfflineParams(n, k, 2), args.seed)
-            sweep = exhaustive_online_check(layered(base, k), 2 ** k)
-            rows.append({"n": n, "k": k, "attempts": attempts,
-                         "sequences": sweep.sequences, "ok": sweep.ok})
-            sweeps_ok = sweeps_ok and sweep.ok
+    # every k <= n for n <= 3, then two sizes at the sweep's frontier
+    for n, k in ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 3), (5, 2)):
+        base, attempts = construct_verified_offline_graph(
+            OfflineParams(n, k, 2), args.seed)
+        sweep = exhaustive_online_check(layered(base, k), 2 ** k)
+        rows.append({"n": n, "k": k, "attempts": attempts,
+                     "sequences": sweep.sequences, "visited": sweep.visited,
+                     "memo_hits": sweep.memo_hits, "ok": sweep.ok})
+        sweeps_ok = sweeps_ok and sweep.ok
     ok = exact_ok and mc_ok and sweeps_ok
     return {"series_bound": bound, "series_bound_exact_ok": exact_ok,
             "trials": args.trials, "failures": failures,

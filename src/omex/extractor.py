@@ -281,6 +281,8 @@ class HazardReport:
 
 
 def hazard_report(view: ExtractorView, S, bad_factor: int = 2) -> HazardReport:
+    if bad_factor < 1:
+        raise ValueError(f"need bad factor >= 1, got {bad_factor}")
     S = _validate_subset(view, S)
     if len(S) > view.K:
         raise ValueError(f"|S| = {len(S)} exceeds K = {view.K}")

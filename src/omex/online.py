@@ -9,6 +9,7 @@ exhaustive game-tree search, whether any on-line algorithm at all can
 survive every adversary order.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .graph import BipartiteGraph
@@ -57,6 +58,8 @@ def layered(base: BipartiteGraph, k: int,
     The stacking multiplies right size and left degrees by k+1 and turns
     off-line goodness into an on-line guarantee for up to 2^k requests.
     """
+    if k < 0:
+        raise ValueError(f"need k >= 0, got k = {k}")
     limits = limits or default_limits()
     mode = "exhaustive" if base.left_size <= limits.hall_left_size else "matching"
     witness = hall_check(base, 2 ** k, mode=mode, limits=limits)
@@ -193,15 +196,18 @@ def online_strategy_exists(g: BipartiteGraph, s: int,
     commit an unused neighbor. `exists` is True iff the algorithm can serve
     every adversary sequence of length <= s; the returned strategy maps each
     adversary move to the first winning reply in stored neighbor order.
+    Positions are memoized on (requested, used), both int bitmasks.
     """
     limits = limits or default_limits()
     nleft = g.left_size
-    memo: dict[tuple[frozenset, frozenset], bool] = {}
+    rows = g.neighbors
+    top = min(s, nleft)
+    memo: dict[tuple[int, int], bool] = {}
     nodes = 0
 
-    def wins(requested: frozenset, used: frozenset) -> bool:
+    def wins(requested: int, used: int, depth: int) -> bool:
         nonlocal nodes
-        if len(requested) >= s or len(requested) == nleft:
+        if depth >= top:
             return True
         key = (requested, used)
         if key in memo:
@@ -211,43 +217,43 @@ def online_strategy_exists(g: BipartiteGraph, s: int,
             raise LimitExceeded(f"game tree exceeds {limits.game_nodes} nodes")
         result = True
         for v in range(nleft):
-            if v in requested:
+            bit = 1 << v
+            if requested & bit:
                 continue
-            reply_found = False
-            tried: set[int] = set()
-            for r in g.neighbors_of(v):
-                if r in used or r in tried:
+            tried = used  # a reply already tried is a repeat, like a used one
+            for r in rows[v]:
+                rbit = 1 << r
+                if tried & rbit:
                     continue
-                tried.add(r)
-                if wins(requested | {v}, used | {r}):
-                    reply_found = True
+                tried |= rbit
+                if wins(requested | bit, used | rbit, depth + 1):
                     break
-            if not reply_found:
+            else:
                 result = False
                 break
         memo[key] = result
         return result
 
-    def build_tree(requested: frozenset, used: frozenset) -> dict:
+    def build_tree(requested: int, used: int, depth: int) -> dict:
         tree = {}
-        if len(requested) >= s or len(requested) == nleft:
+        if depth >= top:
             return tree
         for v in range(nleft):
-            if v in requested:
+            bit = 1 << v
+            if requested & bit:
                 continue
-            for r in g.neighbors_of(v):
-                if r in used:
+            for r in rows[v]:
+                rbit = 1 << r
+                if used & rbit:
                     continue
-                if wins(requested | {v}, used | {r}):
-                    tree[v] = {"pick": r,
-                               "next": build_tree(requested | {v}, used | {r})}
+                if wins(requested | bit, used | rbit, depth + 1):
+                    tree[v] = {"pick": r, "next": build_tree(
+                        requested | bit, used | rbit, depth + 1)}
                     break
         return tree
 
-    start_requested: frozenset = frozenset()
-    start_used: frozenset = frozenset()
-    if wins(start_requested, start_used):
-        return GameResult(True, build_tree(start_requested, start_used), nodes)
+    if wins(0, 0, 0):
+        return GameResult(True, build_tree(0, 0, 0), nodes)
     return GameResult(False, None, nodes)
 
 
@@ -256,6 +262,10 @@ class SequenceSweep:
     sequences: int
     first_rejection: list[int] | None
     first_audit_violation: tuple[list[int], AuditViolation] | None
+    # nodes the walk stepped through, and subtrees counted from the cache
+    # of passing states instead; neither takes part in equality
+    visited: int = field(default=0, compare=False)
+    memo_hits: int = field(default=0, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -270,34 +280,66 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int,
     Each prefix is itself a complete request stream, so rejection-freedom
     and the half-rejection audit are checked at every node of the tree.
     The search stops at the first node that fails either check.
+
+    The engine's future depends only on the requested set, the used set,
+    `reached` and `forwarded`. Before any rejection the last two are
+    counts of used right vertices by layer (a request reached every layer
+    up to the one it was served in, and was forwarded past those below
+    it), so the two sets, held as int bitmasks, key the state. A node
+    whose state already headed a subtree that passed throughout is not
+    descended: its subtree's sequences are counted in closed form. Only
+    passing subtrees are cached, so the first failing node, its prefix and
+    `sequences` are those of the full walk. `limits.subset_nodes` bounds
+    the nodes stepped through.
     """
     limits = limits or default_limits()
     budget = limits.subset_nodes
     nleft = lg.graph.left_size
     session = MatchingSession(lg, capacity)
-    requested, step, undo = session.requested, session._step, session._undo
+    step, undo = session._step, session._undo
+    top = min(capacity, nleft)
+    # below[j]: sequences strictly below a node at depth j
+    below = [sum(math.perm(nleft - j, i) for i in range(1, top - j + 1))
+             for j in range(top + 1)]
+    passed: set[tuple[int, int]] = set()
     sweep = SequenceSweep(0, None, None)
+    visited = sequences = hits = 0
 
-    def dfs() -> bool:
-        if len(requested) >= capacity:
-            return True
+    def dfs(requested: int, used: int, depth: int) -> bool:
+        nonlocal visited, sequences, hits
         for v in range(nleft):
-            if v in requested:
+            bit = 1 << v
+            if requested & bit:
                 continue
-            if sweep.sequences == budget:
-                raise LimitExceeded(f"sequence tree exceeds {budget} nodes")
+            if visited == budget:
+                raise LimitExceeded(
+                    f"sequence tree exceeds {budget} nodes: visited "
+                    f"{visited} nodes, counted {sequences} sequences, "
+                    f"cached {len(passed)} passing states")
             r = step(v)
-            sweep.sequences += 1
+            visited += 1
+            sequences += 1
             if r is None:
                 sweep.first_rejection = list(session._order)
             violation = half_rejection_audit(session)
             if violation is not None:
                 sweep.first_audit_violation = (list(session._order), violation)
-            ok = r is not None and violation is None and dfs()
+            ok = r is not None and violation is None
+            if ok and depth + 1 < top:
+                key = (requested | bit, used | 1 << r)
+                if key in passed:
+                    hits += 1
+                    sequences += below[depth + 1]
+                else:
+                    ok = dfs(*key, depth + 1)
+                    if ok:
+                        passed.add(key)
             undo()
             if not ok:
                 return False
         return True
 
-    dfs()
+    if top > 0:
+        dfs(0, 0, 0)
+    sweep.sequences, sweep.visited, sweep.memo_hits = sequences, visited, hits
     return sweep

@@ -3,8 +3,8 @@ against."""
 
 import itertools
 
-from omex import (ExtractorCheck, MatchingSession, PrefixCheck, SequenceSweep,
-                  deviation, half_rejection_audit, truncate)
+from omex import (ExtractorCheck, GameResult, MatchingSession, PrefixCheck,
+                  SequenceSweep, deviation, half_rejection_audit, truncate)
 
 
 def naive_is_extractor(view) -> ExtractorCheck:
@@ -68,3 +68,59 @@ def naive_online_check(lg, capacity: int) -> SequenceSweep:
         if not sweep.ok:
             break
     return sweep
+
+
+def naive_online_strategy_exists(g, s: int) -> GameResult:
+    """The adversary-vs-algorithm game on frozensets: positions keyed by
+    (requested, used), the same recursion, node count and strategy tree as
+    `online_strategy_exists`, with no node limit."""
+    nleft = g.left_size
+    memo: dict[tuple[frozenset, frozenset], bool] = {}
+    nodes = 0
+
+    def wins(requested: frozenset, used: frozenset) -> bool:
+        nonlocal nodes
+        if len(requested) >= s or len(requested) == nleft:
+            return True
+        key = (requested, used)
+        if key in memo:
+            return memo[key]
+        nodes += 1
+        result = True
+        for v in range(nleft):
+            if v in requested:
+                continue
+            reply_found = False
+            tried: set[int] = set()
+            for r in g.neighbors_of(v):
+                if r in used or r in tried:
+                    continue
+                tried.add(r)
+                if wins(requested | {v}, used | {r}):
+                    reply_found = True
+                    break
+            if not reply_found:
+                result = False
+                break
+        memo[key] = result
+        return result
+
+    def build_tree(requested: frozenset, used: frozenset) -> dict:
+        tree = {}
+        if len(requested) >= s or len(requested) == nleft:
+            return tree
+        for v in range(nleft):
+            if v in requested:
+                continue
+            for r in g.neighbors_of(v):
+                if r in used:
+                    continue
+                if wins(requested | {v}, used | {r}):
+                    tree[v] = {"pick": r,
+                               "next": build_tree(requested | {v}, used | {r})}
+                    break
+        return tree
+
+    if wins(frozenset(), frozenset()):
+        return GameResult(True, build_tree(frozenset(), frozenset()), nodes)
+    return GameResult(False, None, nodes)

@@ -78,13 +78,13 @@ def test_criterion_3_layered_engine_serves_everything():
     started = time.monotonic()
     ok = True
     total_sequences = 0
-    for n in (2, 3):
-        for k in range(1, n + 1):
-            base, _ = construct_verified_offline_graph(
-                OfflineParams(n, k, 2), seed=70 + 10 * n + k)
-            sweep = exhaustive_online_check(layered(base, k), 2 ** k)
-            total_sequences += sweep.sequences
-            ok = ok and sweep.ok
+    sizes = [(n, k) for n in (2, 3) for k in range(1, n + 1)] + [(4, 3), (5, 2)]
+    for n, k in sizes:
+        base, _ = construct_verified_offline_graph(
+            OfflineParams(n, k, 2), seed=70 + 10 * n + k)
+        sweep = exhaustive_online_check(layered(base, k), 2 ** k)
+        total_sequences += sweep.sequences
+        ok = ok and sweep.ok
     report(3, f"all {total_sequences} request sequences served, audits clean",
            ok, time.monotonic() - started, 60.0)
 

@@ -262,6 +262,13 @@ def test_online_layered_refuses_bad_base(capsys, tmp_path, cx_path):
     assert "hall_check" in report["outcome"]["error"]
 
 
+def test_online_layered_negative_k_is_failure(capsys, cx_path):
+    code, report = run_json(capsys, "online", "layered", "--graph", cx_path,
+                            "--k", "-1")
+    assert code == 1
+    assert "k >= 0, got k = -1" in report["outcome"]["error"]
+
+
 def test_ext_search_check_roundtrip(capsys, tmp_path):
     view_path = str(tmp_path / "view.json")
     code, report = run_json(capsys, "ext", "search", "--n", "3", "--k", "1",
@@ -310,6 +317,12 @@ def test_ext_hazards(capsys, tmp_path):
                             "--set", str(set_path))
     assert code == 0
     assert report["outcome"]["subset"] == [0, 3, 5]
+    for bad_factor in ("0", "-1"):
+        code, report = run_json(capsys, "ext", "hazards", "--graph",
+                                view_path, "--set", str(set_path),
+                                "--bad-factor", bad_factor)
+        assert code == 1
+        assert "bad factor >= 1" in report["outcome"]["error"]
 
 
 @pytest.mark.parametrize("drop, change, extra", [
@@ -435,6 +448,12 @@ def test_demo_om_small(capsys):
     assert code == 0
     assert report["outcome"]["series_bound"] == "9/64"
     assert report["outcome"]["all_sequences_served"] is True
+    rows = {(row["n"], row["k"]): row for row in report["outcome"]["rows"]}
+    assert set(rows) == {(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 3),
+                         (5, 2)}
+    assert rows[4, 3]["sequences"] == 582_913_216
+    assert rows[4, 3]["memo_hits"] > 0
+    assert rows[4, 3]["visited"] < rows[4, 3]["sequences"]
 
 
 def test_demo_muchnik(capsys):

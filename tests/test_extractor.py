@@ -237,6 +237,13 @@ def test_bad_factor_parameter_tightens_threshold():
     assert rep.weakly_dangerous == (0,)
 
 
+@pytest.mark.parametrize("bad_factor", [0, -1])
+def test_bad_factor_below_one_rejected(bad_factor):
+    view = ExtractorView(BipartiteGraph(0, 2, 2, ((0, 0),)), 1, Fraction(1, 4))
+    with pytest.raises(ValueError, match=f"bad factor >= 1, got {bad_factor}"):
+        hazard_report(view, (0,), bad_factor=bad_factor)
+
+
 def test_dangerous_subset_of_weakly_dangerous():
     for seed in range(10):
         view = random_view(4000 + seed, n=3, m=1, d=2, K=4)

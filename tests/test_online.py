@@ -14,11 +14,21 @@ from omex import (AuditViolation, BipartiteGraph, LayeredGraph,
 from omex.rng import SplitMix64
 
 from conftest import small_graphs
-from oracles import naive_online_check
+from oracles import naive_online_check, naive_online_strategy_exists
 
 
 # four left vertices funneled into one right vertex: fails Hall at size 2
 FUNNEL = BipartiteGraph(2, 1, 1, ((0,), (0,), (0,), (0,)))
+# sweeps whose cache of passing states is hit before the walk fails: with
+# 2 copies and capacity 3 a request is rejected, with 4 copies and
+# capacity 4 an audit fails with no rejection
+HIT_THEN_REJECT = BipartiteGraph(2, 2, 2, ((1,), (1,), (1, 0)))
+HIT_THEN_AUDIT = BipartiteGraph(2, 2, 2, ((0,), (0,), (0,), (0, 1)))
+# sweeps that fail where a state cache keyed without the requested set
+# (one copy, capacity 2), or without the used set (two copies, capacity 4),
+# would count a failing subtree as passed
+SAME_USED_OTHER_REQUESTED = BipartiteGraph(1, 2, 2, ((1,), (1, 0)))
+SAME_REQUESTED_OTHER_USED = BipartiteGraph(2, 2, 3, ((0, 0), (0, 1, 1), (0,)))
 
 
 def verified_base(n, k, seed=7):
@@ -218,6 +228,10 @@ def test_sweep_reports_audit_violation_without_rejection():
        st.integers(min_value=1, max_value=4))
 @example(FUNNEL, 4, 4)
 @example(FUNNEL, 1, 4)
+@example(HIT_THEN_REJECT, 2, 3)
+@example(HIT_THEN_AUDIT, 4, 4)
+@example(SAME_USED_OTHER_REQUESTED, 1, 2)
+@example(SAME_REQUESTED_OTHER_USED, 2, 4)
 def test_sweep_matches_naive_replay(base, copies, capacity):
     # LayeredGraph.build skips the Hall check, so rejections and audit
     # violations occur as well as clean sweeps
@@ -227,6 +241,19 @@ def test_sweep_matches_naive_replay(base, copies, capacity):
     assert sweep.sequences == naive.sequences
     assert sweep.first_rejection == naive.first_rejection
     assert sweep.first_audit_violation == naive.first_audit_violation
+
+
+@pytest.mark.parametrize("base, copies, capacity, rejected, audited", [
+    (HIT_THEN_REJECT, 2, 3, [2, 0, 1], None),
+    (HIT_THEN_AUDIT, 4, 4, None, ([3, 0, 1, 2], AuditViolation(0, 4, 3))),
+])
+def test_sweep_cache_hits_precede_failure(base, copies, capacity, rejected,
+                                          audited):
+    sweep = exhaustive_online_check(LayeredGraph.build(base, copies),
+                                    capacity)
+    assert sweep.memo_hits > 0
+    assert sweep.first_rejection == rejected
+    assert sweep.first_audit_violation == audited
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (3, 2)])
@@ -248,6 +275,31 @@ def test_sweep_node_budget():
     assert exhaustive_online_check(lg, 2, limits=Limits(subset_nodes=16)).ok
     with pytest.raises(LimitExceeded, match="exceeds 15 nodes"):
         exhaustive_online_check(lg, 2, limits=Limits(subset_nodes=15))
+
+
+def test_exhaustive_limit_message_reports_progress():
+    lg = layered(verified_base(3, 2), 2)
+    sweep = exhaustive_online_check(lg, 4)
+    assert (sweep.sequences, sweep.visited, sweep.memo_hits) == (2080, 512, 140)
+    with pytest.raises(LimitExceeded) as raised:
+        exhaustive_online_check(lg, 4, limits=Limits(subset_nodes=200))
+    assert str(raised.value) == (
+        "sequence tree exceeds 200 nodes: visited 200 nodes, counted 356 "
+        "sequences, cached 36 passing states")
+
+
+def test_sweep_frontier_n4_k3():
+    # 582,913,216 sequences under the default 5M-node budget: the walk
+    # steps through far fewer nodes and counts cached subtrees in closed form
+    sweep = exhaustive_online_check(layered(verified_base(4, 3), 3), 8)
+    assert sweep.ok
+    assert sweep.sequences == 582_913_216   # sum of P(16, j) for j = 1..8
+    assert sweep.visited < Limits().subset_nodes
+
+
+def test_layered_refuses_negative_k():
+    with pytest.raises(ValueError, match="k >= 0, got k = -1"):
+        layered(counterexample_graph(), -1)
 
 
 # --- strategy existence game ------------------------------------------------
@@ -292,6 +344,20 @@ def test_online_strategy_implies_hall(g):
             continue
         if online_strategy_exists(g, s).exists:
             assert hall_check(g, s) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=3, max_right=4, max_degree=3),
+       st.integers(min_value=1, max_value=4))
+@example(counterexample_graph(), 2)
+@example(layered(counterexample_graph(), 1).graph, 3)
+@example(layered(verified_base(2, 1), 1).graph, 4)
+@example(layered(verified_base(3, 1), 1).graph, 3)
+def test_game_matches_frozenset_oracle(g, s):
+    res = online_strategy_exists(g, s)
+    naive = naive_online_strategy_exists(g, s)
+    assert (res.exists, res.nodes) == (naive.exists, naive.nodes)
+    assert res.strategy == naive.strategy
 
 
 # --- the layered engine serves everything, exhaustively and sampled ---------
