@@ -33,10 +33,10 @@ from .offline import (OfflineParams, construct_verified_offline_graph,
 from .online import (LayeredGraph, MatchingSession, counterexample_graph,
                      exhaustive_online_check, half_rejection_audit, layered,
                      online_strategy_exists)
+from .oracles import brute_list_decode, exhaustive_subset_deviation
 from .rng import SplitMix64
-from .trevisan import (CodeTable, encode as hadamard_encode, greedy_weak_design,
-                       list_decode, load_design, save_design, trevisan_eval,
-                       verify_weak_design)
+from .trevisan import (CodeTable, greedy_weak_design, list_decode, load_design,
+                       save_design, trevisan_eval, verify_weak_design)
 
 # the greedy weak-design grid exercised by `demo trevisan`
 DESIGN_GRID = [(1, 4, 4), (2, 3, 6), (2, 4, 10), (2, 6, 14), (3, 4, 16),
@@ -418,79 +418,57 @@ def cmd_demo_om(args):
             "all_sequences_served": sweeps_ok}, ok
 
 
-def _searched_view(args, m, prefix=False):
+def _searched_view(args):
+    m = args.m if args.m is not None else args.k
     d = args.d if args.d is not None else (
         optimal_degree_pow2(2 ** args.n, 2 ** args.k, 2 ** m, args.eps)
         .bit_length() - 1)
     view, attempts = random_extractor_search(
         args.n, args.k, m, args.eps, d, seed=args.seed,
-        max_attempts=args.attempts, prefix=prefix)
+        max_attempts=args.attempts)
     return view, attempts, d
 
 
-def _exhaustive_subset_deviation(view, S) -> Fraction:
-    """Worst deviation found by trying every right subset; the slow oracle
-    the direct computation is cross-checked against."""
-    denom = view.D * len(S)
-    best = Fraction(0)
-    for mask in range(2 ** view.M):
-        edges = sum(
-            sum(1 for r in view.graph.neighbors[v] if mask >> r & 1)
-            for v in S)
-        gap = abs(Fraction(edges, denom) - Fraction(bin(mask).count("1"), view.M))
-        best = max(best, gap)
-    return best
-
-
 def cmd_demo_lemma1(args):
-    m = args.m if args.m is not None else args.k
-    view, attempts, d = _searched_view(args, m)
+    view, attempts, d = _searched_view(args)
     K, eps = view.K, view.eps
     limit = 2 * eps * K
     rows = []
-    worst = 0
     oracle_checked = 0
     oracle_ok = True
     for idx, S in enumerate(itertools.combinations(range(view.N), K)):
         rep = hazard_report(view, S, args.bad_factor)
-        count = len(rep.dangerous)
-        worst = max(worst, count)
-        rows.append({"S": " ".join(map(str, S)), "dangerous": count,
+        rows.append({"S": " ".join(map(str, S)), "dangerous": len(rep.dangerous),
                      "weakly_dangerous": len(rep.weakly_dangerous),
                      "bad": len(rep.bad)})
         if view.M <= 4 and idx % 7 == 0:
             # verifier cross-check against the all-subsets oracle
             oracle_ok = oracle_ok and (
-                deviation(view, S) == _exhaustive_subset_deviation(view, S))
+                deviation(view, S) == exhaustive_subset_deviation(view, S))
             oracle_checked += 1
-    bound_ok = all(r["dangerous"] < limit for r in rows)
+    worst = max(r["dangerous"] for r in rows)
+    bound_ok = worst < limit
     ok = bound_ok and oracle_ok
     return {"attempts": attempts, "d": d, "K": K, "eps": eps,
             "dangerous_limit": limit, "max_dangerous": worst,
             "subsets": len(rows), "bound_ok": bound_ok,
             "oracle_checked": oracle_checked, "oracle_ok": oracle_ok,
-            "rows": rows if len(rows) <= args.max_rows else
-            rows[:args.max_rows]}, ok
+            "rows": rows[:args.max_rows]}, ok
 
 
 def cmd_demo_lemma3(args):
-    m = args.m if args.m is not None else args.k
-    view, attempts, d = _searched_view(args, m)
+    view, attempts, d = _searched_view(args)
     K, eps = view.K, view.eps
     limit = 4 * eps * K
-    rows = []
-    worst = 0
-    for S in itertools.combinations(range(view.N), K):
-        rep = hazard_report(view, S, args.bad_factor)
-        count = len(rep.weakly_dangerous)
-        worst = max(worst, count)
-        rows.append({"S": " ".join(map(str, S)), "weakly_dangerous": count})
-    ok = all(r["weakly_dangerous"] <= limit for r in rows)
+    rows = [{"S": " ".join(map(str, S)), "weakly_dangerous": len(
+                hazard_report(view, S, args.bad_factor).weakly_dangerous)}
+            for S in itertools.combinations(range(view.N), K)]
+    worst = max(r["weakly_dangerous"] for r in rows)
+    ok = worst <= limit
     return {"attempts": attempts, "d": d, "K": K, "eps": eps,
             "weak_limit": limit, "max_weakly_dangerous": worst,
             "subsets": len(rows), "bound_ok": ok,
-            "rows": rows if len(rows) <= args.max_rows else
-            rows[:args.max_rows]}, ok
+            "rows": rows[:args.max_rows]}, ok
 
 
 def cmd_demo_prefix(args):
@@ -510,46 +488,31 @@ def cmd_demo_prefix(args):
             "finite": finite, "monotone_decreasing": monotone}, ok
 
 
+def _decoder_agrees(code, words):
+    """Whether `list_decode` matches the oracle on every word; longest list."""
+    ok, longest = True, 0
+    for word in words:
+        got = list_decode(code, word)
+        ok = ok and got == brute_list_decode(code, word)
+        longest = max(longest, len(got))
+    return ok, longest
+
+
 def cmd_demo_trevisan(args):
-    designs = []
-    designs_ok = True
-    for block, m, d in DESIGN_GRID:
-        design = greedy_weak_design(block, m, d, seed=args.seed)
-        verdict = verify_weak_design(design, m)
-        designs.append({"block_size": block, "m": m, "d": d,
-                        "ok": verdict is None})
-        designs_ok = designs_ok and verdict is None
-
-    def brute(code, word):
-        hits = []
-        for u_int in range(2 ** code.n_msg):
-            u = format(u_int, f"0{code.n_msg}b")
-            cw = hadamard_encode(code, u)
-            agree = sum(a == b for a, b in zip(cw, word))
-            if Fraction(agree, code.codeword_length) >= Fraction(1, 2) + code.delta:
-                hits.append(u)
-        return hits
-
+    designs = [{"block_size": block, "m": m, "d": d,
+                "ok": verify_weak_design(
+                    greedy_weak_design(block, m, d, seed=args.seed), m) is None}
+               for block, m, d in DESIGN_GRID]
+    designs_ok = all(row["ok"] for row in designs)
     code2 = CodeTable(2, Fraction(1, 4))
-    johnson2 = 1 / (4 * float(code2.delta) ** 2)
-    exhaustive_ok = True
-    max_list = 0
-    for w in range(16):
-        word = format(w, "04b")
-        got = list_decode(code2, word)
-        exhaustive_ok = exhaustive_ok and got == brute(code2, word)
-        max_list = max(max_list, len(got))
-    johnson_ok = max_list <= johnson2
-
+    exhaustive_ok, max_list = _decoder_agrees(
+        code2, (format(w, "04b") for w in range(16)))
     code4 = CodeTable(4, Fraction(1, 8))
-    johnson4 = 1 / (4 * float(code4.delta) ** 2)
     rng = SplitMix64(args.seed)
-    sampled_ok = True
-    for _ in range(args.samples):
-        word = format(rng.below(2 ** 16), "016b")
-        got = list_decode(code4, word)
-        sampled_ok = sampled_ok and got == brute(code4, word)
-        johnson_ok = johnson_ok and len(got) <= johnson4
+    sampled_ok, max_list4 = _decoder_agrees(
+        code4, (format(rng.below(2 ** 16), "016b") for _ in range(args.samples)))
+    johnson_ok = (max_list <= 1 / (4 * float(code2.delta) ** 2)
+                  and max_list4 <= 1 / (4 * float(code4.delta) ** 2))
     ok = designs_ok and exhaustive_ok and sampled_ok and johnson_ok
     return {"designs": designs, "designs_ok": designs_ok,
             "decode_exhaustive_words": 16, "decode_exhaustive_ok": exhaustive_ok,
@@ -762,7 +725,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", required=True)
     p.add_argument("--delta", type=_fraction, default=Fraction(1, 4))
     p.set_defaults(func=cmd_trev_eval)
-    p = trevsub.add_parser("decode", help="brute-force list decoding")
+    p = trevsub.add_parser(
+        "decode", help="list decoding by a fast Walsh-Hadamard transform")
     p.add_argument("--word", required=True)
     p.add_argument("--delta", type=_fraction, required=True)
     p.set_defaults(func=cmd_trev_decode)

@@ -16,8 +16,6 @@ class LimitExceeded(RuntimeError):
 
 @dataclass
 class Limits:
-    # largest left part for which all-subset Hall enumeration is allowed
-    hall_left_size: int = 16
     # cap on subsets examined by any single subset enumeration
     subset_nodes: int = 5_000_000
     # cap on game-tree nodes explored by the online strategy search

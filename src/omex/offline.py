@@ -89,17 +89,6 @@ def _count_distinct_neighbors(g: BipartiteGraph, subset: tuple[int, ...],
     return len(distinct) >= need
 
 
-def _scan_for_witness(g: BipartiteGraph, combos, size: int, mode: str) -> tuple[int, ...] | None:
-    for combo in combos:
-        if mode == "exhaustive":
-            ok = _count_distinct_neighbors(g, combo, size)
-        else:
-            ok = len(max_matching(g, list(combo))) == size
-        if not ok:
-            return combo
-    return None
-
-
 def hall_check(g: BipartiteGraph, s_max: int, *, mode: str = "exhaustive",
                limits: Limits | None = None) -> list[int] | None:
     """None when every left subset of size <= s_max has enough neighbors;
@@ -117,10 +106,6 @@ def hall_check(g: BipartiteGraph, s_max: int, *, mode: str = "exhaustive",
         raise ValueError(f"need s_max >= 1, got {s_max}")
     if s_max > 2 ** g.n:
         raise ValueError(f"s_max {s_max} exceeds left index space 2^{g.n}")
-    if mode == "exhaustive" and nleft > limits.hall_left_size:
-        raise LimitExceeded(
-            f"left size {nleft} exceeds exhaustive limit {limits.hall_left_size}; "
-            "use mode='matching'")
     examined = 0
     for size in range(1, min(s_max, nleft) + 1):
         count = math.comb(nleft, size)
@@ -128,10 +113,13 @@ def hall_check(g: BipartiteGraph, s_max: int, *, mode: str = "exhaustive",
         if examined > limits.subset_nodes:
             raise LimitExceeded(
                 f"subset enumeration would visit {examined} > {limits.subset_nodes} nodes")
-        combos = itertools.combinations(range(nleft), size)
-        witness = _scan_for_witness(g, combos, size, mode)
-        if witness is not None:
-            return list(witness)
+        for combo in itertools.combinations(range(nleft), size):
+            if mode == "exhaustive":
+                ok = _count_distinct_neighbors(g, combo, size)
+            else:
+                ok = len(max_matching(g, list(combo))) == size
+            if not ok:
+                return list(combo)
     return None
 
 
@@ -195,8 +183,7 @@ def construct_verified_offline_graph(
     for attempt in range(1, max_attempts + 1):
         g = BipartiteGraph(p.n, p.right_size, p.degree,
                            rng.rows(p.left_size, p.degree, p.right_size))
-        mode = "exhaustive" if p.left_size <= limits.hall_left_size else "matching"
-        if hall_check(g, 2 ** p.k, mode=mode, limits=limits) is None:
+        if hall_check(g, 2 ** p.k, limits=limits) is None:
             return g, attempt
     raise RuntimeError(
         f"no graph passed hall_check({2 ** p.k}) within {max_attempts} attempts")

@@ -61,8 +61,7 @@ def layered(base: BipartiteGraph, k: int,
     if k < 0:
         raise ValueError(f"need k >= 0, got k = {k}")
     limits = limits or default_limits()
-    mode = "exhaustive" if base.left_size <= limits.hall_left_size else "matching"
-    witness = hall_check(base, 2 ** k, mode=mode, limits=limits)
+    witness = hall_check(base, 2 ** k, limits=limits)
     if witness is not None:
         raise ValueError(
             f"base graph fails hall_check({2 ** k}): witness {witness}")
@@ -234,8 +233,14 @@ def online_strategy_exists(g: BipartiteGraph, s: int,
         memo[key] = result
         return result
 
+    trees: dict[tuple[int, int], dict] = {}
+
     def build_tree(requested: int, used: int, depth: int) -> dict:
-        tree = {}
+        # equal positions share one subtree, as in `wins`
+        key = (requested, used)
+        if key in trees:
+            return trees[key]
+        tree = trees[key] = {}
         if depth >= top:
             return tree
         for v in range(nleft):

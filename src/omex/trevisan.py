@@ -1,16 +1,16 @@
 """Trevisan-style function ingredients: weak designs, a Hadamard code with
-brute-force list decoding, coordinate restriction, and the evaluation map.
+Walsh-Hadamard list decoding, coordinate restriction, and the evaluation map.
 
 The evaluation map feeds a seed y through a family of coordinate sets: bit i
 of the output is the encoded message read at position y restricted to set i.
-Desk scale favors the Hadamard code (codeword length 2^n_msg) because its
-exhaustive decoder doubles as the agreement oracle the tests compare against.
+Bits are ints inside (bit a of the codeword of x is the parity of x & a);
+'0'/'1' strings appear only at the public functions. The brute-force decoder
+the fast one is checked against lives in `omex.oracles`.
 """
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .extractor import ExtractorView
 from .graph import INT, ROWS, BipartiteGraph, read_fields
@@ -75,23 +75,18 @@ def greedy_weak_design(block_size: int, m: int, d: int, seed: int,
     rng = SplitMix64(seed)
     for _ in range(restarts):
         sets: list[tuple[int, ...]] = []
-        chosen_sets: list[set[int]] = []
-        feasible = True
+        masks: list[int] = []
         for _ in range(m):
-            placed = False
             for _ in range(tries_per_set):
-                cand = tuple(sorted(x + 1 for x in rng.sample(d, block_size)))
-                cand_set = set(cand)
-                total = sum(2 ** len(cand_set & prev) for prev in chosen_sets)
-                if total <= m - 1:
-                    sets.append(cand)
-                    chosen_sets.append(cand_set)
-                    placed = True
+                draw = rng.sample(d, block_size)
+                mask = sum(1 << x for x in draw)
+                if sum(2 ** (mask & prev).bit_count() for prev in masks) <= m - 1:
+                    sets.append(tuple(sorted(x + 1 for x in draw)))
+                    masks.append(mask)
                     break
-            if not placed:
-                feasible = False
-                break
-        if feasible:
+            else:
+                break  # the slot could not be filled: restart
+        else:
             design = WeakDesign(d, block_size, tuple(sets))
             violation = verify_weak_design(design, m)
             if violation is not None:  # construction bug, not bad luck
@@ -124,10 +119,14 @@ def load_design(path) -> WeakDesign:
         return design_from_json(fh.read())
 
 
-def _check_bits(s: str, what: str) -> str:
+def _check_bits(s: str, what: str) -> int:
     if not s or any(ch not in "01" for ch in s):
         raise ValueError(f"{what} must be a nonempty string of 0s and 1s: {s!r}")
-    return s
+    return int(s, 2)
+
+
+def _bits(x: int, width: int) -> str:
+    return format(x, f"0{width}b") if width else ""
 
 
 @dataclass(frozen=True)
@@ -150,63 +149,85 @@ class CodeTable:
         return 2 ** self.n_msg
 
 
+def _message(code: CodeTable, u: str) -> int:
+    x = _check_bits(u, "message")
+    if len(u) != code.n_msg:
+        raise ValueError(f"message length {len(u)} != n_msg {code.n_msg}")
+    return x
+
+
+def _parities(x: int, masks) -> int:
+    """Bit i is the parity of x & masks[i], the first bit most significant.
+    Over masks 0..2^n_msg - 1 that is the Hadamard codeword of x; over
+    one-bit masks it gathers the bits of x they select."""
+    out = 0
+    for mask in masks:
+        out = out << 1 | (x & mask).bit_count() & 1
+    return out
+
+
 def encode(code: CodeTable, u: str) -> str:
     """Bit at position a is the inner product <u, a> mod 2, positions
     enumerated as n_msg-bit strings in numeric order."""
-    _check_bits(u, "message")
-    if len(u) != code.n_msg:
-        raise ValueError(f"message length {len(u)} != n_msg {code.n_msg}")
-    bits = []
-    for a in range(code.codeword_length):
-        abits = format(a, f"0{code.n_msg}b")
-        bits.append(str(sum(int(x) & int(y) for x, y in zip(u, abits)) & 1))
-    return "".join(bits)
-
-
-@lru_cache(maxsize=16)
-def _codeword_table(n_msg: int) -> tuple[str, ...]:
-    code = CodeTable(n_msg, Fraction(1, 4))
-    return tuple(encode(code, format(u, f"0{n_msg}b")) for u in range(2 ** n_msg))
+    nbar = code.codeword_length
+    return _bits(_parities(_message(code, u), range(nbar)), nbar)
 
 
 def list_decode(code: CodeTable, word: str) -> list[str]:
     """All messages whose codeword agrees with `word` on at least a
-    (1/2 + delta) fraction of positions, by trying every message. Returned
-    in message (numeric) order."""
+    (1/2 + delta) fraction of positions, in message (numeric) order. A fast
+    Walsh-Hadamard transform of the signs (-1)^w_a gives every message u
+    F[u] = sum_a (-1)^(w_a + <u, a>) = 2 * agree(u) - 2^n_msg at once."""
     _check_bits(word, "word")
     nbar = code.codeword_length
     if len(word) != nbar:
         raise ValueError(f"word length {len(word)} != codeword length {nbar}")
-    # agree >= (1/2 + delta) * nbar, compared exactly in integers
+    f = [1 if ch == "0" else -1 for ch in word]
+    h = 1
+    while h < nbar:
+        for i in range(0, nbar, 2 * h):
+            for j in range(i, i + h):
+                a, b = f[j], f[j + h]
+                f[j], f[j + h] = a + b, a - b
+        h *= 2
+    # agree >= (1/2 + delta) * nbar with agree = (nbar + F) / 2, in integers
     p, q = code.delta.numerator, code.delta.denominator
-    out = []
-    for u_int, cw in enumerate(_codeword_table(code.n_msg)):
-        agree = sum(1 for a, b in zip(cw, word) if a == b)
-        if 2 * q * agree >= nbar * (q + 2 * p):
-            out.append(format(u_int, f"0{code.n_msg}b"))
-    return out
+    return [_bits(u, code.n_msg) for u, F in enumerate(f)
+            if q * (nbar + F) >= nbar * (q + 2 * p)]
+
+
+def _masks(coords, d: int) -> list[int]:
+    """One-bit masks selecting 1-based coordinates of a d-bit seed, ascending;
+    coordinate 1 is the most significant bit."""
+    coords = sorted(coords)
+    if any(not 1 <= c <= d for c in coords):
+        raise ValueError(f"coordinates {coords} out of range for |y| = {d}")
+    return [1 << (d - c) for c in coords]
 
 
 def restrict(y: str, coords) -> str:
     """Bits of y at the given 1-based coordinates, ascending."""
-    _check_bits(y, "seed string")
-    coords = sorted(coords)
-    if any(not 1 <= c <= len(y) for c in coords):
-        raise ValueError(f"coordinates {coords} out of range for |y| = {len(y)}")
-    return "".join(y[c - 1] for c in coords)
+    seed = _check_bits(y, "seed string")
+    masks = _masks(coords, len(y))
+    return _bits(_parities(seed, masks), len(masks))
 
 
-def trevisan_eval(code: CodeTable, design: WeakDesign, u: str, y: str) -> str:
-    """m-bit output: bit i reads the encoded message at position y|_{S_i}."""
+def _check_block_size(code: CodeTable, design: WeakDesign) -> None:
     if design.block_size != code.n_msg:
         raise ValueError(
             f"design block size {design.block_size} != message length "
             f"{code.n_msg} (positions of the codeword are n_msg-bit strings)")
-    _check_bits(y, "seed string")
+
+
+def trevisan_eval(code: CodeTable, design: WeakDesign, u: str, y: str) -> str:
+    """m-bit output: bit i reads the encoded message at position y|_{S_i}."""
+    _check_block_size(code, design)
+    seed = _check_bits(y, "seed string")
     if len(y) != design.d:
         raise ValueError(f"seed length {len(y)} != design universe {design.d}")
-    cw = encode(code, u)
-    return "".join(cw[int(restrict(y, s), 2)] for s in design.sets)
+    x = _message(code, u)
+    positions = [_parities(seed, _masks(s, design.d)) for s in design.sets]
+    return _bits(_parities(x, positions), design.m)
 
 
 def as_extractor_view(code: CodeTable, design: WeakDesign, K: int, eps) -> ExtractorView:
@@ -214,18 +235,11 @@ def as_extractor_view(code: CodeTable, design: WeakDesign, K: int, eps) -> Extra
     edge labels are all seeds, right part is all m-bit outputs. Useful for
     measuring empirical deviation; no extractor guarantee is implied at desk
     scale."""
-    n = code.n_msg
-    d = design.d
-    m = design.m
-    # the restriction pattern depends on the seed only, so precompute it
-    positions = [
-        [int(restrict(format(y, f"0{d}b"), s), 2) for s in design.sets]
-        for y in range(2 ** d)
-    ]
-    rows = []
-    for u_int in range(2 ** n):
-        cw = encode(code, format(u_int, f"0{n}b"))
-        rows.append(tuple(
-            int("".join(cw[p] for p in pos), 2) for pos in positions))
-    graph = BipartiteGraph(n, 2 ** m, 2 ** d, tuple(rows))
-    return ExtractorView(graph, K, eps)
+    _check_block_size(code, design)
+    n, d = code.n_msg, design.d
+    masks = [_masks(s, d) for s in design.sets]
+    # the positions read depend on the seed only, so precompute them
+    positions = [[_parities(y, m) for m in masks] for y in range(2 ** d)]
+    rows = tuple(tuple(_parities(x, pos) for pos in positions)
+                 for x in range(2 ** n))
+    return ExtractorView(BipartiteGraph(n, 2 ** design.m, 2 ** d, rows), K, eps)

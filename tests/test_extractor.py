@@ -14,27 +14,10 @@ from omex import (BipartiteGraph, ExtractorView, GraphFormatError,
                   random_extractor_search, truncate, uniform_view)
 from omex.extractor import load_view, save_view, view_from_json, view_to_json
 from omex.limits import Limits
+from omex.oracles import exhaustive_subset_deviation
 
 from conftest import random_view
 from oracles import naive_is_extractor, naive_is_prefix_extractor
-
-
-def brute_deviation(view, S):
-    """Independent oracle: maximize |e(S,Y)/(D|S|) - |Y|/M| over all 2^M
-    right subsets, in exact rationals."""
-    S = tuple(S)
-    best = Fraction(0)
-    denom = view.D * len(S)
-    for mask in range(2 ** view.M):
-        edges = 0
-        ysize = 0
-        for y in range(view.M):
-            if mask >> y & 1:
-                ysize += 1
-                for v in S:
-                    edges += sum(1 for r in view.graph.neighbors[v] if r == y)
-        best = max(best, abs(Fraction(edges, denom) - Fraction(ysize, view.M)))
-    return best
 
 
 def point_mass_view():
@@ -104,7 +87,7 @@ def test_deviation_matches_brute_force_oracle():
         m = 1 + seed % 2          # M in {2,4}
         view = random_view(1000 + seed, n=n, m=m, d=2, K=2)
         for S in itertools.combinations(range(view.N), 2):
-            assert deviation(view, S) == brute_deviation(view, S)
+            assert deviation(view, S) == exhaustive_subset_deviation(view, S)
             checked += 1
     assert checked >= 200
 

@@ -78,11 +78,12 @@ def test_hall_s_max_below_one_rejected(mode, s_max):
         hall_check(counterexample_graph(), s_max, mode=mode)
 
 
-def test_exhaustive_guard_respects_limit():
-    g = complete_graph(5, 2)  # 32 left vertices
-    with pytest.raises(LimitExceeded):
-        hall_check(g, 1, limits=Limits(hall_left_size=16))
-    assert hall_check(g, 1, mode="matching", limits=Limits(hall_left_size=16)) is None
+@pytest.mark.parametrize("mode", ["exhaustive", "matching"])
+def test_subset_budget_refuses_over_budget_scan(mode):
+    g = complete_graph(5, 2)  # 32 left vertices: 32 + C(32, 2) = 528 subsets
+    assert hall_check(g, 2, mode=mode, limits=Limits(subset_nodes=528)) is None
+    with pytest.raises(LimitExceeded, match="528 > 527"):
+        hall_check(g, 2, mode=mode, limits=Limits(subset_nodes=527))
 
 
 @settings(max_examples=60, deadline=None)

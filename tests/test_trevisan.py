@@ -2,10 +2,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omex import (CodeTable, WeakDesign, as_extractor_view, encode,
                   greedy_weak_design, list_decode, restrict, trevisan_eval,
                   verify_weak_design)
+from omex.oracles import brute_list_decode
 from omex.rng import SplitMix64
 
 DELTA = Fraction(1, 4)
@@ -14,18 +17,9 @@ DELTA = Fraction(1, 4)
 DESIGN_GRID = [(1, 4, 4), (2, 3, 6), (2, 4, 10), (2, 6, 14), (3, 4, 16),
                (3, 6, 24), (4, 4, 24)]
 
-
-def brute_decode(code, word):
-    """Agreement-count recomputation, independent of list_decode's innards."""
-    out = []
-    half_plus = Fraction(1, 2) + code.delta
-    for u_int in range(2 ** code.n_msg):
-        u = format(u_int, f"0{code.n_msg}b")
-        cw = encode(code, u)
-        agree = sum(a == b for a, b in zip(cw, word))
-        if Fraction(agree, code.codeword_length) >= half_plus:
-            out.append(u)
-    return out
+# (block, sets, universe) small enough to export every seed as a view
+SMALL_DESIGNS = [(1, 1, 1), (1, 2, 3), (1, 4, 4), (2, 2, 4), (2, 3, 6),
+                 (2, 4, 8), (3, 1, 3), (3, 2, 7), (3, 4, 10)]
 
 
 # --- weak designs -----------------------------------------------------------
@@ -131,7 +125,7 @@ def test_decode_matches_brute_oracle_exhaustively_nmsg2():
     code = CodeTable(2, DELTA)
     for w in range(16):
         word = format(w, "04b")
-        assert list_decode(code, word) == brute_decode(code, word)
+        assert list_decode(code, word) == brute_list_decode(code, word)
 
 
 def test_decode_matches_brute_oracle_random_nmsg4():
@@ -139,7 +133,48 @@ def test_decode_matches_brute_oracle_random_nmsg4():
     rng = SplitMix64(77)
     for _ in range(300):
         word = format(rng.below(2 ** 16), "016b")
-        assert list_decode(code, word) == brute_decode(code, word)
+        assert list_decode(code, word) == brute_list_decode(code, word)
+
+
+@st.composite
+def decode_cases(draw):
+    """A code with n_msg in 1..6 and delta from a grid in (0, 1/4], and
+    either a codeword with some bits flipped or a uniform word."""
+    n_msg = draw(st.integers(min_value=1, max_value=6))
+    nbar = 2 ** n_msg
+    code = CodeTable(n_msg, Fraction(draw(st.integers(1, 12)), 48))
+    if draw(st.booleans()):
+        x = draw(st.integers(0, nbar - 1))
+        flips = draw(st.sets(st.integers(0, nbar - 1), max_size=nbar // 2))
+        sent = encode(code, format(x, f"0{n_msg}b"))
+        word = "".join(str(int(b) ^ (a in flips)) for a, b in enumerate(sent))
+    else:
+        word = format(draw(st.integers(0, 2 ** nbar - 1)), f"0{nbar}b")
+    return code, word
+
+
+@settings(max_examples=300, deadline=None)
+@given(decode_cases())
+def test_decode_matches_brute_oracle(case):
+    code, word = case
+    assert list_decode(code, word) == brute_list_decode(code, word)
+
+
+def test_decode_frontier_nmsg12():
+    # 1/5 of the bits flipped leaves the sent message 4/5 agreement
+    code = CodeTable(12, DELTA)
+    rng = SplitMix64(12)
+    u = format(rng.below(2 ** 12), "012b")
+    word = list(encode(code, u))
+    for a in rng.sample(2 ** 12, 2 ** 12 // 5):
+        word[a] = "1" if word[a] == "0" else "0"
+    word = "".join(word)
+    got = list_decode(code, word)
+    assert u in got
+    assert len(got) <= 1 / (4 * DELTA ** 2)
+    for msg in got:
+        agree = sum(a == b for a, b in zip(encode(code, msg), word))
+        assert 4 * agree >= 3 * 2 ** 12
 
 
 def test_distinct_codewords_agree_on_exactly_half():
@@ -245,3 +280,27 @@ def test_exported_view_agrees_with_eval():
             y = format(y_int, "03b")
             expected = int(trevisan_eval(code, design, u, y), 2)
             assert view.graph.neighbors[u_int][y_int] == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_DESIGNS), st.integers(0, 2 ** 32))
+def test_exported_view_agrees_with_eval_on_greedy_designs(shape, seed):
+    block, m, d = shape
+    code = CodeTable(block, DELTA)
+    design = greedy_weak_design(block, m, d, seed=seed)
+    view = as_extractor_view(code, design, K=1, eps=Fraction(1, 2))
+    for x, row in enumerate(view.graph.neighbors):
+        u = format(x, f"0{block}b")
+        assert row == tuple(
+            int(trevisan_eval(code, design, u, format(y, f"0{d}b")), 2)
+            for y in range(2 ** d))
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_block_size_must_equal_message_length(block):
+    code = CodeTable(2, DELTA)
+    design = WeakDesign(4, block, (tuple(range(1, block + 1)),))
+    with pytest.raises(ValueError, match="block size"):
+        as_extractor_view(code, design, K=2, eps=Fraction(1, 2))
+    with pytest.raises(ValueError, match="block size"):
+        trevisan_eval(code, design, "01", "0000")
