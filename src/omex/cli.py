@@ -14,18 +14,17 @@ import math
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
-from . import graph as graphmod
 from .extractor import (ExtractorView, deviation, hazard_report, is_extractor,
-                        is_prefix_extractor, load_view, optimal_degree,
+                        is_prefix_extractor, optimal_degree,
                         optimal_degree_pow2, prefix_failure_bound,
-                        random_extractor_search, save_view)
-from .fingerprint import (EnumeratedSet, bits_for, decode_extractor,
-                          decode_matching, decode_two_conditions,
-                          encode_extractor, encode_matching,
-                          encode_two_conditions, fingerprint_from_doc,
-                          layer_sets, load_set)
-from .graph import GraphError, load, save
+                        random_extractor_search)
+from .fingerprint import (EnumeratedSet, Fingerprint, bits_for,
+                          decode_extractor, decode_matching,
+                          decode_two_conditions, encode_extractor,
+                          encode_matching, encode_two_conditions, layer_sets)
+from .graph import BipartiteGraph, GraphError, load, save
 from .limits import LimitExceeded, default_limits
 from .offline import (OfflineParams, construct_verified_offline_graph,
                       hall_check, random_offline_graph, series_base,
@@ -35,8 +34,8 @@ from .online import (LayeredGraph, MatchingSession, counterexample_graph,
                      online_strategy_exists)
 from .oracles import brute_list_decode, exhaustive_subset_deviation
 from .rng import SplitMix64
-from .trevisan import (CodeTable, greedy_weak_design, list_decode, load_design,
-                       save_design, trevisan_eval, verify_weak_design)
+from .trevisan import (CodeTable, WeakDesign, greedy_weak_design, list_decode,
+                       trevisan_eval, verify_weak_design)
 
 # the greedy weak-design grid exercised by `demo trevisan`
 DESIGN_GRID = [(1, 4, 4), (2, 3, 6), (2, 4, 10), (2, 6, 14), (3, 4, 16),
@@ -113,20 +112,19 @@ def _flatten(prefix, value):
 
 def _load_view_or_graph(args) -> ExtractorView:
     """A view file carries K and eps; a bare graph file needs --K/--eps."""
-    given = (getattr(args, "K", None) is not None,
-             getattr(args, "eps", None) is not None)
-    if any(given) and not all(given):
+    K, eps = args.K, args.eps
+    if (K is None) != (eps is None):
         raise UsageError("--K and --eps go together")
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if all(given):
-        return ExtractorView(graphmod.from_json(text), args.K, args.eps)
-    doc = json.loads(text)
-    # anything but a bare graph object goes to the view parser, which names
-    # the missing or malformed field
-    if not isinstance(doc, dict) or "K" in doc or "eps" in doc:
-        return load_view(args.graph)
-    raise UsageError("graph file has no embedded K/eps; pass --K and --eps")
+
+    def from_doc(doc):
+        if K is not None:
+            return ExtractorView(BipartiteGraph.from_doc(doc), K, eps)
+        # anything but a bare graph object goes to the view parser, which
+        # names the missing or malformed field
+        if isinstance(doc, dict) and "K" not in doc and "eps" not in doc:
+            raise UsageError("graph file has no embedded K/eps; pass --K and --eps")
+        return ExtractorView.from_doc(doc)
+    return load(args.graph, SimpleNamespace(from_doc=from_doc))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +248,7 @@ def cmd_ext_search(args):
         max_attempts=args.attempts, prefix=args.prefix,
         limits=default_limits())
     if args.out:
-        save_view(view, args.out)
+        save(view, args.out)
     outcome = {"verdict": "ok", "attempts": attempts, "N": view.N,
                "M": view.M, "D": view.D, "K": view.K, "out": args.out}
     if args.prefix:
@@ -261,7 +259,7 @@ def cmd_ext_search(args):
 
 def cmd_ext_hazards(args):
     view = _load_view_or_graph(args)
-    eset = load_set(args.set)
+    eset = load(args.set, EnumeratedSet)
     rep = hazard_report(view, eset.elements, args.bad_factor)
     return {"subset": list(rep.subset), "bad": list(rep.bad),
             "dangerous": list(rep.dangerous),
@@ -288,13 +286,13 @@ def cmd_ext_pbound(args):
 def cmd_trev_design(args):
     design = greedy_weak_design(args.l, args.m, args.d, seed=args.seed)
     if args.out:
-        save_design(design, args.out)
+        save(design, args.out)
     return {"ok": True, "d": design.d, "block_size": design.block_size,
             "sets": [list(s) for s in design.sets], "out": args.out}, True
 
 
 def cmd_trev_eval(args):
-    design = load_design(args.design)
+    design = load(args.design, WeakDesign)
     code = CodeTable(design.block_size, args.delta)
     return {"output": trevisan_eval(code, design, args.u, args.y)}, True
 
@@ -314,59 +312,52 @@ def cmd_trev_decode(args):
 # fp
 # ---------------------------------------------------------------------------
 
-def _check_fp_inputs(args):
+def _fp_inputs(args):
+    """The set file and the layers the flavor reads it through: the base
+    graph layered at the set's k (match), or one view per layer (ext, two)."""
     if args.flavor == "match" and not args.graph:
         raise UsageError("match flavor needs --graph (the base graph file)")
     if args.flavor in ("ext", "two") and not args.views:
         raise UsageError(f"{args.flavor} flavor needs --views")
     if args.flavor == "two" and args.views and len(args.views) != 1:
         raise UsageError("two-condition flavor takes exactly one view")
+    if args.flavor == "two" and args.cmd == "encode" and not args.set2:
+        raise UsageError("two-condition flavor needs --set2 (the second set)")
+    eset = load(args.set, EnumeratedSet)
+    if args.flavor == "match":
+        return eset, layered(load(args.graph), eset.k, limits=default_limits())
+    return eset, [load(path, ExtractorView) for path in args.views]
 
 
 def cmd_fp_encode(args):
-    _check_fp_inputs(args)
-    if args.flavor == "two" and not args.set2:
-        raise UsageError("two-condition flavor needs --set2 (the second set)")
-    eset = load_set(args.set)
+    eset, layers = _fp_inputs(args)
     if args.flavor == "match":
-        base = load(args.graph)
-        lg = layered(base, eset.k, limits=default_limits())
-        fp = encode_matching(lg, eset, args.target)
+        fp = encode_matching(layers, eset, args.target)
     elif args.flavor == "ext":
-        views = [load_view(p) for p in args.views]
-        fp = encode_extractor(views, eset, args.target, args.bad_factor)
+        fp = encode_extractor(layers, eset, args.target, args.bad_factor)
     else:
-        pview = load_view(args.views[0])
-        second = load_set(args.set2)
-        fp = encode_two_conditions(pview, eset, second, args.target,
-                                   args.bad_factor)
-    doc = fp.to_doc()
+        fp = encode_two_conditions(layers[0], eset,
+                                   load(args.set2, EnumeratedSet),
+                                   args.target, args.bad_factor)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-    return {"fingerprint": doc, "out": args.out}, True
+        save(fp, args.out)
+    return {"fingerprint": fp.to_doc(), "out": args.out}, True
 
 
 def cmd_fp_decode(args):
-    _check_fp_inputs(args)
-    with open(args.fingerprint, "r", encoding="utf-8") as fh:
-        fp = fingerprint_from_doc(json.load(fh))
+    eset, layers = _fp_inputs(args)
+    fp = load(args.fingerprint, Fingerprint)
     if fp.flavor != FP_FLAVORS[args.flavor]:
         raise ValueError(f"fingerprint file holds a {fp.flavor} fingerprint, "
                          f"not --flavor {args.flavor}")
-    eset = load_set(args.set)
     if args.flavor == "match":
-        base = load(args.graph)
-        lg = layered(base, eset.k, limits=default_limits())
-        element = decode_matching(lg, eset, fp)
+        element = decode_matching(layers, eset, fp)
     elif args.flavor == "ext":
-        views = [load_view(p) for p in args.views]
-        element = decode_extractor(views, eset, fp, args.bad_factor)
+        element = decode_extractor(layers, eset, fp, args.bad_factor)
     else:
-        pview = load_view(args.views[0])
         if args.side == "c" and args.set2:
-            eset = load_set(args.set2)
-        element = decode_two_conditions(pview, eset, fp, args.side)
+            eset = load(args.set2, EnumeratedSet)
+        element = decode_two_conditions(layers[0], eset, fp, args.side)
     return {"element": element}, True
 
 
@@ -429,6 +420,16 @@ def _searched_view(args):
     return view, attempts, d
 
 
+def _size_K_subsets(view):
+    """Every size-K left subset of the view, charged to `subset_nodes` before
+    the first is drawn."""
+    total, limit = math.comb(view.N, view.K), default_limits().subset_nodes
+    if total > limit:
+        raise LimitExceeded(
+            f"{total} subsets of size {view.K} exceed limit {limit} subsets")
+    return itertools.combinations(range(view.N), view.K)
+
+
 def cmd_demo_lemma1(args):
     view, attempts, d = _searched_view(args)
     K, eps = view.K, view.eps
@@ -436,7 +437,7 @@ def cmd_demo_lemma1(args):
     rows = []
     oracle_checked = 0
     oracle_ok = True
-    for idx, S in enumerate(itertools.combinations(range(view.N), K)):
+    for idx, S in enumerate(_size_K_subsets(view)):
         rep = hazard_report(view, S, args.bad_factor)
         rows.append({"S": " ".join(map(str, S)), "dangerous": len(rep.dangerous),
                      "weakly_dangerous": len(rep.weakly_dangerous),
@@ -462,7 +463,7 @@ def cmd_demo_lemma3(args):
     limit = 4 * eps * K
     rows = [{"S": " ".join(map(str, S)), "weakly_dangerous": len(
                 hazard_report(view, S, args.bad_factor).weakly_dangerous)}
-            for S in itertools.combinations(range(view.N), K)]
+            for S in _size_K_subsets(view)]
     worst = max(r["weakly_dangerous"] for r in rows)
     ok = worst <= limit
     return {"attempts": attempts, "d": d, "K": K, "eps": eps,
@@ -817,8 +818,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"omex: {e}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, GraphError, LimitExceeded, OSError,
-            json.JSONDecodeError) as e:
+    except (ValueError, RuntimeError, GraphError, LimitExceeded, OSError) as e:
         return _emit(args, argv, {"error": str(e)}, False, started)
     return _emit(args, argv, outcome, ok, started)
 

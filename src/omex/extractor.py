@@ -8,16 +8,20 @@ needs only |S| = K exactly (larger sets are averages of size-K ones) and
 only one direction of the bound (the other follows on the complement of Y),
 which reduces the per-subset work to one total-variation distance computed
 in exact rational arithmetic.
+
+A view file is a graph file plus K and eps, written and read by the codec
+in `omex.graph`; `save_view`, `load_view` and `view_to_json` are that codec
+bound to views.
 """
 
-import json
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
-from .graph import (INT, BipartiteGraph, GraphFormatError, from_json,
-                    read_fields, to_json)
+from .graph import (INT, STR, BipartiteGraph, GraphFormatError, load,
+                    read_fields, save, to_json)
 from .limits import Limits, LimitExceeded, default_limits
 from .rng import SplitMix64
 
@@ -91,6 +95,21 @@ class ExtractorView:
         for r in self.graph.neighbors_of(left_index):
             counts[r] += 1
         return counts
+
+    def to_doc(self) -> dict:
+        return {**self.graph.to_doc(), "K": self.K, "eps": str(self.eps)}
+
+    @staticmethod
+    def from_doc(doc) -> "ExtractorView":
+        """Graph fields first, then K and eps (a `p/q` string); malformed or
+        missing fields raise GraphFormatError."""
+        graph = BipartiteGraph.from_doc(doc)
+        K, eps = read_fields(doc, K=INT, eps=("a fraction string", STR[1]))
+        try:
+            eps = Fraction(eps)
+        except (ValueError, ZeroDivisionError) as e:
+            raise GraphFormatError(f"field 'eps' is not a fraction: {eps!r}") from e
+        return ExtractorView(graph, K, eps)
 
 
 def optimal_degree(N: int, K: int, M: int, eps) -> int:
@@ -400,34 +419,9 @@ def uniform_view(n: int, m: int, repeat: int = 1, K: int = 1,
     return ExtractorView(BipartiteGraph(n, M, len(row), rows), K, eps)
 
 
-def view_to_json(view: ExtractorView) -> str:
-    doc = json.loads(to_json(view.graph))
-    doc["K"] = view.K
-    doc["eps"] = str(view.eps)
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def view_from_json(text: str) -> ExtractorView:
-    """Parse `view_to_json` output; malformed or missing fields raise
-    GraphFormatError."""
-    graph = from_json(text)
-    K, eps = read_fields(json.loads(text), K=INT,
-                         eps=("a fraction string", lambda x: isinstance(x, str)))
-    try:
-        eps = Fraction(eps)
-    except (ValueError, ZeroDivisionError) as e:
-        raise GraphFormatError(f"field 'eps' is not a fraction: {eps!r}") from e
-    return ExtractorView(graph, K, eps)
-
-
-def save_view(view: ExtractorView, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(view_to_json(view))
-
-
-def load_view(path) -> ExtractorView:
-    with open(path, "r", encoding="utf-8") as fh:
-        return view_from_json(fh.read())
+view_to_json = to_json
+save_view = save
+load_view = partial(load, kind=ExtractorView)
 
 
 def random_extractor_search(n: int, k: int, m: int, eps, d: int, seed: int,

@@ -10,15 +10,19 @@ decodes against two different sets.
 
 Enumeration order is load-bearing everywhere: ordinals index filtered
 enumerations, and replaying the same order is what makes decoding work.
+
+Set and fingerprint files go through the codec in `omex.graph`:
+`save_set`/`load_set` are its bindings to sets, and `Fingerprint` is the
+file kind of all three flavors.
 """
 
-import json
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from math import ceil
 
 from .extractor import ExtractorView, hazard_report, truncate
-from .graph import INT, INTS, STR, read_fields
+from .graph import INT, INTS, STR, load, read_fields, save
 from .online import LayeredGraph, MatchingSession
 
 
@@ -54,26 +58,39 @@ class EnumeratedSet:
     def __contains__(self, x: int) -> bool:
         return x in self.elements
 
+    def to_doc(self) -> dict:
+        return {"label": self.label, "k": self.k, "elements": list(self.elements)}
 
-def set_to_json(s: EnumeratedSet) -> str:
-    doc = {"label": s.label, "k": s.k, "elements": list(s.elements)}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def set_from_json(text: str) -> EnumeratedSet:
-    label, k, elements = read_fields(json.loads(text), label=STR, k=INT,
-                                     elements=INTS)
-    return EnumeratedSet(label, k, tuple(elements))
+    @staticmethod
+    def from_doc(doc) -> "EnumeratedSet":
+        return EnumeratedSet(*read_fields(doc, label=STR, k=INT, elements=INTS))
 
 
-def load_set(path) -> EnumeratedSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return set_from_json(fh.read())
+save_set = save
+load_set = partial(load, kind=EnumeratedSet)
 
 
-def save_set(s: EnumeratedSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(set_to_json(s))
+class Fingerprint:
+    """File form shared by the three flavors: the `flavor` tag plus every
+    field, all integers."""
+
+    def to_doc(self) -> dict:
+        return {"flavor": self.flavor, **vars(self)}
+
+    @staticmethod
+    def from_doc(doc) -> "Fingerprint":
+        """Inverse of `to_doc` for all three flavors; a missing or ill-typed
+        field raises GraphFormatError, an unknown flavor ValueError."""
+        flavor, = read_fields(doc, flavor=STR)
+        for cls in (MatchingFingerprint, ExtractorFingerprint,
+                    TwoConditionFingerprint):
+            if cls.flavor == flavor:
+                kinds = {f.name: INT for f in fields(cls)}
+                return cls(*read_fields(doc, **kinds))
+        raise ValueError(f"unknown fingerprint flavor {flavor!r}")
+
+
+fingerprint_from_doc = Fingerprint.from_doc
 
 
 # ---------------------------------------------------------------------------
@@ -81,18 +98,12 @@ def save_set(s: EnumeratedSet, path) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MatchingFingerprint:
+class MatchingFingerprint(Fingerprint):
     flavor = "matching"
     right_index: int        # matched right vertex in the layered right part
     payload_bits: int       # bits to name right_index
     neighbor_ordinal: int   # position of right_index in the target's list
     neighbor_bits: int
-
-    def to_doc(self) -> dict:
-        return {"flavor": self.flavor, "right_index": self.right_index,
-                "payload_bits": self.payload_bits,
-                "neighbor_ordinal": self.neighbor_ordinal,
-                "neighbor_bits": self.neighbor_bits}
 
 
 def encode_matching(g: LayeredGraph, S: EnumeratedSet, a: int) -> MatchingFingerprint:
@@ -143,7 +154,7 @@ def decode_matching(g: LayeredGraph, S: EnumeratedSet,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExtractorFingerprint:
+class ExtractorFingerprint(Fingerprint):
     flavor = "extractor"
     layer: int
     right_index: int
@@ -158,12 +169,7 @@ class ExtractorFingerprint:
         return self.payload_bits + self.layer_bits + self.ordinal_bits
 
     def to_doc(self) -> dict:
-        return {"flavor": self.flavor, "layer": self.layer,
-                "right_index": self.right_index, "ordinal": self.ordinal,
-                "payload_bits": self.payload_bits, "layer_bits": self.layer_bits,
-                "ordinal_bound": self.ordinal_bound,
-                "ordinal_bits": self.ordinal_bits,
-                "total_bits": self.total_bits}
+        return {**super().to_doc(), "total_bits": self.total_bits}
 
 
 def layer_sets(views: list[ExtractorView], elements: tuple[int, ...],
@@ -248,7 +254,7 @@ def decode_extractor(views: list[ExtractorView], S: EnumeratedSet,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TwoConditionFingerprint:
+class TwoConditionFingerprint(Fingerprint):
     flavor = "two-condition"
     p: int                  # right vertex in the full view
     q: int                  # its prefix in the truncated view
@@ -258,13 +264,6 @@ class TwoConditionFingerprint:
     prefix_bits: int        # bits of q (m - (k - l))
     ordinal_b: int
     ordinal_c: int
-
-    def to_doc(self) -> dict:
-        return {"flavor": self.flavor, "p": self.p, "q": self.q,
-                "bound": self.bound, "second_bound": self.second_bound,
-                "payload_bits": self.payload_bits,
-                "prefix_bits": self.prefix_bits,
-                "ordinal_b": self.ordinal_b, "ordinal_c": self.ordinal_c}
 
 
 def encode_two_conditions(pview: ExtractorView, s_b: EnumeratedSet,
@@ -330,16 +329,3 @@ def decode_two_conditions(pview: ExtractorView, eset: EnumeratedSet,
         raise ValueError(
             f"ordinal {ordinal} out of range ({len(partners)} partners)")
     return partners[ordinal]
-
-
-def fingerprint_from_doc(doc: dict):
-    """Inverse of `to_doc` for all three flavors, whose fields are all
-    integers; a missing or ill-typed field raises GraphFormatError, an
-    unknown flavor ValueError."""
-    flavor, = read_fields(doc, flavor=STR)
-    for cls in (MatchingFingerprint, ExtractorFingerprint,
-                TwoConditionFingerprint):
-        if cls.flavor == flavor:
-            kinds = {f.name: INT for f in fields(cls)}
-            return cls(*read_fields(doc, **kinds))
-    raise ValueError(f"unknown fingerprint flavor {flavor!r}")

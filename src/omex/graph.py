@@ -1,10 +1,15 @@
-"""Bounded-degree bipartite graphs: representation, validation, JSON files.
+"""Bounded-degree bipartite graphs, and the JSON codec of every omex file.
 
 Left vertices are integers 0..left_size-1 (left_size <= 2^n, so each index
 fits in n bits); right vertices are integers 0..right_size-1. Neighbor lists
 keep construction order and may repeat a right vertex: the randomized
 constructions draw with replacement, and the position of an edge inside a
 list is meaningful (decoders address neighbors by ordinal).
+
+Every file kind (graph, extractor view, enumerated set, weak design,
+fingerprint) is a class with `to_doc` and `from_doc`; `to_json`/`from_json`
+and `save`/`load` are the one canonical path between those documents and
+bytes, and `read_fields` checks the fields of every `from_doc`.
 """
 
 import json
@@ -46,12 +51,26 @@ class BipartiteGraph:
     @staticmethod
     def build(n: int, right_size: int, max_degree: int,
               neighbors: list[list[int]]) -> "BipartiteGraph":
-        g = BipartiteGraph(n, right_size, max_degree,
-                           tuple(tuple(row) for row in neighbors))
-        v = validate(g)
+        return BipartiteGraph(n, right_size, max_degree,
+                              tuple(tuple(row) for row in neighbors)).checked()
+
+    def checked(self) -> "BipartiteGraph":
+        """The graph itself; GraphInvariantError names its first violation."""
+        v = validate(self)
         if v is not None:
             raise GraphInvariantError(str(v))
-        return g
+        return self
+
+    def to_doc(self) -> dict:
+        self.checked()
+        return {"n": self.n, "right_size": self.right_size,
+                "max_degree": self.max_degree,
+                "neighbors": [list(row) for row in self.neighbors]}
+
+    @staticmethod
+    def from_doc(doc) -> "BipartiteGraph":
+        return BipartiteGraph.build(*read_fields(
+            doc, n=INT, right_size=INT, max_degree=INT, neighbors=ROWS))
 
     @property
     def left_size(self) -> int:
@@ -99,17 +118,6 @@ def validate(g: BipartiteGraph) -> Violation | None:
     return None
 
 
-def to_json(g: BipartiteGraph) -> str:
-    """Canonical serialized form: stable key order, no whitespace, one newline."""
-    doc = {
-        "n": g.n,
-        "right_size": g.right_size,
-        "max_degree": g.max_degree,
-        "neighbors": [list(row) for row in g.neighbors],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -143,32 +151,30 @@ def read_fields(doc, **kinds) -> list:
     return values
 
 
-def from_json(text: str) -> BipartiteGraph:
+def to_json(obj) -> str:
+    """Canonical file bytes of `obj.to_doc()`: sorted keys, no whitespace,
+    one trailing newline, so saving an object twice gives equal bytes."""
+    return json.dumps(obj.to_doc(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def from_json(text: str, kind=BipartiteGraph):
+    """`kind.from_doc` of the parsed text; the one place files are parsed."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise GraphFormatError(f"not valid JSON: {e}") from e
-    n, right_size, max_degree, rows = read_fields(
-        doc, n=INT, right_size=INT, max_degree=INT, neighbors=ROWS)
-    g = BipartiteGraph(n, right_size, max_degree,
-                       tuple(tuple(row) for row in rows))
-    v = validate(g)
-    if v is not None:
-        raise GraphInvariantError(str(v))
-    return g
+    return kind.from_doc(doc)
 
 
-def save(g: BipartiteGraph, path) -> None:
-    v = validate(g)
-    if v is not None:
-        raise GraphInvariantError(str(v))
+def save(obj, path) -> None:
+    text = to_json(obj)  # before opening: an invalid object leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json(g))
+        fh.write(text)
 
 
-def load(path) -> BipartiteGraph:
+def load(path, kind=BipartiteGraph):
     with open(path, "r", encoding="utf-8") as fh:
-        return from_json(fh.read())
+        return from_json(fh.read(), kind)
 
 
 def complete_graph(n: int, right_size: int) -> BipartiteGraph:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import BipartiteGraph, validate, GraphInvariantError
+from .graph import BipartiteGraph
 from .limits import Limits, LimitExceeded, default_limits
 from .rng import SplitMix64
 
@@ -161,11 +161,8 @@ def random_offline_graph(p: OfflineParams, seed: int,
         raise LimitExceeded(f"{edges} edge draws exceed limit {limits.gen_edges}")
     rng = SplitMix64(seed)
     rows = rng.rows(p.left_size, p.degree, p.right_size)
-    g = BipartiteGraph(p.n, p.right_size, p.degree, rows)
-    violation = validate(g)
-    if violation is not None:  # construction bug, not an input error
-        raise GraphInvariantError(str(violation))
-    return g
+    # an invariant violation here is a construction bug, not an input error
+    return BipartiteGraph(p.n, p.right_size, p.degree, rows).checked()
 
 
 def construct_verified_offline_graph(

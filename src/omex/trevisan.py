@@ -6,14 +6,19 @@ of the output is the encoded message read at position y restricted to set i.
 Bits are ints inside (bit a of the codeword of x is the parity of x & a);
 '0'/'1' strings appear only at the public functions. The brute-force decoder
 the fast one is checked against lives in `omex.oracles`.
+
+Design files go through the codec in `omex.graph` (`save_design` and
+`load_design` are its bindings); loading refuses a design that breaks its
+own invariants.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .extractor import ExtractorView
-from .graph import INT, ROWS, BipartiteGraph, read_fields
+from .graph import (INT, ROWS, BipartiteGraph, GraphInvariantError, load,
+                    read_fields, save)
 from .rng import SplitMix64
 
 
@@ -29,6 +34,23 @@ class WeakDesign:
     @property
     def m(self) -> int:
         return len(self.sets)
+
+    def to_doc(self) -> dict:
+        return {"d": self.d, "block_size": self.block_size,
+                "sets": [list(s) for s in self.sets]}
+
+    @staticmethod
+    def from_doc(doc) -> "WeakDesign":
+        """A design file; an empty family or any `verify_weak_design`
+        violation raises GraphInvariantError."""
+        d, block_size, sets = read_fields(doc, d=INT, block_size=INT, sets=ROWS)
+        if not sets:
+            raise GraphInvariantError("a design needs at least one set")
+        design = WeakDesign(d, block_size, tuple(map(tuple, sets)))
+        violation = verify_weak_design(design)
+        if violation is not None:
+            raise GraphInvariantError(str(violation))
+        return design
 
 
 @dataclass(frozen=True)
@@ -97,26 +119,8 @@ def greedy_weak_design(block_size: int, m: int, d: int, seed: int,
         f"within {restarts} restarts; raise d")
 
 
-def design_to_json(design: WeakDesign) -> str:
-    doc = {"d": design.d, "block_size": design.block_size,
-           "sets": [list(s) for s in design.sets]}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def design_from_json(text: str) -> WeakDesign:
-    d, block_size, sets = read_fields(json.loads(text), d=INT,
-                                      block_size=INT, sets=ROWS)
-    return WeakDesign(d, block_size, tuple(tuple(s) for s in sets))
-
-
-def save_design(design: WeakDesign, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(design_to_json(design))
-
-
-def load_design(path) -> WeakDesign:
-    with open(path, "r", encoding="utf-8") as fh:
-        return design_from_json(fh.read())
+save_design = save
+load_design = partial(load, kind=WeakDesign)
 
 
 def _check_bits(s: str, what: str) -> int:

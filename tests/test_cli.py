@@ -227,6 +227,26 @@ def test_bad_fraction_is_usage_error(capsys, argv):
                  '"prefix_bits":1,"ordinal_b":0,"ordinal_c":0}',
                  ["fp", "decode"], "not --flavor match",
                  id="fingerprint-other-flavor"),
+    pytest.param("design", '{"d":6,"block_size":3,"sets":[[1,2],[3,4]]}',
+                 ["trev", "eval"], "set 1: size violation",
+                 id="design-sets-shorter-than-block"),
+    pytest.param("design", '{"d":6,"block_size":2,"sets":[[1,1],[2,3]]}',
+                 ["trev", "eval"], "set 1: size violation",
+                 id="design-repeated-coordinate"),
+    pytest.param("design", '{"d":6,"block_size":2,"sets":[[0,1],[2,3]]}',
+                 ["trev", "eval"], "set 1: range violation",
+                 id="design-coordinate-out-of-range"),
+    pytest.param("design", '{"d":4,"block_size":2,"sets":[[1,2],[1,2]]}',
+                 ["trev", "eval"], "set 2: intersection_sum violation",
+                 id="design-intersections-too-large"),
+    pytest.param("design", '{"d":6,"block_size":2,"sets":[]}',
+                 ["trev", "eval"], "at least one set", id="design-empty"),
+    *(pytest.param(file, "not json", argv, "not valid JSON",
+                   id=f"{file}-not-json")
+      for file, argv in (("graph", ["fp", "encode"]), ("set", ["fp", "encode"]),
+                         ("design", ["trev", "eval"]),
+                         ("fingerprint", ["fp", "decode"]),
+                         ("view", ["ext", "check"]))),
 ])
 def test_malformed_input_file_is_failure_not_crash(capsys, tmp_path, cx_path,
                                                    file, text, argv, message):
@@ -234,19 +254,22 @@ def test_malformed_input_file_is_failure_not_crash(capsys, tmp_path, cx_path,
              "design": '{"d":8,"block_size":2,"sets":[[1,2],[3,4]]}',
              "fingerprint": '{"flavor":"matching","right_index":0,'
                             '"payload_bits":3,"neighbor_ordinal":0,'
-                            '"neighbor_bits":2}', file: text}
-    paths = {}
+                            '"neighbor_bits":2}',
+             "view": '{"n":1,"right_size":2,"max_degree":2,'
+                     '"neighbors":[[0,1],[1,0]],"K":2,"eps":"1/2"}', file: text}
+    paths = {"graph": cx_path}
     for name, body in files.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(body)
     extra = {
-        ("fp", "encode"): ["--flavor", "match", "--graph", cx_path,
+        ("fp", "encode"): ["--flavor", "match", "--graph", str(paths["graph"]),
                            "--set", str(paths["set"]), "--target", "0"],
-        ("fp", "decode"): ["--flavor", "match", "--graph", cx_path,
+        ("fp", "decode"): ["--flavor", "match", "--graph", str(paths["graph"]),
                            "--set", str(paths["set"]),
                            "--fingerprint", str(paths["fingerprint"])],
         ("trev", "eval"): ["--u", "01", "--y", "00000001",
                            "--design", str(paths["design"])],
+        ("ext", "check"): ["--graph", str(paths["view"])],
     }[tuple(argv)]
     code = main([*argv, *extra])
     captured = capsys.readouterr()
@@ -482,6 +505,23 @@ def test_demo_trevisan_small(capsys):
     assert code == 0
     assert report["outcome"]["designs_ok"] is True
     assert report["outcome"]["decode_sampled_ok"] is True
+
+
+@pytest.mark.parametrize("demo", ["lemma1", "lemma3"])
+def test_lemma_subsets_are_charged_to_subset_budget(capsys, monkeypatch, demo):
+    argv = ["demo", demo, "--n", "4", "--k", "2", "--m", "2", "--d", "4",
+            "--eps", "1/2", "--seed", "1", "--max-rows", "0"]
+    # the search's pruned walk fits in 1,819 nodes; the C(16, 4) = 1,820
+    # subsets the demo walks do not
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=1819")
+    code, report = run_json(capsys, *argv)
+    assert code == 1
+    assert ("1820 subsets of size 4 exceed limit 1819"
+            in report["outcome"]["error"])
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=1820")
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    assert report["outcome"]["subsets"] == 1820
 
 
 def test_demo_lemma3(capsys):

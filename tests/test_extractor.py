@@ -12,7 +12,8 @@ from omex import (BipartiteGraph, ExtractorView, GraphFormatError,
                   is_prefix_extractor, next_pow2, optimal_degree,
                   optimal_degree_pow2, prefix_failure_bound,
                   random_extractor_search, truncate, uniform_view)
-from omex.extractor import load_view, save_view, view_from_json, view_to_json
+from omex.extractor import load_view, save_view, view_to_json
+from omex.graph import from_json
 from omex.limits import Limits
 from omex.oracles import exhaustive_subset_deviation
 
@@ -400,7 +401,7 @@ def test_view_from_json_rejects_bad_fields(change, message):
         else:
             doc[key] = value
     with pytest.raises(GraphFormatError, match=message):
-        view_from_json(json.dumps(doc))
+        from_json(json.dumps(doc), ExtractorView)
 
 
 def test_view_file_roundtrip(tmp_path):
@@ -408,4 +409,4 @@ def test_view_file_roundtrip(tmp_path):
     path = tmp_path / "view.json"
     save_view(view, path)
     assert load_view(path) == view
-    assert view_to_json(view_from_json(view_to_json(view))) == view_to_json(view)
+    assert view_to_json(from_json(view_to_json(view), ExtractorView)) == view_to_json(view)

@@ -8,7 +8,8 @@ from omex import (BipartiteGraph, EnumeratedSet, ExtractorView, OfflineParams,
                   decode_matching, decode_two_conditions, encode_extractor,
                   encode_matching, encode_two_conditions, layer_sets, layered,
                   random_extractor_search, uniform_view)
-from omex.fingerprint import (fingerprint_from_doc, set_from_json, set_to_json)
+from omex.fingerprint import fingerprint_from_doc
+from omex.graph import from_json, to_json
 from omex.online import counterexample_graph
 from omex.rng import SplitMix64
 
@@ -40,8 +41,8 @@ def test_set_invariants():
 
 def test_set_json_roundtrip():
     s = EnumeratedSet("cond-b", 3, (5, 2, 7))
-    assert set_from_json(set_to_json(s)) == s
-    assert set_to_json(s) == set_to_json(set_from_json(set_to_json(s)))
+    assert from_json(to_json(s), EnumeratedSet) == s
+    assert to_json(s) == to_json(from_json(to_json(s), EnumeratedSet))
 
 
 # --- matching flavor ---------------------------------------------------------

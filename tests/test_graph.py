@@ -1,8 +1,11 @@
 import pytest
 from hypothesis import given
 
-from omex import (BipartiteGraph, GraphFormatError, GraphInvariantError,
-                  complete_graph, load, save, validate)
+from omex import (BipartiteGraph, EnumeratedSet, ExtractorFingerprint,
+                  ExtractorView, GraphFormatError, GraphInvariantError,
+                  MatchingFingerprint, TwoConditionFingerprint, WeakDesign,
+                  complete_graph, load, save, uniform_view, validate)
+from omex.fingerprint import Fingerprint
 from omex.graph import from_json, to_json
 
 from conftest import small_graphs
@@ -52,6 +55,37 @@ def test_serialization_is_byte_deterministic(tmp_path):
     save(g, p1)
     save(g, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("obj, kind, text", [
+    pytest.param(BipartiteGraph(2, 5, 3, ((0, 1), (4, 4), (2,), ())),
+                 BipartiteGraph,
+                 '{"max_degree":3,"n":2,"neighbors":[[0,1],[4,4],[2],[]],'
+                 '"right_size":5}', id="graph"),
+    pytest.param(uniform_view(1, 1, K=2), ExtractorView,
+                 '{"K":2,"eps":"1/2","max_degree":2,"n":1,'
+                 '"neighbors":[[0,1],[0,1]],"right_size":2}', id="view"),
+    pytest.param(EnumeratedSet("cond-b", 3, (5, 2, 7)), EnumeratedSet,
+                 '{"elements":[5,2,7],"k":3,"label":"cond-b"}', id="set"),
+    pytest.param(WeakDesign(4, 2, ((1, 2), (3, 4))), WeakDesign,
+                 '{"block_size":2,"d":4,"sets":[[1,2],[3,4]]}', id="design"),
+    pytest.param(MatchingFingerprint(5, 3, 1, 2), Fingerprint,
+                 '{"flavor":"matching","neighbor_bits":2,"neighbor_ordinal":1,'
+                 '"payload_bits":3,"right_index":5}', id="fp-matching"),
+    pytest.param(ExtractorFingerprint(1, 2, 0, 2, 1, 3, 2), Fingerprint,
+                 '{"flavor":"extractor","layer":1,"layer_bits":1,"ordinal":0,'
+                 '"ordinal_bits":2,"ordinal_bound":3,"payload_bits":2,'
+                 '"right_index":2,"total_bits":5}', id="fp-extractor"),
+    pytest.param(TwoConditionFingerprint(6, 3, 2, 1, 3, 2, 0, 1), Fingerprint,
+                 '{"bound":2,"flavor":"two-condition","ordinal_b":0,'
+                 '"ordinal_c":1,"p":6,"payload_bits":3,"prefix_bits":2,"q":3,'
+                 '"second_bound":1}', id="fp-two-condition"),
+])
+def test_saved_bytes_are_canonical(tmp_path, obj, kind, text):
+    path = tmp_path / "file.json"
+    save(obj, path)
+    assert path.read_bytes() == (text + "\n").encode()
+    assert load(path, kind) == obj
 
 
 def test_malformed_file_missing_field():
