@@ -782,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-rows", type=int, default=512)
         p.set_defaults(func=fn)
     p = demosub.add_parser("prefix", help="prefix search plus failure bounds")
-    for flag, default in (("--n", 4), ("--k", 2), ("--m", 2), ("--d", 4)):
+    for flag, default in (("--n", 6), ("--k", 3), ("--m", 3), ("--d", 4)):
         p.add_argument(flag, type=int, default=default)
     p.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--seed", type=int, required=True)

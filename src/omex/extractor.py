@@ -7,7 +7,11 @@ fraction of S's edges landing in Y stays within eps of |Y|/M. Verification
 needs only |S| = K exactly (larger sets are averages of size-K ones) and
 only one direction of the bound (the other follows on the complement of Y),
 which reduces the per-subset work to one total-variation distance computed
-in exact rational arithmetic.
+in exact rational arithmetic. Swapping the two maxima gives the dual form
+the exhaustive check runs on when it is cheaper: for a fixed Y the worst S
+is the K left vertices with the most edges into Y, so a view passes iff no
+Y's top-K count reaches the threshold (the extractor/averaging-sampler
+correspondence: Zuckerman 1997; Vadhan, Pseudorandomness, ch. 6).
 
 A view file is a graph file plus K and eps, written and read by the codec
 in `omex.graph`; `save_view`, `load_view` and `view_to_json` are that codec
@@ -16,7 +20,7 @@ bound to views.
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -170,6 +174,8 @@ class ExtractorCheck:
     witness: tuple[int, ...] | None
     witness_deviation: Fraction | None
     checked: int
+    # right-set walks of the dual test (see `_some_completion_fails`)
+    subtree_tests: int = field(default=0, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -180,6 +186,41 @@ class ExtractorCheck:
         if self.witness is not None:
             return "witness"
         return "ok" if self.mode == "exhaustive" else "no-counterexample-found"
+
+
+def _some_completion_fails(cols, prefix, start: int, r: int, hi, lo) -> bool:
+    """Whether some size-K set made of the prefix and r of the left vertices
+    start..N-1 fails, decided exactly by right-subset duality.
+
+    For a fixed right set Y the worst completion takes the r candidates with
+    the most edges into Y, so the subtree fails iff for some Y the prefix's
+    count p(Y) plus the top-r candidate counts reaches the threshold. Y runs
+    over the right sets without the last vertex in Gray-code order, one
+    column added or removed per step; the complement of Y is settled by the
+    same sort, since its worst completion is Y's bottom-r. `prefix[y]` is
+    the prefix's count on y, `cols[y]` every vertex's count on y, and
+    hi[|Y|], lo[|Y|] are the exact integer thresholds: Y fails iff
+    p + top >= hi[|Y|], its complement iff p + bottom <= lo[|Y|].
+    """
+    M = len(cols)
+    cols = [col[start:] for col in cols]
+    c = [0] * len(cols[0])
+    p = size = 0
+    for i in range(1, 1 << (M - 1)):
+        y = (i & -i).bit_length() - 1
+        if i >> (y + 1) & 1:            # Gray code i leaves out y again
+            c = list(map(operator.sub, c, cols[y]))
+            p -= prefix[y]
+            size -= 1
+        else:
+            c = list(map(operator.add, c, cols[y]))
+            p += prefix[y]
+            size += 1
+        c_sorted = sorted(c)
+        if (sum(c_sorted[-r:]) >= hi[size] - p
+                or sum(c_sorted[:r]) <= lo[size] - p):
+            return True
+    return False
 
 
 def _exhaustive_walk(view: ExtractorView, counts, threshold_num: int,
@@ -196,39 +237,72 @@ def _exhaustive_walk(view: ExtractorView, counts, threshold_num: int,
     being visited and its C(N-1-v_j, K-j) subsets are added to `checked`.
     The same comparison settles a leaf, so the first failing leaf is the
     lexicographically first witness, exactly as a plain scan finds it.
-    Every node visited counts against `limits.subset_nodes`.
+
+    When N * 2^M <= C(N, K) the walk is dual: the whole view is first
+    settled by one exact test over the right sets (`_some_completion_fails`)
+    and passes if that does. Otherwise every inner node the missing mass
+    does not certify gets the same exact test on its subtree, is certified
+    when it passes and entered only when it holds a failure, so the walk
+    goes straight down to the first witness. Every node visited counts
+    against `limits.subset_nodes`, and every exact test 2^M - 1 more.
     """
     N, K, M, D = view.N, view.K, view.M, view.D
+    total = math.comb(N, K)
+    dual = N << M <= total
+    right_sets = (1 << M) - 1
+    budget = limits.subset_nodes
+    spent = nodes = tests = checked = 0
+
+    def charge(cost: int) -> None:
+        nonlocal spent
+        spent += cost
+        if spent > budget:
+            work = (f"{nodes} nodes and {tests} subtree tests of "
+                    f"{right_sets} right subsets each" if dual
+                    else f"{nodes} nodes")
+            raise LimitExceeded(
+                f"exhaustive walk exceeded limit {budget} nodes: visited "
+                f"{work}, certified {checked} of the C({N},{K}) = {total} "
+                f"size-K subsets; use sampled mode")
+
+    if dual:
+        DK = D * K
+        need = -(-threshold_num // threshold_den)   # least failing M*e - DK|Y|
+        hi = [-(-(need + DK * s) // M) for s in range(M + 1)]
+        lo = [(DK * s - need) // M for s in range(M + 1)]
+        cols = [tuple(cv[y] for cv in counts) for y in range(M)]
+        charge(right_sets)
+        tests = 1
+        if not _some_completion_fails(cols, [0] * M, 0, K, hi, lo):
+            return ExtractorCheck("exhaustive", None, None, total, tests)
     scaled = [tuple(M * c for c in cv) for cv in counts]
     combo = [0] * K
     deficits = [[D * K] * M] + [None] * K
-    budget = limits.subset_nodes
-    nodes = checked = 0
     j, v = 0, 0
     while True:
         if v > N - K + j:               # position j has no candidates left
             if j == 0:
-                return ExtractorCheck("exhaustive", None, None, checked)
+                return ExtractorCheck("exhaustive", None, None, checked, tests)
             j -= 1
             v = combo[j] + 1
             continue
+        charge(1)
         nodes += 1
-        if nodes > budget:
-            raise LimitExceeded(
-                f"exhaustive walk exceeded limit {budget} nodes: visited "
-                f"{nodes - 1} nodes, certified {checked} of the "
-                f"C({N},{K}) = {math.comb(N, K)} size-K subsets; use "
-                f"sampled mode")
         combo[j] = v
         g = list(map(operator.sub, deficits[j], scaled[v]))
-        missing = sum(filter(_positive, g))
-        if missing * threshold_den < threshold_num:
+        certified = sum(filter(_positive, g)) * threshold_den < threshold_num
+        if dual and not certified and j < K - 1:
+            charge(right_sets)
+            tests += 1
+            certified = not _some_completion_fails(
+                cols, [(DK - x) // M for x in g], v + 1, K - 1 - j, hi, lo)
+        if certified:
             checked += math.comb(N - 1 - v, K - 1 - j)
             v += 1
         elif j == K - 1:
             witness = tuple(combo)
             return ExtractorCheck("exhaustive", witness,
-                                  deviation(view, witness), checked + 1)
+                                  deviation(view, witness), checked + 1, tests)
         else:
             j += 1
             deficits[j] = g
@@ -246,7 +320,11 @@ def is_extractor(view: ExtractorView, *, samples: int | None = None,
 
     Exhaustive mode settles every size-K subset in lexicographic order (see
     `_exhaustive_walk`) and the first failure is the witness; passing it
-    certifies the property for all larger subsets too. Sampled mode
+    certifies the property for all larger subsets too. When N * 2^M <=
+    C(N, K) it decides by right-subset duality, one O(2^M * N) pass over
+    the right sets, and on a failure finds the same witness with one such
+    pass per subtree it settles (counted in `subtree_tests`); otherwise it
+    walks the subsets, certifying prefixes by missing mass. Sampled mode
     (samples given, seed required) draws random size-K subsets and can
     only report that no counterexample was found.
     """
@@ -379,9 +457,12 @@ def prefix_failure_bound(n: int, k: int, m: int, d: int, eps) -> float:
 
         sum_{i=0}^{k} C(N, K/2^i) * 2^(M/2^i) * exp(-2 eps^2 K D / 2^i)
 
-    Binomials are exact; the result is floating point, good to about 1e-12
-    relative error, and may overflow to inf for hopeless parameters (callers
-    should treat inf as "not < 1").
+    The result is floating point and may overflow to inf for hopeless
+    parameters (callers should treat inf as "not < 1"). Binomials of at most
+    2^16 bits are exact, which leaves it good to about 1e-12 relative error;
+    a larger one would take unbounded time and memory to build, so its log
+    comes from `math.lgamma`, whose rounding grows with N (about
+    1e-16 * N * ln N in the exponent).
     """
     eps = Fraction(eps)
     if min(n, m, d) < 0 or k < 0:
@@ -397,7 +478,7 @@ def prefix_failure_bound(n: int, k: int, m: int, d: int, eps) -> float:
         Ki = K >> i
         if Ki < 1:
             raise ValueError(f"K/2^{i} < 1")
-        log_term = (math.log(math.comb(N, Ki))
+        log_term = (_log_comb(N, Ki, n)
                     + (M / 2 ** i) * math.log(2)
                     - 2.0 * e2 * K * D / 2 ** i)
         try:
@@ -405,6 +486,15 @@ def prefix_failure_bound(n: int, k: int, m: int, d: int, eps) -> float:
         except OverflowError:
             return math.inf
     return total
+
+
+def _log_comb(N: int, k: int, n: int) -> float:
+    """ln C(N, k) for N = 2^n, without building a binomial over 2^16 bits
+    (C(N, k) <= N^k = 2^(n*k))."""
+    k = min(k, N - k)
+    if n * k <= 1 << 16:
+        return math.log(math.comb(N, k))
+    return math.lgamma(N + 1) - math.lgamma(k + 1) - math.lgamma(N - k + 1)
 
 
 def uniform_view(n: int, m: int, repeat: int = 1, K: int = 1,

@@ -138,7 +138,7 @@ def test_criterion_5_hazard_count_bounds(verified_view_pool):
 
 def test_criterion_6_prefix_extractor_search():
     started = time.monotonic()
-    n, k, m, d, eps = 4, 2, 2, 4, Fraction(1, 2)
+    n, k, m, d, eps = 6, 3, 3, 4, Fraction(1, 2)
     view, _ = random_extractor_search(n, k, m, eps, d, seed=606, prefix=True)
     levels_ok = is_prefix_extractor(view, k).ok
     independent_ok = all(

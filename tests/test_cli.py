@@ -1,4 +1,6 @@
 import json
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -330,6 +332,16 @@ def test_ext_degree_and_pbound(capsys):
     assert 0 < report["outcome"]["bound"] < 1
 
 
+def test_pbound_on_a_huge_binomial_returns_promptly(capsys):
+    # C(2^40, 2^25) has about 10^9 bits; its log is taken without building it
+    started = time.monotonic()
+    code, report = run_json(capsys, "ext", "pbound", "--n", "40", "--k", "25",
+                            "--m", "3", "--d", "6", "--eps", "1/4")
+    assert time.monotonic() - started < 5
+    assert code == 0
+    assert report["outcome"] == {"bound": math.inf, "finite": False}
+
+
 def test_ext_hazards(capsys, tmp_path):
     view_path = str(tmp_path / "view.json")
     run_json(capsys, "ext", "search", "--n", "3", "--k", "2", "--m", "2",
@@ -497,6 +509,7 @@ def test_demo_prefix(capsys):
     code, report = run_json(capsys, "demo", "prefix", "--seed", "9")
     assert code == 0
     assert report["outcome"]["monotone_decreasing"] is True
+    assert [lv["K"] for lv in report["outcome"]["levels"]] == [8, 4, 2, 1]
 
 
 def test_demo_trevisan_small(capsys):
@@ -522,6 +535,16 @@ def test_lemma_subsets_are_charged_to_subset_budget(capsys, monkeypatch, demo):
     code, report = run_json(capsys, *argv)
     assert code == 0
     assert report["outcome"]["subsets"] == 1820
+
+
+def test_lemma_guard_stops_a_searched_n6_view(capsys):
+    # the search verifies an n=6, K=8 view; the demo's C(64, 8) subsets are
+    # then refused by the demo's own guard
+    code, report = run_json(capsys, "demo", "lemma1", "--n", "6", "--k", "3",
+                            "--eps", "1/2", "--seed", "1")
+    assert code == 1
+    assert report["outcome"] == {
+        "error": "4426165368 subsets of size 8 exceed limit 5000000 subsets"}
 
 
 def test_demo_lemma3(capsys):

@@ -12,10 +12,11 @@ from omex import (BipartiteGraph, ExtractorView, GraphFormatError,
                   is_prefix_extractor, next_pow2, optimal_degree,
                   optimal_degree_pow2, prefix_failure_bound,
                   random_extractor_search, truncate, uniform_view)
-from omex.extractor import load_view, save_view, view_to_json
+from omex.extractor import _log_comb, load_view, save_view, view_to_json
 from omex.graph import from_json
 from omex.limits import Limits
 from omex.oracles import exhaustive_subset_deviation
+from omex.rng import SplitMix64
 
 from conftest import random_view
 from oracles import naive_is_extractor, naive_is_prefix_extractor
@@ -127,27 +128,110 @@ def test_random_views_at_formula_degree_mostly_verify():
 
 
 def test_exhaustive_limit_guard():
+    # N * 2^M = 256 <= C(16, 4) = 1820, so the check is dual and its first
+    # test alone charges 2^M - 1 = 15 right subsets
     view = random_view(1, n=4, m=2, d=3, K=4)
     with pytest.raises(LimitExceeded):
-        is_extractor(view, limits=Limits(subset_nodes=100))
+        is_extractor(view, limits=Limits(subset_nodes=14))
 
 
 def test_exhaustive_limit_message_reports_progress():
-    # the first three nodes are (0), (0, 1) and (0, 1, 2); the third already
+    # N * 2^M = 8 * 2^16 > C(8, 4) = 70, so the subsets are walked: the
+    # first three nodes are (0), (0, 1) and (0, 1, 2); the third already
     # certifies its 5 completions, and the fourth node is over the budget
-    view = uniform_view(3, 1, K=4)
+    view = uniform_view(3, 4, K=4)
     with pytest.raises(LimitExceeded,
                        match=r"visited 3 nodes, certified 5 of the "
                              r"C\(8,4\) = 70 size-K subsets"):
         is_extractor(view, limits=Limits(subset_nodes=3))
 
 
+def dual_witness_view():
+    """N * 2^M = 32 <= C(8, 4) = 70, so the check is dual; its first
+    witness is (1, 3, 4, 6)."""
+    rows = ((0, 0, 0, 1), (0, 1, 1, 1), (0, 0, 0, 1), (0, 1, 1, 1),
+            (0, 0, 1, 1), (0, 0, 0, 1), (1, 1, 1, 1), (0, 0, 1, 1))
+    return ExtractorView(BipartiteGraph(3, 2, 4, rows), 4, Fraction(1, 4))
+
+
+def test_dual_limit_message_reports_progress():
+    # the whole-view test (3 right subsets) fails, node (0) is visited and
+    # its test (3 more) certifies C(7, 3) = 35 subsets; node (1) is over
+    with pytest.raises(LimitExceeded,
+                       match=r"visited 1 nodes and 2 subtree tests of 3 right "
+                             r"subsets each, certified 35 of the "
+                             r"C\(8,4\) = 70 size-K subsets"):
+        is_extractor(dual_witness_view(), limits=Limits(subset_nodes=7))
+
+
+def test_exact_subtree_test_settles_what_missing_mass_cannot():
+    view = dual_witness_view()
+    D, K, M = view.D, view.K, view.M
+    threshold = view.eps * D * K * M
+    for v in (0, 1):
+        # neither prefix (0) nor (1) has its missing mass below the
+        # threshold, so the cheap filter certifies neither
+        e = view.endpoint_counts(v)
+        assert sum(max(0, D * K - M * c) for c in e) >= threshold
+    # yet every completion of (0) passes, so the exact test certifies it,
+    # while (1) holds a failure and is entered
+    assert all(deviation(view, (0,) + T) < view.eps
+               for T in itertools.combinations(range(1, 8), 3))
+    res = is_extractor(view)
+    assert res == naive_is_extractor(view)
+    assert res.witness == (1, 3, 4, 6)
+    # the 35 subsets with 0, the 10 (1, 2, *, *), (1, 3, 4, 5), the witness
+    assert res.checked == math.comb(7, 3) + math.comb(5, 2) + 2
+    # the whole view, (0), (1), (1, 2), (1, 3), (1, 3, 4)
+    assert res.subtree_tests == 6
+
+
 def test_exhaustive_frontier_n5_K8():
     # C(32, 8) = 10,518,300 subsets, more than the default subset_nodes
-    # budget; certified prefixes keep the walk far below it
+    # budget
     res = is_extractor(random_view(5, n=5, m=3, d=6, K=8))
     assert res.ok
     assert res.checked == math.comb(32, 8) == 10_518_300
+
+
+def test_exhaustive_frontier_n6_K16():
+    # C(64, 16) ~ 4.9e14 subsets, settled by one pass over 2^8 right sets
+    res = is_extractor(random_view(0, n=6, m=3, d=5, K=16))
+    assert res.ok
+    assert res.checked == math.comb(64, 16)
+    assert res.subtree_tests == 1
+
+
+def test_exhaustive_frontier_n6_K16_M16():
+    # 2^16 right sets; the walk would face the same C(64, 16) subsets
+    res = is_extractor(random_view(0, n=6, m=4, d=6, K=16))
+    assert res.ok
+    assert res.checked == math.comb(64, 16)
+
+
+def lex_rank(combo, N: int) -> int:
+    """How many size-|combo| subsets of range(N) come before combo in
+    lexicographic order."""
+    K, rank, low = len(combo), 0, 0
+    for j, v in enumerate(combo):
+        rank += sum(math.comb(N - 1 - u, K - 1 - j) for u in range(low, v))
+        low = v + 1
+    return rank
+
+
+def test_lex_rank_matches_enumeration():
+    for i, combo in enumerate(itertools.combinations(range(7), 3)):
+        assert lex_rank(combo, 7) == i
+
+
+def test_exhaustive_frontier_n7_K16_witness():
+    # C(128, 16) ~ 9.3e19 subsets; the dual walk goes straight down to the
+    # lexicographically first witness
+    view = random_view(0, n=7, m=3, d=3, K=16, eps=Fraction(1, 4))
+    res = is_extractor(view)
+    assert res.witness is not None
+    assert deviation(view, res.witness) == res.witness_deviation >= view.eps
+    assert res.checked == lex_rank(res.witness, 128) + 1
 
 
 @st.composite
@@ -173,6 +257,65 @@ def test_exhaustive_walk_matches_naive_scan(view):
         pview = ExtractorView(view.graph, 2 ** k, view.eps)
         assert (is_prefix_extractor(pview, k)
                 == naive_is_prefix_extractor(pview, k))
+
+
+def is_dual(n: int, m: int, K: int) -> bool:
+    """Whether `is_extractor` decides a view of this shape by right-subset
+    duality rather than by walking its subsets."""
+    return 2 ** n << 2 ** m <= math.comb(2 ** n, K)
+
+
+SHAPES = {dual: [(n, m, K) for n in range(5) for m in range(3)
+                 for K in range(1, 2 ** n + 1) if is_dual(n, m, K) == dual]
+          for dual in (True, False)}
+
+
+@st.composite
+def views_of_shape(draw, shapes):
+    """Views whose edges land on the first `width` right vertices only, so
+    that a narrow width makes failing views common."""
+    n, m, K = draw(st.sampled_from(shapes))
+    d = draw(st.integers(min_value=0, max_value=3))
+    M, D = 2 ** m, 2 ** d
+    width = draw(st.integers(min_value=1, max_value=M))
+    rows = tuple(
+        tuple(draw(st.lists(st.integers(min_value=0, max_value=width - 1),
+                            min_size=D, max_size=D)))
+        for _ in range(2 ** n))
+    eps = Fraction(draw(st.integers(min_value=1, max_value=15)), 16)
+    return ExtractorView(BipartiteGraph(n, M, D, rows), K, eps)
+
+
+@pytest.mark.parametrize("dual", [True, False], ids=["dual", "walk"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_each_path_matches_naive_scan(dual, data):
+    view = data.draw(views_of_shape(SHAPES[dual]))
+    res = is_extractor(view)
+    assert (res.subtree_tests > 0) == dual
+    assert res == naive_is_extractor(view)
+    for k in range(min(view.n, view.m) + 1):
+        pview = ExtractorView(view.graph, 2 ** k, view.eps)
+        assert (is_prefix_extractor(pview, k)
+                == naive_is_prefix_extractor(pview, k))
+
+
+def test_each_path_finds_witnesses_like_naive_scan():
+    rng = SplitMix64(7)
+    seen = set()
+    for dual in (True, False):
+        shapes = [s for s in SHAPES[dual] if s[0] >= 3]
+        for i in range(60):
+            n, m, K = shapes[i % len(shapes)]
+            width = 1 + rng.below(2 ** m)
+            rows = rng.rows(2 ** n, 4, width)
+            eps = Fraction(1 + rng.below(6), 8)
+            view = ExtractorView(BipartiteGraph(n, 2 ** m, 4, rows), K, eps)
+            res = is_extractor(view)
+            assert res == naive_is_extractor(view)
+            seen.add((res.subtree_tests > 0, res.verdict))
+    assert seen == {(True, "ok"), (True, "witness"),
+                    (False, "ok"), (False, "witness")}
 
 
 def test_sampled_mode_reports_samples():
@@ -329,6 +472,14 @@ def test_prefix_failure_bound_monotone_in_d():
     for d in range(2, 8):
         assert (prefix_failure_bound(6, 2, 2, d + 1, Fraction(1, 4))
                 < prefix_failure_bound(6, 2, 2, d, Fraction(1, 4)))
+
+
+def test_log_binomial_past_the_exact_size_matches_exact_log():
+    # 17 * 4096 > 2^16, so the log comes from lgamma, not from the binomial
+    exact = math.log(math.comb(2 ** 17, 4096))
+    assert _log_comb(2 ** 17, 4096, 17) == pytest.approx(exact, rel=1e-12)
+    assert _log_comb(2 ** 17, 2 ** 17 - 4096, 17) == pytest.approx(
+        exact, rel=1e-12)
 
 
 def test_prefix_failure_bound_domain():
