@@ -70,7 +70,8 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
 
 
-def _emit(args, argv, outcome, ok, started) -> int:
+def _render(args, argv, outcome, started) -> str:
+    """The report as the text to print: JSON, or CSV with --csv."""
     report = {
         "command": "omex " + " ".join(argv),
         "seed": getattr(args, "seed", None),
@@ -81,23 +82,21 @@ def _emit(args, argv, outcome, ok, started) -> int:
     if args.timing:
         report["timing_s"] = round(time.monotonic() - started, 6)
     if args.csv:
-        _print_csv(report)
-    else:
-        print(json.dumps(report, sort_keys=True))
-    return 0 if ok else 1
+        return "\n".join(_csv_lines(report))
+    return json.dumps(report, sort_keys=True)
 
 
-def _print_csv(report):
+def _csv_lines(report):
     outcome = report["outcome"]
     rows = outcome.get("rows") if isinstance(outcome, dict) else None
     if isinstance(rows, list) and rows and all(isinstance(r, dict) for r in rows):
         header = sorted({k for r in rows for k in r})
-        print(",".join(header))
+        yield ",".join(header)
         for r in rows:
-            print(",".join(str(r.get(k, "")) for k in header))
+            yield ",".join(str(r.get(k, "")) for k in header)
         return
     for key, value in _flatten("outcome", outcome):
-        print(f"{key},{value}")
+        yield f"{key},{value}"
 
 
 def _flatten(prefix, value):
@@ -179,7 +178,7 @@ def _read_requests(source: str) -> list[int]:
 
 def cmd_online_run(args):
     base = load(args.graph)
-    lg = LayeredGraph.build(base, args.layers)
+    lg = LayeredGraph.build(base, args.layers, limits=default_limits())
     requests = _read_requests(args.requests)
     capacity = args.capacity if args.capacity is not None else len(requests)
     session = MatchingSession(lg, capacity=capacity)
@@ -188,7 +187,7 @@ def cmd_online_run(args):
     violation = half_rejection_audit(session)
     ok = not session.rejections and violation is None
     return {"ok": ok,
-            "matched": {str(v): r for v, r in session.matched.items()},
+            "matched": session.matched,
             "rejections": session.rejections,
             "reached": session.reached,
             "forwarded": session.forwarded,
@@ -200,7 +199,7 @@ def cmd_online_game(args):
     res = online_strategy_exists(g, args.s, limits=default_limits())
     outcome = {"exists": res.exists, "nodes": res.nodes}
     if args.tree and res.strategy is not None:
-        outcome["strategy"] = _plain({str(k): v for k, v in res.strategy.items()})
+        outcome["strategy"] = res.strategy
     return outcome, res.exists
 
 
@@ -609,6 +608,136 @@ def cmd_demo_two_cond(args):
 # parser
 # ---------------------------------------------------------------------------
 
+# A flag is (name, argparse keywords). Flags that several commands share are
+# defined once; a command that needs a variant derives it with `_with`.
+SEED = ("--seed", {"type": int, "required": True})
+OUT = ("--out", {})
+ATTEMPTS = ("--attempts", {"type": int, "default": 64})
+BAD_FACTOR = ("--bad-factor", {"type": int, "default": 2})
+EPS = ("--eps", {"type": _fraction, "required": True})
+DELTA = ("--delta", {"type": _fraction, "required": True})
+GRAPH = ("--graph", {"required": True})
+C = ("--c", {"type": int, "default": 2})
+
+
+def _with(flag, **kw):
+    """`flag` with some of its argparse keywords replaced."""
+    return flag[0], {**flag[1], **kw}
+
+
+def _ints(*names, **kw):
+    """Int flags, required unless `kw` says otherwise."""
+    return [(name, {"type": int, "required": True, **kw}) for name in names]
+
+
+# the graph-or-view input of `ext check` and `ext hazards`
+VIEW_OR_GRAPH = [_with(GRAPH, help="graph or view file"),
+                 *_ints("--K", required=False), _with(EPS, required=False)]
+LEMMA = [*_ints("--n", "--k"), EPS, SEED, *_ints("--m", "--d", required=False),
+         ATTEMPTS, BAD_FACTOR, *_ints("--max-rows", required=False, default=512)]
+FP = [("--flavor", {"choices": tuple(FP_FLAVORS), "required": True}),
+      ("--graph", {"help": "base graph file (match flavor)"}),
+      ("--views", {"nargs": "+",
+                   "help": "view files, one per layer (ext/two flavors)"}),
+      ("--set", {"required": True, "help": "enumerated set file"}),
+      ("--set2", {"help": "second set file (two flavor)"}), BAD_FACTOR]
+
+# group -> (help, {command -> (function, help or None, flags)})
+COMMANDS = {
+    "offline": ("off-line graphs and Hall checks", {
+        "gen": (cmd_offline_gen, "draw a graph, retrying until verified", [
+            *_ints("--n", "--k"), C, SEED, OUT, ATTEMPTS,
+            ("--no-verify", {"action": "store_true",
+                             "help": "emit the first draw without the Hall check"})]),
+        "hall": (cmd_offline_hall, "smallest violating subset, if any", [
+            GRAPH, *_ints("--s"),
+            ("--mode", {"choices": ("exhaustive", "matching"),
+                        "default": "exhaustive"}),
+            *_ints("--jobs", required=False, default=1,
+                   help="has no effect; the check runs in one thread")]),
+        "bound": (cmd_offline_bound, "exact union-bound series",
+                  [*_ints("--n", "--k"), C]),
+    }),
+    "online": ("greedy engine and game search", {
+        "run": (cmd_online_run, "serve a request stream", [
+            _with(GRAPH, help="base graph file"),
+            *_ints("--layers", required=False, default=1,
+                   help="number of stacked copies of the right part"),
+            ("--requests", {"required": True, "help": "file of indices, or -"}),
+            *_ints("--capacity", required=False)]),
+        "game": (cmd_online_game, "does any on-line strategy exist?", [
+            GRAPH, *_ints("--s"),
+            ("--tree", {"action": "store_true",
+                        "help": "include the winning strategy tree"})]),
+        "layered": (cmd_online_layered, "verify the base and stack k+1 copies",
+                    [GRAPH, *_ints("--k"), OUT]),
+    }),
+    "ext": ("extractor verification and search", {
+        "check": (cmd_ext_check, "verify a view exhaustively or sampled", [
+            *VIEW_OR_GRAPH,
+            *_ints("--prefix", required=False,
+                   help="check all truncation levels up to this k"),
+            *_ints("--samples", required=False,
+                   help="sampled mode with this many random subsets"),
+            _with(SEED, required=False, help="required for sampled mode")]),
+        "search": (cmd_ext_search, "draw random views until one verifies", [
+            *_ints("--n", "--k", "--m", "--d"), EPS, SEED, ATTEMPTS,
+            ("--prefix", {"action": "store_true"}), OUT]),
+        "hazards": (cmd_ext_hazards, "bad/dangerous analysis for a set", [
+            *VIEW_OR_GRAPH, ("--set", {"required": True}), BAD_FACTOR]),
+        "degree": (cmd_ext_degree, "degree formula (raw and power of 2)",
+                   [*_ints("--N", "--K", "--M"), EPS]),
+        "pbound": (cmd_ext_pbound, "prefix failure bound",
+                   [*_ints("--n", "--k", "--m", "--d"), EPS]),
+    }),
+    "trev": ("weak designs and the Hadamard code", {
+        "design": (cmd_trev_design, "randomized greedy weak design", [
+            *_ints("--l", help="block size"), *_ints("--m", help="number of sets"),
+            *_ints("--d", help="universe size"), SEED, OUT]),
+        "eval": (cmd_trev_eval, "evaluate the design/code composition", [
+            ("--u", {"required": True, "help": "message bits"}),
+            ("--y", {"required": True, "help": "seed bits"}),
+            ("--design", {"required": True}),
+            _with(DELTA, required=False, default=Fraction(1, 4))]),
+        "decode": (cmd_trev_decode,
+                   "list decoding by a fast Walsh-Hadamard transform",
+                   [("--word", {"required": True}), DELTA]),
+    }),
+    "fp": ("fingerprint encode/decode", {
+        "encode": (cmd_fp_encode, None, [*FP, *_ints("--target"), OUT]),
+        "decode": (cmd_fp_decode, None, [
+            *FP, ("--fingerprint", {"required": True}),
+            ("--side", {"choices": ("b", "c"), "default": "b"})]),
+    }),
+    "demo": ("self-contained verification runs, one per headline check", {
+        "counterexample": (cmd_demo_counterexample,
+                           "off-line matchable up to 2, yet no on-line strategy",
+                           []),
+        "om": (cmd_demo_om,
+               "union-bound series, Monte Carlo, and full sequence sweeps",
+               [SEED, *_ints("--trials", required=False, default=200)]),
+        "lemma1": (cmd_demo_lemma1,
+                   "dangerous-count bound (< 2*eps*K) on a verified view", LEMMA),
+        "lemma3": (cmd_demo_lemma3,
+                   "weakly-dangerous bound (<= 4*eps*K) on a verified view",
+                   LEMMA),
+        "prefix": (cmd_demo_prefix, "prefix search plus failure bounds", [
+            *_ints("--n", required=False, default=6),
+            *_ints("--k", "--m", required=False, default=3),
+            *_ints("--d", required=False, default=4),
+            _with(EPS, required=False, default=Fraction(1, 2)), SEED, ATTEMPTS]),
+        "trevisan": (cmd_demo_trevisan,
+                     "design grid plus decoder oracle agreement",
+                     [SEED, *_ints("--samples", required=False, default=10_000)]),
+        "muchnik": (cmd_demo_muchnik,
+                    "matching and extractor flavor roundtrips", [SEED]),
+        "two-cond": (cmd_demo_two_cond,
+                     "two-condition roundtrips and the prefix law",
+                     [SEED, ATTEMPTS]),
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="omex",
@@ -620,188 +749,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="include wall-clock timing in the report "
                              "(breaks byte determinism)")
     groups = parser.add_subparsers(dest="group", required=True)
-
-    off = groups.add_parser("offline", help="off-line graphs and Hall checks")
-    offsub = off.add_subparsers(dest="cmd", required=True)
-    p = offsub.add_parser("gen", help="draw a graph, retrying until verified")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c", type=int, default=2)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out")
-    p.add_argument("--attempts", type=int, default=64)
-    p.add_argument("--no-verify", action="store_true",
-                   help="emit the first draw without the Hall check")
-    p.set_defaults(func=cmd_offline_gen)
-    p = offsub.add_parser("hall", help="smallest violating subset, if any")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--mode", choices=("exhaustive", "matching"),
-                   default="exhaustive")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="has no effect; the check runs in one thread")
-    p.set_defaults(func=cmd_offline_hall)
-    p = offsub.add_parser("bound", help="exact union-bound series")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--c", type=int, default=2)
-    p.set_defaults(func=cmd_offline_bound)
-
-    onl = groups.add_parser("online", help="greedy engine and game search")
-    onlsub = onl.add_subparsers(dest="cmd", required=True)
-    p = onlsub.add_parser("run", help="serve a request stream")
-    p.add_argument("--graph", required=True, help="base graph file")
-    p.add_argument("--layers", type=int, default=1,
-                   help="number of stacked copies of the right part")
-    p.add_argument("--requests", required=True, help="file of indices, or -")
-    p.add_argument("--capacity", type=int)
-    p.set_defaults(func=cmd_online_run)
-    p = onlsub.add_parser("game", help="does any on-line strategy exist?")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--tree", action="store_true",
-                   help="include the winning strategy tree")
-    p.set_defaults(func=cmd_online_game)
-    p = onlsub.add_parser("layered", help="verify the base and stack k+1 copies")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_online_layered)
-
-    ext = groups.add_parser("ext", help="extractor verification and search")
-    extsub = ext.add_subparsers(dest="cmd", required=True)
-    p = extsub.add_parser("check", help="verify a view exhaustively or sampled")
-    p.add_argument("--graph", required=True, help="graph or view file")
-    p.add_argument("--K", type=int)
-    p.add_argument("--eps", type=_fraction)
-    p.add_argument("--prefix", type=int,
-                   help="check all truncation levels up to this k")
-    p.add_argument("--samples", type=int,
-                   help="sampled mode with this many random subsets")
-    p.add_argument("--seed", type=int, help="required for sampled mode")
-    p.set_defaults(func=cmd_ext_check)
-    p = extsub.add_parser("search", help="draw random views until one verifies")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--eps", type=_fraction, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--attempts", type=int, default=64)
-    p.add_argument("--prefix", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_ext_search)
-    p = extsub.add_parser("hazards", help="bad/dangerous analysis for a set")
-    p.add_argument("--graph", required=True, help="graph or view file")
-    p.add_argument("--K", type=int)
-    p.add_argument("--eps", type=_fraction)
-    p.add_argument("--set", required=True)
-    p.add_argument("--bad-factor", type=int, default=2)
-    p.set_defaults(func=cmd_ext_hazards)
-    p = extsub.add_parser("degree", help="degree formula (raw and power of 2)")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--eps", type=_fraction, required=True)
-    p.set_defaults(func=cmd_ext_degree)
-    p = extsub.add_parser("pbound", help="prefix failure bound")
-    for flag in ("--n", "--k", "--m", "--d"):
-        p.add_argument(flag, type=int, required=True)
-    p.add_argument("--eps", type=_fraction, required=True)
-    p.set_defaults(func=cmd_ext_pbound)
-
-    trev = groups.add_parser("trev", help="weak designs and the Hadamard code")
-    trevsub = trev.add_subparsers(dest="cmd", required=True)
-    p = trevsub.add_parser("design", help="randomized greedy weak design")
-    p.add_argument("--l", type=int, required=True, dest="l",
-                   help="block size")
-    p.add_argument("--m", type=int, required=True, help="number of sets")
-    p.add_argument("--d", type=int, required=True, help="universe size")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_trev_design)
-    p = trevsub.add_parser("eval", help="evaluate the design/code composition")
-    p.add_argument("--u", required=True, help="message bits")
-    p.add_argument("--y", required=True, help="seed bits")
-    p.add_argument("--design", required=True)
-    p.add_argument("--delta", type=_fraction, default=Fraction(1, 4))
-    p.set_defaults(func=cmd_trev_eval)
-    p = trevsub.add_parser(
-        "decode", help="list decoding by a fast Walsh-Hadamard transform")
-    p.add_argument("--word", required=True)
-    p.add_argument("--delta", type=_fraction, required=True)
-    p.set_defaults(func=cmd_trev_decode)
-
-    fp = groups.add_parser("fp", help="fingerprint encode/decode")
-    fpsub = fp.add_subparsers(dest="cmd", required=True)
-    for name in ("encode", "decode"):
-        p = fpsub.add_parser(name)
-        p.add_argument("--flavor", choices=tuple(FP_FLAVORS),
-                       required=True)
-        p.add_argument("--graph", help="base graph file (match flavor)")
-        p.add_argument("--views", nargs="+",
-                       help="view files, one per layer (ext/two flavors)")
-        p.add_argument("--set", required=True, help="enumerated set file")
-        p.add_argument("--set2", help="second set file (two flavor)")
-        p.add_argument("--bad-factor", type=int, default=2)
-        if name == "encode":
-            p.add_argument("--target", type=int, required=True)
-            p.add_argument("--out")
-            p.set_defaults(func=cmd_fp_encode)
-        else:
-            p.add_argument("--fingerprint", required=True)
-            p.add_argument("--side", choices=("b", "c"), default="b")
-            p.set_defaults(func=cmd_fp_decode)
-
-    demo = groups.add_parser(
-        "demo", help="self-contained verification runs, one per headline check")
-    demosub = demo.add_subparsers(dest="cmd", required=True)
-    p = demosub.add_parser(
-        "counterexample",
-        help="off-line matchable up to 2, yet no on-line strategy")
-    p.set_defaults(func=cmd_demo_counterexample)
-    p = demosub.add_parser(
-        "om", help="union-bound series, Monte Carlo, and full sequence sweeps")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, default=200)
-    p.set_defaults(func=cmd_demo_om)
-    for name, fn, helptext in (
-            ("lemma1", cmd_demo_lemma1,
-             "dangerous-count bound (< 2*eps*K) on a verified view"),
-            ("lemma3", cmd_demo_lemma3,
-             "weakly-dangerous bound (<= 4*eps*K) on a verified view")):
-        p = demosub.add_parser(name, help=helptext)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--eps", type=_fraction, required=True)
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--m", type=int)
-        p.add_argument("--d", type=int)
-        p.add_argument("--attempts", type=int, default=64)
-        p.add_argument("--bad-factor", type=int, default=2)
-        p.add_argument("--max-rows", type=int, default=512)
-        p.set_defaults(func=fn)
-    p = demosub.add_parser("prefix", help="prefix search plus failure bounds")
-    for flag, default in (("--n", 6), ("--k", 3), ("--m", 3), ("--d", 4)):
-        p.add_argument(flag, type=int, default=default)
-    p.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--attempts", type=int, default=64)
-    p.set_defaults(func=cmd_demo_prefix)
-    p = demosub.add_parser("trevisan",
-                           help="design grid plus decoder oracle agreement")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.set_defaults(func=cmd_demo_trevisan)
-    p = demosub.add_parser("muchnik",
-                           help="matching and extractor flavor roundtrips")
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=cmd_demo_muchnik)
-    p = demosub.add_parser("two-cond",
-                           help="two-condition roundtrips and the prefix law")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--attempts", type=int, default=64)
-    p.set_defaults(func=cmd_demo_two_cond)
+    for group, (group_help, commands) in COMMANDS.items():
+        sub = groups.add_parser(group, help=group_help).add_subparsers(
+            dest="cmd", required=True)
+        for name, (func, help_text, flags) in commands.items():
+            # a help keyword, even None, would list the command in the
+            # group's help, so commands without help pass none
+            p = sub.add_parser(name, **({"help": help_text} if help_text else {}))
+            for flag, kw in flags:
+                p.add_argument(flag, **kw)
+            p.set_defaults(func=func)
     return parser
 
 
@@ -815,12 +772,17 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         outcome, ok = args.func(args)
+        # rendered here too: an exact value can overflow a float or exceed
+        # the int-to-str digit limit, and that is an error report as well
+        text = _render(args, argv, outcome, started)
     except UsageError as e:
         print(f"omex: {e}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, GraphError, LimitExceeded, OSError) as e:
-        return _emit(args, argv, {"error": str(e)}, False, started)
-    return _emit(args, argv, outcome, ok, started)
+    except (ValueError, RuntimeError, GraphError, LimitExceeded, OSError,
+            OverflowError) as e:
+        ok, text = False, _render(args, argv, {"error": str(e)}, started)
+    print(text)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -223,8 +223,7 @@ def _some_completion_fails(cols, prefix, start: int, r: int, hi, lo) -> bool:
     return False
 
 
-def _exhaustive_walk(view: ExtractorView, counts, threshold_num: int,
-                     threshold_den: int, limits: Limits) -> ExtractorCheck:
+def _exhaustive_walk(view: ExtractorView, limits: Limits) -> ExtractorCheck:
     """Depth-first walk of the size-K subsets in lexicographic order.
 
     A node is a prefix v_1 < ... < v_j, and carries its deficit vector
@@ -247,6 +246,9 @@ def _exhaustive_walk(view: ExtractorView, counts, threshold_num: int,
     against `limits.subset_nodes`, and every exact test 2^M - 1 more.
     """
     N, K, M, D = view.N, view.K, view.M, view.D
+    counts = [tuple(view.endpoint_counts(v)) for v in range(N)]
+    threshold_num = view.eps.numerator * D * K * M   # compare against eps
+    threshold_den = view.eps.denominator             # exactly, as deviation
     total = math.comb(N, K)
     dual = N << M <= total
     right_sets = (1 << M) - 1
@@ -328,33 +330,16 @@ def is_extractor(view: ExtractorView, *, samples: int | None = None,
     (samples given, seed required) draws random size-K subsets and can
     only report that no counterexample was found.
     """
-    limits = limits or default_limits()
-    N, K, M, D = view.N, view.K, view.M, view.D
-    eps = view.eps
-    counts = [tuple(view.endpoint_counts(v)) for v in range(N)]
-    threshold_num = eps.numerator * D * K * M    # compare against eps exactly:
-    threshold_den = eps.denominator              # positive*den < num*D*K*M
-
     if samples is None:
-        return _exhaustive_walk(view, counts, threshold_num, threshold_den,
-                                limits)
-
-    def fails(combo) -> bool:
-        e = [0] * M
-        for v in combo:
-            cv = counts[v]
-            for y in range(M):
-                e[y] += cv[y]
-        positive = sum(c * M - D * K for c in e if c * M > D * K)
-        return positive * threshold_den >= threshold_num
-
+        return _exhaustive_walk(view, limits or default_limits())
     if seed is None:
         raise ValueError("sampled mode needs a seed")
     rng = SplitMix64(seed)
     for i in range(samples):
-        combo = tuple(sorted(rng.sample(N, K)))
-        if fails(combo):
-            return ExtractorCheck("sampled", combo, deviation(view, combo), i + 1)
+        combo = tuple(sorted(rng.sample(view.N, view.K)))
+        dev = deviation(view, combo)
+        if dev >= view.eps:
+            return ExtractorCheck("sampled", combo, dev, i + 1)
     return ExtractorCheck("sampled", None, None, samples)
 
 

@@ -82,16 +82,6 @@ class BipartiteGraph:
             raise IndexError(f"left index {left_index} out of range")
         return self.neighbors[left_index]
 
-    def left_neighbors_of(self, right_index: int) -> list[int]:
-        """Left vertices adjacent to a right vertex, in left-index order,
-        one entry per incident edge."""
-        if not 0 <= right_index < self.right_size:
-            raise IndexError(f"right index {right_index} out of range")
-        out = []
-        for left, row in enumerate(self.neighbors):
-            out.extend(left for r in row if r == right_index)
-        return out
-
     def degree_of(self, left_index: int) -> int:
         return len(self.neighbors_of(left_index))
 

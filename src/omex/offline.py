@@ -127,6 +127,10 @@ def series_base(n: int, k: int, c: int) -> Fraction:
     """Base of the geometric failure-probability series: 2^(n+k) / n^(c(n^c-1))."""
     if n < 2:
         raise ValueError("base formula needs n >= 2")
+    if k < 0:
+        raise ValueError(f"need k >= 0, got k={k}")
+    if c < 1:
+        raise ValueError(f"need c >= 1, got c={c}")
     return Fraction(2 ** (n + k), n ** (c * (n ** c - 1)))
 
 
@@ -138,17 +142,15 @@ def series_bound(n: int, k: int, c: int) -> Fraction:
 
     Evaluated exactly. The t-th term multiplies the per-pair probability
     that t*n^c independent draws all land inside a fixed small set by the
-    (over)counts of candidate subsets X and neighbor sets Y.
+    (over)counts of candidate subsets X and neighbor sets Y. It equals x^t
+    for x = series_base(n, k, c), so the sum has the closed form
+    x(x^T - 1)/(x - 1) for T = 2^k, or T when x = 1.
     """
-    if n < 2:
-        raise ValueError("series_bound needs n >= 2")
-    nc = n ** c
-    total = Fraction(0)
-    for t in range(1, 2 ** k + 1):
-        total += (Fraction(1, nc) ** (t * nc)
-                  * Fraction(2 ** n) ** t
-                  * Fraction(2 ** k * nc) ** t)
-    return total
+    x = series_base(n, k, c)
+    terms = 2 ** k
+    if x == 1:
+        return Fraction(terms)
+    return x * (x ** terms - 1) / (x - 1)
 
 
 def random_offline_graph(p: OfflineParams, seed: int,

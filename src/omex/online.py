@@ -39,9 +39,17 @@ class LayeredGraph:
     graph: BipartiteGraph
 
     @staticmethod
-    def build(base: BipartiteGraph, copies: int) -> "LayeredGraph":
+    def build(base: BipartiteGraph, copies: int,
+              limits: Limits | None = None) -> "LayeredGraph":
+        """Materialize the stacked rows, charging left * degree * copies
+        entries to `limits.gen_edges` first."""
         if copies < 1:
             raise ValueError("need at least one copy")
+        limits = limits or default_limits()
+        edges = base.left_size * base.max_degree * copies
+        if edges > limits.gen_edges:
+            raise LimitExceeded(
+                f"{edges} layered edges exceed limit {limits.gen_edges}")
         width = base.right_size
         rows = tuple(
             tuple(layer * width + r for layer in range(copies) for r in row)
@@ -65,7 +73,7 @@ def layered(base: BipartiteGraph, k: int,
     if witness is not None:
         raise ValueError(
             f"base graph fails hall_check({2 ** k}): witness {witness}")
-    return LayeredGraph.build(base, k + 1)
+    return LayeredGraph.build(base, k + 1, limits=limits)
 
 
 @dataclass

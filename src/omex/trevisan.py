@@ -81,9 +81,13 @@ def verify_weak_design(design: WeakDesign, m: int | None = None) -> DesignViolat
     return None
 
 
-def greedy_weak_design(block_size: int, m: int, d: int, seed: int,
-                       tries_per_set: int = 200,
-                       restarts: int = 50) -> WeakDesign:
+# search budget of greedy_weak_design: draws per set slot, fresh starts
+GREEDY_TRIES_PER_SET = 200
+GREEDY_RESTARTS = 50
+
+
+def greedy_weak_design(block_size: int, m: int, d: int,
+                       seed: int) -> WeakDesign:
     """Randomized greedy construction: draw candidate blocks until one keeps
     the partial intersection sum within m - 1, restarting from scratch when
     a slot cannot be filled. Deterministic given the seed; raises when the
@@ -95,11 +99,11 @@ def greedy_weak_design(block_size: int, m: int, d: int, seed: int,
     if m < 1:
         raise ValueError("m must be positive")
     rng = SplitMix64(seed)
-    for _ in range(restarts):
+    for _ in range(GREEDY_RESTARTS):
         sets: list[tuple[int, ...]] = []
         masks: list[int] = []
         for _ in range(m):
-            for _ in range(tries_per_set):
+            for _ in range(GREEDY_TRIES_PER_SET):
                 draw = rng.sample(d, block_size)
                 mask = sum(1 << x for x in draw)
                 if sum(2 ** (mask & prev).bit_count() for prev in masks) <= m - 1:
@@ -116,7 +120,7 @@ def greedy_weak_design(block_size: int, m: int, d: int, seed: int,
             return design
     raise RuntimeError(
         f"no weak design found for (block_size={block_size}, m={m}, d={d}) "
-        f"within {restarts} restarts; raise d")
+        f"within {GREEDY_RESTARTS} restarts; raise d")
 
 
 save_design = save

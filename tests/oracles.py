@@ -2,6 +2,7 @@
 against."""
 
 import itertools
+from fractions import Fraction
 
 from omex import (ExtractorCheck, GameResult, MatchingSession, PrefixCheck,
                   SequenceSweep, deviation, half_rejection_audit, truncate)
@@ -124,3 +125,15 @@ def naive_online_strategy_exists(g, s: int) -> GameResult:
     if wins(frozenset(), frozenset()):
         return GameResult(True, build_tree(frozenset(), frozenset()), nodes)
     return GameResult(False, None, nodes)
+
+
+def naive_series_bound(n: int, k: int, c: int) -> Fraction:
+    """The union-bound series summed term by term, each term built from its
+    three factors: (1/n^c)^(t n^c) * (2^n)^t * (2^k n^c)^t, t = 1..2^k."""
+    nc = n ** c
+    total = Fraction(0)
+    for t in range(1, 2 ** k + 1):
+        total += (Fraction(1, nc) ** (t * nc)
+                  * Fraction(2 ** n) ** t
+                  * Fraction(2 ** k * nc) ** t)
+    return total

@@ -177,6 +177,49 @@ def test_online_run_bad_request_is_failure_not_crash(capsys, tmp_path,
     assert captured.err == ""
 
 
+def test_online_run_layers_are_charged_to_gen_edges(capsys, tmp_path,
+                                                   cx_path, monkeypatch):
+    # 3 left vertices of degree 2 over 2 copies: 12 layered edges
+    req = tmp_path / "req.txt"
+    req.write_text("0\n1\n")
+    argv = ("online", "run", "--graph", cx_path, "--layers", "2",
+            "--requests", str(req))
+    monkeypatch.setenv("OMEX_LIMITS", "gen_edges=11")
+    code, report = run_json(capsys, *argv)
+    assert code == 1
+    assert report["outcome"]["error"] == "12 layered edges exceed limit 11"
+    monkeypatch.setenv("OMEX_LIMITS", "gen_edges=12")
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    assert report["outcome"]["rejections"] == []
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["offline", "bound", "--n", "2", "--k", "10", "--c", "1"],
+     "too large for a float"),
+    (["offline", "bound", "--n", "6", "--k", "10"], "integer string conversion"),
+    (["offline", "bound", "--n", "6", "--k", "12"], "integer string conversion"),
+    (["offline", "gen", "--n", "8", "--k", "8", "--seed", "1", "--no-verify"],
+     "integer string conversion"),
+    (["offline", "bound", "--n", "2", "--k", "-1"], "need k >= 0"),
+    (["offline", "bound", "--n", "2", "--k", "1", "--c", "-1"], "need c >= 1"),
+    (["offline", "bound", "--n", "2", "--k", "1", "--c", "0"], "need c >= 1"),
+    (["online", "run", "--graph", "CX", "--layers", "100000000",
+      "--requests", "-"], "layered edges exceed limit"),
+])
+def test_unrenderable_or_oversized_is_one_error_report(capsys, cx_path, argv,
+                                                       error):
+    argv = [cx_path if a == "CX" else a for a in argv]
+    started = time.monotonic()
+    code = main(argv)
+    assert time.monotonic() - started < 5
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out.count("\n") == 1
+    assert error in json.loads(captured.out)["outcome"]["error"]
+
+
 @pytest.mark.parametrize("argv", [
     ["ext", "degree", "--N", "16", "--K", "4", "--M", "16", "--eps", "1/0"],
     ["ext", "pbound", "--n", "4", "--k", "2", "--m", "2", "--d", "4",

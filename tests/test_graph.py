@@ -112,33 +112,17 @@ def test_neighbors_of_complete():
 def test_multi_edge_kept_with_multiplicity():
     g = BipartiteGraph(0, 4, 2, ((3, 3),))
     assert g.neighbors_of(0) == (3, 3)
-    assert g.left_neighbors_of(3) == [0, 0]
-
-
-def test_left_neighbors_in_left_index_order():
-    g = BipartiteGraph(2, 2, 2, ((1,), (0, 1), (1,)))
-    assert g.left_neighbors_of(1) == [0, 1, 2]
-    assert g.left_neighbors_of(0) == [1]
 
 
 def test_out_of_range_indices_raise():
     g = complete_graph(1, 2)
     with pytest.raises(IndexError):
         g.neighbors_of(2)
-    with pytest.raises(IndexError):
-        g.left_neighbors_of(2)
 
 
 def test_build_raises_on_invalid():
     with pytest.raises(GraphInvariantError):
         BipartiteGraph.build(1, 2, 1, [[5], []])
-
-
-@given(small_graphs())
-def test_reverse_adjacency_preserves_edge_count(g):
-    forward = sum(len(row) for row in g.neighbors)
-    backward = sum(len(g.left_neighbors_of(r)) for r in range(g.right_size))
-    assert forward == backward
 
 
 @given(small_graphs())

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from omex.limits import Limits
 from omex.online import counterexample_graph
 
 from conftest import small_graphs
+from oracles import naive_series_bound
 
 
 # --- max_matching -----------------------------------------------------------
@@ -126,6 +128,21 @@ def test_series_bound_rejects_small_n():
         series_bound(1, 1, 2)
     with pytest.raises(ValueError):
         series_base(1, 1, 1)
+
+
+@pytest.mark.parametrize("k, c, message", [(-1, 2, "k >= 0"), (1, 0, "c >= 1"),
+                                           (1, -1, "c >= 1")])
+def test_series_rejects_negative_k_and_c_below_one(k, c, message):
+    with pytest.raises(ValueError, match=message):
+        series_bound(2, k, c)
+    with pytest.raises(ValueError, match=message):
+        series_base(2, k, c)
+
+
+def test_series_bound_closed_form_matches_term_by_term_sum():
+    assert series_base(2, 4, 2) == 1 and series_bound(2, 4, 2) == 16
+    for n, k, c in itertools.product(range(2, 6), range(7), range(1, 4)):
+        assert series_bound(n, k, c) == naive_series_bound(n, k, c), (n, k, c)
 
 
 # --- random construction ----------------------------------------------------

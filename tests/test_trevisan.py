@@ -69,7 +69,7 @@ def test_greedy_deterministic():
 def test_greedy_infeasible_universe():
     # only one candidate block exists, so the third set cannot be placed
     with pytest.raises(RuntimeError, match="raise d"):
-        greedy_weak_design(2, 5, 2, seed=1, tries_per_set=10, restarts=3)
+        greedy_weak_design(2, 5, 2, seed=1)
 
 
 def test_greedy_argument_validation():
