@@ -132,27 +132,27 @@ def _load_view_or_graph(args) -> ExtractorView:
 
 def cmd_offline_gen(args):
     p = OfflineParams(args.n, args.k, args.c)
-    limits = default_limits()
     if args.no_verify:
-        g, attempts = random_offline_graph(p, args.seed, limits=limits), 1
-        verified = False
+        g, attempts = random_offline_graph(p, args.seed), 1
     else:
         g, attempts = construct_verified_offline_graph(
-            p, args.seed, max_attempts=args.attempts, limits=limits)
-        verified = True
+            p, args.seed, max_attempts=args.attempts)
+    bound = series_bound(args.n, args.k, args.c)
+    bound_float = float(bound)
+    # rendered before saving, so that a report that fails leaves no file
+    outcome = {"ok": True, "verified": not args.no_verify,
+               "attempts": attempts,
+               "left_size": g.left_size, "right_size": g.right_size,
+               "degree": p.degree, "series_bound": str(bound),
+               "series_bound_float": bound_float, "out": args.out}
     if args.out:
         save(g, args.out)
-    bound = series_bound(args.n, args.k, args.c)
-    return {"ok": True, "verified": verified, "attempts": attempts,
-            "left_size": g.left_size, "right_size": g.right_size,
-            "degree": p.degree, "series_bound": bound,
-            "series_bound_float": float(bound),
-            "out": args.out}, True
+    return outcome, True
 
 
 def cmd_offline_hall(args):
     g = load(args.graph)
-    witness = hall_check(g, args.s, mode=args.mode, limits=default_limits())
+    witness = hall_check(g, args.s, mode=args.mode)
     return {"ok": witness is None, "witness": witness}, witness is None
 
 
@@ -178,7 +178,7 @@ def _read_requests(source: str) -> list[int]:
 
 def cmd_online_run(args):
     base = load(args.graph)
-    lg = LayeredGraph.build(base, args.layers, limits=default_limits())
+    lg = LayeredGraph.build(base, args.layers)
     requests = _read_requests(args.requests)
     capacity = args.capacity if args.capacity is not None else len(requests)
     session = MatchingSession(lg, capacity=capacity)
@@ -196,7 +196,7 @@ def cmd_online_run(args):
 
 def cmd_online_game(args):
     g = load(args.graph)
-    res = online_strategy_exists(g, args.s, limits=default_limits())
+    res = online_strategy_exists(g, args.s)
     outcome = {"exists": res.exists, "nodes": res.nodes}
     if args.tree and res.strategy is not None:
         outcome["strategy"] = res.strategy
@@ -205,7 +205,7 @@ def cmd_online_game(args):
 
 def cmd_online_layered(args):
     base = load(args.graph)
-    lg = layered(base, args.k, limits=default_limits())
+    lg = layered(base, args.k)
     if args.out:
         save(lg.graph, args.out)
     return {"ok": True, "copies": lg.copies,
@@ -221,9 +221,8 @@ def cmd_ext_check(args):
     if args.samples is not None and args.seed is None:
         raise UsageError("sampled mode draws randomness: --seed is required")
     view = _load_view_or_graph(args)
-    limits = default_limits()
     if args.prefix is not None:
-        res = is_prefix_extractor(view, args.prefix, limits=limits)
+        res = is_prefix_extractor(view, args.prefix)
         outcome = {
             "verdict": "ok" if res.ok else "witness",
             "levels": [{"i": i, "K": ki, "verdict": c.verdict,
@@ -233,7 +232,7 @@ def cmd_ext_check(args):
             i, S, dev = res.witness
             outcome["witness"] = {"level": i, "S": list(S), "deviation": dev}
         return outcome, res.ok
-    res = is_extractor(view, samples=args.samples, seed=args.seed, limits=limits)
+    res = is_extractor(view, samples=args.samples, seed=args.seed)
     outcome = {"verdict": res.verdict, "mode": res.mode, "checked": res.checked}
     if res.witness is not None:
         outcome["witness"] = {"S": list(res.witness),
@@ -244,8 +243,7 @@ def cmd_ext_check(args):
 def cmd_ext_search(args):
     view, attempts = random_extractor_search(
         args.n, args.k, args.m, args.eps, args.d, seed=args.seed,
-        max_attempts=args.attempts, prefix=args.prefix,
-        limits=default_limits())
+        max_attempts=args.attempts, prefix=args.prefix)
     if args.out:
         save(view, args.out)
     outcome = {"verdict": "ok", "attempts": attempts, "N": view.N,
@@ -324,7 +322,7 @@ def _fp_inputs(args):
         raise UsageError("two-condition flavor needs --set2 (the second set)")
     eset = load(args.set, EnumeratedSet)
     if args.flavor == "match":
-        return eset, layered(load(args.graph), eset.k, limits=default_limits())
+        return eset, layered(load(args.graph), eset.k)
     return eset, [load(path, ExtractorView) for path in args.views]
 
 
@@ -378,6 +376,8 @@ def cmd_demo_counterexample(args):
 
 
 def cmd_demo_om(args):
+    if args.trials < 1:
+        raise ValueError("trials must be at least 1")
     bound = series_bound(2, 1, 2)
     exact_ok = bound == Fraction(9, 64)
     failures = 0
@@ -499,6 +499,8 @@ def _decoder_agrees(code, words):
 
 
 def cmd_demo_trevisan(args):
+    if args.samples < 0:
+        raise ValueError("samples must be nonnegative")
     designs = [{"block_size": block, "m": m, "d": d,
                 "ok": verify_weak_design(
                     greedy_weak_design(block, m, d, seed=args.seed), m) is None}

@@ -26,7 +26,7 @@ from functools import partial
 
 from .graph import (INT, STR, BipartiteGraph, GraphFormatError, load,
                     read_fields, save, to_json)
-from .limits import Limits, LimitExceeded, default_limits
+from .limits import LimitExceeded, default_limits
 from .rng import SplitMix64
 
 
@@ -223,7 +223,7 @@ def _some_completion_fails(cols, prefix, start: int, r: int, hi, lo) -> bool:
     return False
 
 
-def _exhaustive_walk(view: ExtractorView, limits: Limits) -> ExtractorCheck:
+def _exhaustive_walk(view: ExtractorView) -> ExtractorCheck:
     """Depth-first walk of the size-K subsets in lexicographic order.
 
     A node is a prefix v_1 < ... < v_j, and carries its deficit vector
@@ -243,7 +243,7 @@ def _exhaustive_walk(view: ExtractorView, limits: Limits) -> ExtractorCheck:
     does not certify gets the same exact test on its subtree, is certified
     when it passes and entered only when it holds a failure, so the walk
     goes straight down to the first witness. Every node visited counts
-    against `limits.subset_nodes`, and every exact test 2^M - 1 more.
+    against the `subset_nodes` budget, and every exact test 2^M - 1 more.
     """
     N, K, M, D = view.N, view.K, view.M, view.D
     counts = [tuple(view.endpoint_counts(v)) for v in range(N)]
@@ -252,7 +252,7 @@ def _exhaustive_walk(view: ExtractorView, limits: Limits) -> ExtractorCheck:
     total = math.comb(N, K)
     dual = N << M <= total
     right_sets = (1 << M) - 1
-    budget = limits.subset_nodes
+    budget = default_limits().subset_nodes
     spent = nodes = tests = checked = 0
 
     def charge(cost: int) -> None:
@@ -316,8 +316,7 @@ def _positive(x: int) -> bool:
 
 
 def is_extractor(view: ExtractorView, *, samples: int | None = None,
-                 seed: int | None = None,
-                 limits: Limits | None = None) -> ExtractorCheck:
+                 seed: int | None = None) -> ExtractorCheck:
     """Check deviation(S) < eps on size-K subsets.
 
     Exhaustive mode settles every size-K subset in lexicographic order (see
@@ -331,9 +330,11 @@ def is_extractor(view: ExtractorView, *, samples: int | None = None,
     only report that no counterexample was found.
     """
     if samples is None:
-        return _exhaustive_walk(view, limits or default_limits())
+        return _exhaustive_walk(view)
     if seed is None:
         raise ValueError("sampled mode needs a seed")
+    if samples < 1:
+        raise ValueError("sampled mode needs at least 1 sample")
     rng = SplitMix64(seed)
     for i in range(samples):
         combo = tuple(sorted(rng.sample(view.N, view.K)))
@@ -402,26 +403,24 @@ def truncate(view: ExtractorView, i: int) -> ExtractorView:
 
 @dataclass(frozen=True)
 class PrefixCheck:
+    """Exhaustive level checks, up to the first with a witness, if any."""
+
     levels: tuple[tuple[int, int, ExtractorCheck], ...]  # (i, K_i, check)
     witness_level: int | None
 
     @property
     def ok(self) -> bool:
-        return self.witness_level is None and all(
-            c.ok for _, _, c in self.levels)
+        return self.witness_level is None
 
     @property
     def witness(self) -> tuple[int, tuple[int, ...], Fraction] | None:
         if self.witness_level is None:
             return None
-        for i, _, check in self.levels:
-            if i == self.witness_level:
-                return (i, check.witness, check.witness_deviation)
-        return None
+        i, _, check = self.levels[-1]
+        return (i, check.witness, check.witness_deviation)
 
 
-def is_prefix_extractor(view: ExtractorView, k: int,
-                        limits: Limits | None = None) -> PrefixCheck:
+def is_prefix_extractor(view: ExtractorView, k: int) -> PrefixCheck:
     """Every truncation level i <= k must pass with K = 2^(k-i)."""
     if view.K != 2 ** k:
         raise ValueError(f"view has K = {view.K}, expected 2^{k}")
@@ -430,7 +429,7 @@ def is_prefix_extractor(view: ExtractorView, k: int,
     levels = []
     for i in range(k + 1):
         sub = truncate(view, i)
-        check = is_extractor(sub, limits=limits)
+        check = is_extractor(sub)
         levels.append((i, sub.K, check))
         if check.witness is not None:
             return PrefixCheck(tuple(levels), i)
@@ -500,8 +499,7 @@ load_view = partial(load, kind=ExtractorView)
 
 
 def random_extractor_search(n: int, k: int, m: int, eps, d: int, seed: int,
-                            max_attempts: int = 64, prefix: bool = False,
-                            limits: Limits | None = None
+                            max_attempts: int = 64, prefix: bool = False
                             ) -> tuple[ExtractorView, int]:
     """Draw D = 2^d uniform neighbors per left vertex and keep the first
     graph that verifies exhaustively (all levels, when prefix=True).
@@ -511,19 +509,17 @@ def random_extractor_search(n: int, k: int, m: int, eps, d: int, seed: int,
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
+    if min(n, k, m, d) < 0:
+        raise ValueError("parameters must be nonnegative")
     eps = Fraction(eps)
-    limits = limits or default_limits()
     N, M, D, K = 2 ** n, 2 ** m, 2 ** d, 2 ** k
-    edges = N * D
-    if edges > limits.gen_edges:
-        raise LimitExceeded(f"{edges} edge draws exceed limit {limits.gen_edges}")
     rng = SplitMix64(seed)
     for attempt in range(1, max_attempts + 1):
         view = ExtractorView(BipartiteGraph(n, M, D, rng.rows(N, D, M)), K, eps)
         if prefix:
-            verified = is_prefix_extractor(view, k, limits=limits).ok
+            verified = is_prefix_extractor(view, k).ok
         else:
-            verified = is_extractor(view, limits=limits).ok
+            verified = is_extractor(view).ok
         if verified:
             return view, attempt
     raise RuntimeError(

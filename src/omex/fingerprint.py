@@ -70,6 +70,20 @@ save_set = save
 load_set = partial(load, kind=EnumeratedSet)
 
 
+def _partners(view: ExtractorView, elements, r: int) -> list[int]:
+    """The elements with `r` among their neighbors, in enumeration order."""
+    return [x for x in elements if r in view.graph.neighbors[x]]
+
+
+def _partner_at(view: ExtractorView, elements, r: int, ordinal: int) -> int:
+    """The decoders' lookup: `ordinal` indexes `_partners` from the front."""
+    found = _partners(view, elements, r)
+    if not 0 <= ordinal < len(found):
+        raise ValueError(f"ordinal {ordinal} out of range "
+                         f"({len(found)} partners); mismatched inputs")
+    return found[ordinal]
+
+
 class Fingerprint:
     """File form shared by the three flavors: the `flavor` tag plus every
     field, all integers."""
@@ -210,12 +224,11 @@ def encode_extractor(views: list[ExtractorView], S: EnumeratedSet, a: int,
         if a not in report.dangerous:
             bad = set(report.bad)
             p = next(r for r in view.graph.neighbors_of(a) if r not in bad)
-            partners = [x for x in current if p in view.graph.neighbors[x]]
             bound = ceil(Fraction(2 * bad_factor * view.D * view.K, view.M))
             fp = ExtractorFingerprint(
                 layer=layer,
                 right_index=p,
-                ordinal=partners.index(a),
+                ordinal=_partners(view, current, p).index(a),
                 payload_bits=view.m,
                 layer_bits=bits_for(len(views)),
                 ordinal_bound=bound,
@@ -239,14 +252,8 @@ def decode_extractor(views: list[ExtractorView], S: EnumeratedSet,
     chain = layer_sets(views[:fp.layer], S.elements, bad_factor)
     if len(chain) <= fp.layer:
         raise ValueError("layer chain ended before the fingerprint's layer")
-    current = chain[fp.layer]
-    view = views[fp.layer]
-    partners = [x for x in current if fp.right_index in view.graph.neighbors[x]]
-    if fp.ordinal >= len(partners):
-        raise ValueError(
-            f"ordinal {fp.ordinal} out of range ({len(partners)} partners); "
-            "mismatched inputs")
-    return partners[fp.ordinal]
+    return _partner_at(views[fp.layer], chain[fp.layer], fp.right_index,
+                       fp.ordinal)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +311,11 @@ def encode_two_conditions(pview: ExtractorView, s_b: EnumeratedSet,
             break
     if p is None:  # ruled out by the half-plus-half counting argument
         raise AssertionError("no neighbor passed both filters")
-    partners_b = [x for x in s_b.elements if p in pview.graph.neighbors[x]]
-    partners_c = [x for x in s_c.elements if q in trunc.graph.neighbors[x]]
     return TwoConditionFingerprint(
         p=p, q=q, bound=k, second_bound=l,
         payload_bits=pview.m, prefix_bits=pview.m - shift,
-        ordinal_b=partners_b.index(a), ordinal_c=partners_c.index(a),
+        ordinal_b=_partners(pview, s_b.elements, p).index(a),
+        ordinal_c=_partners(trunc, s_c.elements, q).index(a),
     )
 
 
@@ -324,8 +330,4 @@ def decode_two_conditions(pview: ExtractorView, eset: EnumeratedSet,
         target, ordinal = fp.q, fp.ordinal_c
     else:
         raise ValueError(f"side must be 'b' or 'c', got {side!r}")
-    partners = [x for x in eset.elements if target in view.graph.neighbors[x]]
-    if ordinal >= len(partners):
-        raise ValueError(
-            f"ordinal {ordinal} out of range ({len(partners)} partners)")
-    return partners[ordinal]
+    return _partner_at(view, eset.elements, target, ordinal)

@@ -1,9 +1,11 @@
 """Resource guards for the exhaustive searches.
 
 Every exhaustive enumeration (Hall subsets, extractor subsets, game trees)
-is bounded by a ceiling from this module. Defaults suit desk-scale inputs;
-the OMEX_LIMITS environment variable overrides them with a comma-separated
-list such as ``OMEX_LIMITS=subset_nodes=2000000,game_nodes=500000``.
+and every draw of random rows (`SplitMix64.rows`) is bounded by a ceiling
+from this module. Defaults suit desk-scale inputs; the only way to change
+them is the OMEX_LIMITS environment variable, a comma-separated list such
+as ``OMEX_LIMITS=subset_nodes=2000000,game_nodes=500000``, which each
+guard reads where it fires.
 """
 
 import os

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import BipartiteGraph
-from .limits import Limits, LimitExceeded, default_limits
+from .limits import LimitExceeded, default_limits
 from .rng import SplitMix64
 
 
@@ -89,8 +89,8 @@ def _count_distinct_neighbors(g: BipartiteGraph, subset: tuple[int, ...],
     return len(distinct) >= need
 
 
-def hall_check(g: BipartiteGraph, s_max: int, *, mode: str = "exhaustive",
-               limits: Limits | None = None) -> list[int] | None:
+def hall_check(g: BipartiteGraph, s_max: int, *,
+               mode: str = "exhaustive") -> list[int] | None:
     """None when every left subset of size <= s_max has enough neighbors;
     otherwise the smallest violating subset in (size, lexicographic) order.
 
@@ -100,7 +100,7 @@ def hall_check(g: BipartiteGraph, s_max: int, *, mode: str = "exhaustive",
     """
     if mode not in ("exhaustive", "matching"):
         raise ValueError(f"unknown mode {mode!r}")
-    limits = limits or default_limits()
+    budget = default_limits().subset_nodes
     nleft = g.left_size
     if s_max < 1:
         raise ValueError(f"need s_max >= 1, got {s_max}")
@@ -110,9 +110,9 @@ def hall_check(g: BipartiteGraph, s_max: int, *, mode: str = "exhaustive",
     for size in range(1, min(s_max, nleft) + 1):
         count = math.comb(nleft, size)
         examined += count
-        if examined > limits.subset_nodes:
+        if examined > budget:
             raise LimitExceeded(
-                f"subset enumeration would visit {examined} > {limits.subset_nodes} nodes")
+                f"subset enumeration would visit {examined} > {budget} nodes")
         for combo in itertools.combinations(range(nleft), size):
             if mode == "exhaustive":
                 ok = _count_distinct_neighbors(g, combo, size)
@@ -153,23 +153,17 @@ def series_bound(n: int, k: int, c: int) -> Fraction:
     return x * (x ** terms - 1) / (x - 1)
 
 
-def random_offline_graph(p: OfflineParams, seed: int,
-                         limits: Limits | None = None) -> BipartiteGraph:
+def random_offline_graph(p: OfflineParams, seed: int) -> BipartiteGraph:
     """Graph with 2^n left vertices and exactly n^c uniform draws (with
     replacement) per vertex into a right part of size 2^k * n^c."""
-    limits = limits or default_limits()
-    edges = p.left_size * p.degree
-    if edges > limits.gen_edges:
-        raise LimitExceeded(f"{edges} edge draws exceed limit {limits.gen_edges}")
-    rng = SplitMix64(seed)
-    rows = rng.rows(p.left_size, p.degree, p.right_size)
+    rows = SplitMix64(seed).rows(p.left_size, p.degree, p.right_size)
     # an invariant violation here is a construction bug, not an input error
     return BipartiteGraph(p.n, p.right_size, p.degree, rows).checked()
 
 
 def construct_verified_offline_graph(
-        p: OfflineParams, seed: int, max_attempts: int = 64,
-        limits: Limits | None = None) -> tuple[BipartiteGraph, int]:
+        p: OfflineParams, seed: int,
+        max_attempts: int = 64) -> tuple[BipartiteGraph, int]:
     """Redraw until the random graph passes hall_check(2^k).
 
     Returns (graph, attempts). Each attempt continues the same seeded
@@ -177,12 +171,11 @@ def construct_verified_offline_graph(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
-    limits = limits or default_limits()
     rng = SplitMix64(seed)
     for attempt in range(1, max_attempts + 1):
         g = BipartiteGraph(p.n, p.right_size, p.degree,
                            rng.rows(p.left_size, p.degree, p.right_size))
-        if hall_check(g, 2 ** p.k, limits=limits) is None:
+        if hall_check(g, 2 ** p.k) is None:
             return g, attempt
     raise RuntimeError(
         f"no graph passed hall_check({2 ** p.k}) within {max_attempts} attempts")

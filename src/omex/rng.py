@@ -6,6 +6,8 @@ The update is the standard one: the state advances by the golden-gamma
 constant and the output is the finalized mix of the new state.
 """
 
+from .limits import LimitExceeded, default_limits
+
 MASK64 = (1 << 64) - 1
 
 _GAMMA = 0x9E3779B97F4A7C15
@@ -51,6 +53,10 @@ class SplitMix64:
     def rows(self, count: int, degree: int,
              bound: int) -> tuple[tuple[int, ...], ...]:
         """`count` rows of `degree` draws from range(bound), row after row:
-        the neighbor lists of a random left-regular graph."""
+        the neighbor lists of a random left-regular graph. Every randomized
+        construction draws here, so the draws are charged to `gen_edges`."""
+        edges, limit = count * degree, default_limits().gen_edges
+        if edges > limit:
+            raise LimitExceeded(f"{edges} edge draws exceed limit {limit}")
         return tuple(tuple(self.below(bound) for _ in range(degree))
                      for _ in range(count))

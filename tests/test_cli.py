@@ -145,6 +145,37 @@ def test_gen_no_verify(capsys, tmp_path):
     assert report["outcome"]["verified"] is False
 
 
+@pytest.mark.parametrize("extra", [[], ["--no-verify"]])
+def test_gen_draws_are_charged_to_gen_edges(capsys, monkeypatch, extra):
+    # 16 left vertices of 16 draws each, verified or not
+    monkeypatch.setenv("OMEX_LIMITS", "gen_edges=10")
+    code, report = run_json(capsys, "offline", "gen", "--n", "4", "--k", "1",
+                            "--seed", "1", *extra)
+    assert code == 1
+    assert report["outcome"] == {"error": "256 edge draws exceed limit 10"}
+
+
+def test_ext_search_draws_are_charged_to_gen_edges(capsys, monkeypatch):
+    monkeypatch.setenv("OMEX_LIMITS", "gen_edges=127")
+    code, report = run_json(capsys, "ext", "search", "--n", "3", "--k", "1",
+                            "--m", "1", "--d", "4", "--eps", "1/2",
+                            "--seed", "5")
+    assert code == 1
+    assert report["outcome"] == {"error": "128 edge draws exceed limit 127"}
+
+
+def test_gen_error_report_leaves_no_file(capsys, tmp_path):
+    # the graph draws fine, but its exact series bound is past the
+    # int-to-str digit limit: the command fails before writing anything
+    out_path = tmp_path / "g.json"
+    code, report = run_json(capsys, "offline", "gen", "--n", "8", "--k", "8",
+                            "--seed", "1", "--no-verify",
+                            "--out", str(out_path))
+    assert code == 1
+    assert "integer string conversion" in report["outcome"]["error"]
+    assert not out_path.exists()
+
+
 def test_online_run_stream(capsys, tmp_path, cx_path):
     req = tmp_path / "req.txt"
     req.write_text("0\n1\n")
@@ -502,6 +533,49 @@ def test_fp_two_roundtrip_via_files(capsys, tmp_path):
                                 "--fingerprint", fp_path, "--side", side)
         assert code == 0
         assert report["outcome"]["element"] == 2
+
+
+def test_fp_ext_decode_rejects_negative_ordinal(capsys, tmp_path):
+    view_path = str(tmp_path / "view.json")
+    run_json(capsys, "ext", "search", "--n", "3", "--k", "2", "--m", "2",
+             "--d", "4", "--eps", "1/2", "--seed", "5", "--out", view_path)
+    set_path = tmp_path / "set.json"
+    set_path.write_text('{"label":"b","k":2,"elements":[6,1,4]}\n')
+    fp_path = tmp_path / "fp.json"
+    code, _ = run_json(capsys, "fp", "encode", "--flavor", "ext", "--views",
+                       view_path, "--set", str(set_path), "--target", "1",
+                       "--out", str(fp_path))
+    assert code == 0
+    doc = json.loads(fp_path.read_text())
+    fp_path.write_text(json.dumps({**doc, "ordinal": -1}))
+    code, report = run_json(capsys, "fp", "decode", "--flavor", "ext",
+                            "--views", view_path, "--set", str(set_path),
+                            "--fingerprint", str(fp_path))
+    assert code == 1
+    assert "ordinal -1 out of range" in report["outcome"]["error"]
+
+
+def test_demo_om_needs_a_trial(capsys):
+    code, report = run_json(capsys, "demo", "om", "--seed", "1",
+                            "--trials", "0")
+    assert code == 1
+    assert report["outcome"] == {"error": "trials must be at least 1"}
+
+
+def test_sample_counts_below_range_are_failures(capsys, tmp_path):
+    code, report = run_json(capsys, "demo", "trevisan", "--seed", "1",
+                            "--samples", "-1")
+    assert code == 1
+    assert report["outcome"] == {"error": "samples must be nonnegative"}
+    view_path = str(tmp_path / "v.json")
+    run_json(capsys, "ext", "search", "--n", "3", "--k", "1", "--m", "1",
+             "--d", "4", "--eps", "1/2", "--seed", "5", "--out", view_path)
+    for samples in ("0", "-2"):
+        code, report = run_json(capsys, "ext", "check", "--graph", view_path,
+                                "--samples", samples, "--seed", "1")
+        assert code == 1
+        assert report["outcome"] == {
+            "error": "sampled mode needs at least 1 sample"}
 
 
 def test_limits_env_override(capsys, cx_path, monkeypatch):

@@ -14,7 +14,6 @@ from omex import (BipartiteGraph, ExtractorView, GraphFormatError,
                   random_extractor_search, truncate, uniform_view)
 from omex.extractor import _log_comb, load_view, save_view, view_to_json
 from omex.graph import from_json
-from omex.limits import Limits
 from omex.oracles import exhaustive_subset_deviation
 from omex.rng import SplitMix64
 
@@ -127,23 +126,25 @@ def test_random_views_at_formula_degree_mostly_verify():
     assert ok >= 3
 
 
-def test_exhaustive_limit_guard():
+def test_exhaustive_limit_guard(monkeypatch):
     # N * 2^M = 256 <= C(16, 4) = 1820, so the check is dual and its first
     # test alone charges 2^M - 1 = 15 right subsets
     view = random_view(1, n=4, m=2, d=3, K=4)
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=14")
     with pytest.raises(LimitExceeded):
-        is_extractor(view, limits=Limits(subset_nodes=14))
+        is_extractor(view)
 
 
-def test_exhaustive_limit_message_reports_progress():
+def test_exhaustive_limit_message_reports_progress(monkeypatch):
     # N * 2^M = 8 * 2^16 > C(8, 4) = 70, so the subsets are walked: the
     # first three nodes are (0), (0, 1) and (0, 1, 2); the third already
     # certifies its 5 completions, and the fourth node is over the budget
     view = uniform_view(3, 4, K=4)
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=3")
     with pytest.raises(LimitExceeded,
                        match=r"visited 3 nodes, certified 5 of the "
                              r"C\(8,4\) = 70 size-K subsets"):
-        is_extractor(view, limits=Limits(subset_nodes=3))
+        is_extractor(view)
 
 
 def dual_witness_view():
@@ -154,14 +155,15 @@ def dual_witness_view():
     return ExtractorView(BipartiteGraph(3, 2, 4, rows), 4, Fraction(1, 4))
 
 
-def test_dual_limit_message_reports_progress():
+def test_dual_limit_message_reports_progress(monkeypatch):
     # the whole-view test (3 right subsets) fails, node (0) is visited and
     # its test (3 more) certifies C(7, 3) = 35 subsets; node (1) is over
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=7")
     with pytest.raises(LimitExceeded,
                        match=r"visited 1 nodes and 2 subtree tests of 3 right "
                              r"subsets each, certified 35 of the "
                              r"C\(8,4\) = 70 size-K subsets"):
-        is_extractor(dual_witness_view(), limits=Limits(subset_nodes=7))
+        is_extractor(dual_witness_view())
 
 
 def test_exact_subtree_test_settles_what_missing_mass_cannot():
@@ -332,6 +334,12 @@ def test_sampled_mode_needs_seed():
         is_extractor(uniform_view(2, 1, K=2), samples=10)
 
 
+@pytest.mark.parametrize("samples", [0, -2])
+def test_sampled_mode_needs_a_sample(samples):
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        is_extractor(uniform_view(2, 1, K=2), samples=samples, seed=1)
+
+
 def test_sampled_mode_can_find_witness():
     res = is_extractor(point_mass_view(), samples=5, seed=1)
     assert res.verdict == "witness"
@@ -446,6 +454,14 @@ def test_prefix_witness_at_base_level():
     assert level == 0 and dev >= Fraction(1, 4)
 
 
+def test_prefix_witness_above_base_level():
+    # level 0 passes, so the witness comes from the second and last level
+    res = is_prefix_extractor(random_view(14, n=3, m=2, d=2, K=4), 2)
+    assert [c.verdict for _, _, c in res.levels] == ["ok", "witness"]
+    assert not res.ok
+    assert res.witness == (1, (0, 3), Fraction(1, 2))
+
+
 def test_prefix_requires_matching_K():
     with pytest.raises(ValueError, match="K"):
         is_prefix_extractor(uniform_view(2, 2, K=3), 2)
@@ -518,6 +534,15 @@ def test_search_exhausts_attempts_on_hopeless_parameters():
     with pytest.raises(RuntimeError, match="attempts"):
         random_extractor_search(2, 1, 2, Fraction(1, 8), 0, seed=5,
                                 max_attempts=3)
+
+
+@pytest.mark.parametrize("sizes", [(-1, 1, 1, 4), (3, -1, 1, 4),
+                                   (3, 1, -1, 4), (3, 1, 1, -1)])
+def test_search_rejects_negative_sizes(sizes):
+    # 2 ** -1 is a float, which no graph field accepts
+    n, k, m, d = sizes
+    with pytest.raises(ValueError, match="nonnegative"):
+        random_extractor_search(n, k, m, Fraction(1, 2), d, seed=5)
 
 
 # --- view construction and files --------------------------------------------

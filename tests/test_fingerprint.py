@@ -208,6 +208,18 @@ def test_extractor_decode_rejects_bad_ordinal():
         decode_extractor([uv], s, broken)
 
 
+@pytest.mark.parametrize("ordinal", [-1, -2])
+def test_extractor_decode_rejects_negative_ordinal(ordinal):
+    # both elements are partners of every right vertex, so a negative
+    # ordinal would index the list from its end
+    uv = uniform_view(2, 2, K=4)
+    s = EnumeratedSet("b", 2, (0, 1))
+    fp = encode_extractor([uv], s, 1)
+    broken = fingerprint_from_doc({**fp.to_doc(), "ordinal": ordinal})
+    with pytest.raises(ValueError, match=f"ordinal {ordinal} out of range"):
+        decode_extractor([uv], s, broken)
+
+
 # --- two-condition flavor ------------------------------------------------------
 
 def test_uniform_pview_first_neighbor_works():
@@ -314,3 +326,15 @@ def test_fingerprint_doc_roundtrips():
     assert fingerprint_from_doc(ft.to_doc()) == ft
     with pytest.raises(ValueError, match="flavor"):
         fingerprint_from_doc({"flavor": "nope"})
+
+
+@pytest.mark.parametrize("side", ["b", "c"])
+@pytest.mark.parametrize("ordinal", [-1, 4])
+def test_two_condition_decode_rejects_ordinal_out_of_range(side, ordinal):
+    pview = uniform_view(3, 2, K=4)
+    s_b = EnumeratedSet("b", 2, (1, 5, 2, 7))
+    s_c = EnumeratedSet("c", 1, (5, 1))
+    fp = encode_two_conditions(pview, s_b, s_c, 5)
+    broken = fingerprint_from_doc({**fp.to_doc(), f"ordinal_{side}": ordinal})
+    with pytest.raises(ValueError, match=f"ordinal {ordinal} out of range"):
+        decode_two_conditions(pview, s_b if side == "b" else s_c, broken, side)

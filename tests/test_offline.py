@@ -10,7 +10,6 @@ from omex import (BipartiteGraph, LimitExceeded, OfflineParams,
                   complete_graph, construct_verified_offline_graph,
                   hall_check, max_matching, random_offline_graph, series_base,
                   series_bound)
-from omex.limits import Limits
 from omex.online import counterexample_graph
 
 from conftest import small_graphs
@@ -81,11 +80,13 @@ def test_hall_s_max_below_one_rejected(mode, s_max):
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "matching"])
-def test_subset_budget_refuses_over_budget_scan(mode):
+def test_subset_budget_refuses_over_budget_scan(mode, monkeypatch):
     g = complete_graph(5, 2)  # 32 left vertices: 32 + C(32, 2) = 528 subsets
-    assert hall_check(g, 2, mode=mode, limits=Limits(subset_nodes=528)) is None
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=528")
+    assert hall_check(g, 2, mode=mode) is None
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=527")
     with pytest.raises(LimitExceeded, match="528 > 527"):
-        hall_check(g, 2, mode=mode, limits=Limits(subset_nodes=527))
+        hall_check(g, 2, mode=mode)
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,9 +161,10 @@ def test_generated_shape_n2k1c2():
     assert all(g.degree_of(v) == 4 for v in range(4))
 
 
-def test_generation_limit_guard():
+def test_generation_limit_guard(monkeypatch):
+    monkeypatch.setenv("OMEX_LIMITS", "gen_edges=10")
     with pytest.raises(LimitExceeded):
-        random_offline_graph(OfflineParams(4, 1, 2), 1, limits=Limits(gen_edges=10))
+        random_offline_graph(OfflineParams(4, 1, 2), 1)
 
 
 def test_params_validation():

@@ -270,19 +270,22 @@ def test_exhaustive_sweep_n2_k1():
     assert sweep.sequences == 4 + 4 * 3
 
 
-def test_sweep_node_budget():
+def test_sweep_node_budget(monkeypatch):
     lg = layered(verified_base(2, 1), 1)
-    assert exhaustive_online_check(lg, 2, limits=Limits(subset_nodes=16)).ok
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=16")
+    assert exhaustive_online_check(lg, 2).ok
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=15")
     with pytest.raises(LimitExceeded, match="exceeds 15 nodes"):
-        exhaustive_online_check(lg, 2, limits=Limits(subset_nodes=15))
+        exhaustive_online_check(lg, 2)
 
 
-def test_exhaustive_limit_message_reports_progress():
+def test_exhaustive_limit_message_reports_progress(monkeypatch):
     lg = layered(verified_base(3, 2), 2)
     sweep = exhaustive_online_check(lg, 4)
     assert (sweep.sequences, sweep.visited, sweep.memo_hits) == (2080, 512, 140)
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=200")
     with pytest.raises(LimitExceeded) as raised:
-        exhaustive_online_check(lg, 4, limits=Limits(subset_nodes=200))
+        exhaustive_online_check(lg, 4)
     assert str(raised.value) == (
         "sequence tree exceeds 200 nodes: visited 200 nodes, counted 356 "
         "sequences, cached 36 passing states")
