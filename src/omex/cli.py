@@ -130,6 +130,18 @@ def _load_view_or_graph(args) -> ExtractorView:
 # offline
 # ---------------------------------------------------------------------------
 
+def _series_bound(n: int, k: int, c: int) -> Fraction:
+    """`series_bound`, refused at once if unrenderable: for series_base
+    a/b in lowest terms its denominator is b^(2^k), numerator >= a^(2^k)."""
+    x, limit = series_base(n, k, c), sys.get_int_max_str_digits()
+    bits = max(x.numerator.bit_length(), x.denominator.bit_length()) - 1
+    if limit and bits * math.log10(2) > limit / 2 ** k:
+        raise ValueError(  # the message str() itself would raise
+            f"Exceeds the limit ({limit} digits) for integer string "
+            "conversion; use sys.set_int_max_str_digits() to increase the limit")
+    return series_bound(n, k, c)
+
+
 def cmd_offline_gen(args):
     p = OfflineParams(args.n, args.k, args.c)
     if args.no_verify:
@@ -137,7 +149,7 @@ def cmd_offline_gen(args):
     else:
         g, attempts = construct_verified_offline_graph(
             p, args.seed, max_attempts=args.attempts)
-    bound = series_bound(args.n, args.k, args.c)
+    bound = _series_bound(args.n, args.k, args.c)
     bound_float = float(bound)
     # rendered before saving, so that a report that fails leaves no file
     outcome = {"ok": True, "verified": not args.no_verify,
@@ -157,7 +169,7 @@ def cmd_offline_hall(args):
 
 
 def cmd_offline_bound(args):
-    total = series_bound(args.n, args.k, args.c)
+    total = _series_bound(args.n, args.k, args.c)
     base = series_base(args.n, args.k, args.c)
     return {"sum": total, "sum_float": float(total),
             "base": base, "base_float": float(base)}, True
@@ -409,6 +421,8 @@ def cmd_demo_om(args):
 
 
 def _searched_view(args):
+    if args.max_rows < 0:  # checked first, as both lemma demos take it
+        raise ValueError("max_rows must be nonnegative")
     m = args.m if args.m is not None else args.k
     d = args.d if args.d is not None else (
         optimal_degree_pow2(2 ** args.n, 2 ** args.k, 2 ** m, args.eps)

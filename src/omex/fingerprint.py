@@ -130,16 +130,12 @@ def encode_matching(g: LayeredGraph, S: EnumeratedSet, a: int) -> MatchingFinger
         raise ValueError(
             f"graph has {g.copies} layers, set bound k={S.k} needs {S.k + 1}")
     session = MatchingSession(g, capacity=2 ** S.k)
-    matched_right = None
     for v in S.elements:
-        r = session.request(v)
-        if r is None:
+        if session.request(v) is None:
             # impossible over a layered graph with an off-line-good base
             raise AssertionError(
                 f"engine rejected {v}; the base graph precondition is broken")
-        if v == a:
-            matched_right = r
-    assert matched_right is not None
+    matched_right = session.matched[a]
     row = g.graph.neighbors_of(a)
     return MatchingFingerprint(
         right_index=matched_right,
@@ -191,18 +187,23 @@ def layer_sets(views: list[ExtractorView], elements: tuple[int, ...],
     """The chain S_0, S_1, ... where each next set is the dangerous part of
     the previous one under the corresponding view. Stops after the first
     empty set or when the views run out; enumeration order is preserved."""
-    chain = [tuple(elements)]
-    for view in views:
-        current = chain[-1]
+    return [tuple(elements), *(report.dangerous for _, _, report
+                               in _layers(views, elements, bad_factor))]
+
+
+def _layers(views: list[ExtractorView], elements, bad_factor: int):
+    """(view, S_i, S_i's hazard report) for each nonempty S_i of `layer_sets`."""
+    current = tuple(elements)
+    for layer, view in enumerate(views):
         if not current:
-            break
+            return
         if len(current) > view.K:
             raise ValueError(
-                f"layer {len(chain) - 1} holds {len(current)} elements, "
+                f"layer {layer} holds {len(current)} elements, "
                 f"more than its view's K = {view.K}")
         report = hazard_report(view, current, bad_factor)
-        chain.append(report.dangerous)
-    return chain
+        yield view, current, report
+        current = report.dangerous
 
 
 def encode_extractor(views: list[ExtractorView], S: EnumeratedSet, a: int,
@@ -214,18 +215,14 @@ def encode_extractor(views: list[ExtractorView], S: EnumeratedSet, a: int,
         raise ValueError(f"target {a} not in set {S.label!r}")
     if not views:
         raise ValueError("need at least one view")
-    current = S.elements
-    for layer, view in enumerate(views):
-        if len(current) > view.K:
-            raise ValueError(
-                f"layer {layer} holds {len(current)} elements, more than "
-                f"its view's K = {view.K}")
-        report = hazard_report(view, current, bad_factor)
+    # `a` is in every set it reaches, so only the views can run out
+    for layer, (view, current, report) in enumerate(
+            _layers(views, S.elements, bad_factor)):
         if a not in report.dangerous:
             bad = set(report.bad)
             p = next(r for r in view.graph.neighbors_of(a) if r not in bad)
             bound = ceil(Fraction(2 * bad_factor * view.D * view.K, view.M))
-            fp = ExtractorFingerprint(
+            return ExtractorFingerprint(
                 layer=layer,
                 right_index=p,
                 ordinal=_partners(view, current, p).index(a),
@@ -234,8 +231,6 @@ def encode_extractor(views: list[ExtractorView], S: EnumeratedSet, a: int,
                 ordinal_bound=bound,
                 ordinal_bits=bits_for(bound),
             )
-            return fp
-        current = report.dangerous
     raise RuntimeError(
         f"target {a} is dangerous at every one of the {len(views)} layers; "
         "supply more layers (the dangerous set shrinks by 2*eps per layer)")

@@ -75,90 +75,79 @@ def layered(base: BipartiteGraph, k: int) -> LayeredGraph:
 @dataclass
 class MatchingSession:
     """Mutable state of one on-line run. Assignments are final: a matched
-    pair is never revised, a rejected request is never retried."""
+    pair is never revised, a rejected request is never retried. Only the
+    decisions are stored: `matched`, the `requested` and `used` bitmasks
+    and the request order `_order`; the per-layer counts derive from them.
+    """
 
     graph: BipartiteGraph | LayeredGraph
     capacity: int
     matched: dict[int, int] = field(default_factory=dict)
-    used: set[int] = field(default_factory=set)
-    rejections: list[int] = field(default_factory=list)
-    requested: set[int] = field(default_factory=set)
-    reached: list[int] = field(init=False)
-    forwarded: list[int] = field(init=False)
-    # requested vertices in request order, for `_undo`
+    requested: int = 0
+    used: int = 0
     _order: list[int] = field(init=False, default_factory=list, repr=False)
 
     def __post_init__(self):
         lg = self.graph
         if not isinstance(lg, LayeredGraph):  # a plain graph is one layer
             lg = LayeredGraph(lg, 1, lg)
-        self.reached = [0] * lg.copies
-        self.forwarded = [0] * lg.copies
         self._rows = lg.graph.neighbors
-        # a right index divided by this is its layer
-        self._width = lg.base.right_size
+        self._width, self._copies = lg.base.right_size, lg.copies
+
+    @property
+    def rejections(self) -> list[int]:
+        """The rejected left vertices, in request order."""
+        return [v for v in self._order if v not in self.matched]
+
+    @property
+    def reached(self) -> list[int]:
+        """Requests that reached each layer: every rejected one, and those
+        served in it or a higher layer."""
+        rejected = len(self._order) - len(self.matched)
+        return [rejected + (self.used >> layer * self._width).bit_count()
+                for layer in range(self._copies)]
+
+    @property
+    def forwarded(self) -> list[int]:
+        """Requests forwarded past each layer: those that reached the next
+        layer up, or every rejected one past the top layer."""
+        return self.reached[1:] + [len(self._order) - len(self.matched)]
 
     def request(self, left_index: int) -> int | None:
         """Serve one request: the matched right index, or None if rejected.
 
-        Walks layers 0,1,... and takes the first unused neighbor (stored
-        order) of the lowest layer that still has one; a request with no
-        unused neighbor in a layer counts as forwarded past it. A request
-        out of range, repeated or over capacity raises ValueError and
-        leaves the session unchanged.
+        Takes the first unused neighbor in stored order, which lies in the
+        lowest layer that still has one. A request out of range, repeated
+        or over capacity raises ValueError and leaves the session unchanged.
         """
         if not 0 <= left_index < len(self._rows):
             raise ValueError(f"left vertex {left_index} not in "
                              f"[0, {len(self._rows)})")
-        if left_index in self.requested:
+        if self.requested >> left_index & 1:
             raise ValueError(f"left vertex {left_index} already requested")
-        if len(self.requested) >= self.capacity:
+        if len(self._order) >= self.capacity:
             raise ValueError(f"capacity {self.capacity} exhausted")
         return self._step(left_index)
 
     def _step(self, left_index: int) -> int | None:
-        """The greedy walk of `request`, for a vertex known to be valid.
-
-        Each row lists layer 0's copies first, then layer 1's, and so on,
-        so the first unused neighbor in stored order lies in the lowest
-        layer that still has one; every layer below it forwarded the
-        request.
-        """
-        self.requested.add(left_index)
+        """The greedy walk of `request`, for a vertex known to be valid."""
+        self.requested |= 1 << left_index
         self._order.append(left_index)
-        reached, forwarded, used = self.reached, self.forwarded, self.used
+        used = self.used
         for r in self._rows[left_index]:
-            if r not in used:
-                used.add(r)
+            if not used >> r & 1:
+                self.used = used | 1 << r
                 self.matched[left_index] = r
-                layer = r // self._width
-                reached[layer] += 1
-                break
-        else:
-            r = None
-            self.rejections.append(left_index)
-            layer = len(reached)
-        for passed in range(layer):
-            reached[passed] += 1
-            forwarded[passed] += 1
-        return r
+                return r
+        return None
 
     def _undo(self) -> None:
         """Reverse the latest `_step` exactly."""
         left_index = self._order.pop()
-        self.requested.remove(left_index)
-        reached, forwarded = self.reached, self.forwarded
+        self.requested ^= 1 << left_index
         r = self.matched.pop(left_index, None)
-        if r is None:
-            self.rejections.pop()
-            layer = len(reached)
-        else:
-            self.used.remove(r)
-            layer = r // self._width
-            reached[layer] -= 1
-        for passed in range(layer):
-            reached[passed] -= 1
-            forwarded[passed] -= 1
+        if r is not None:
+            self.used ^= 1 << r
 
 
 @dataclass(frozen=True)
@@ -177,10 +166,14 @@ def half_rejection_audit(session: MatchingSession) -> AuditViolation | None:
     requests that reached it. On a layered graph whose base is off-line
     good this holds for every request order; a violation localizes a
     broken precondition to its layer."""
-    reached, forwarded = session.reached, session.forwarded
-    for layer in range(len(reached)):
-        if forwarded[layer] > (reached[layer] + 1) // 2:
-            return AuditViolation(layer, reached[layer], forwarded[layer])
+    width, used = session._width, session.used
+    rejected = len(session._order) - len(session.matched)
+    reached = len(session._order)  # every request reaches layer 0
+    for layer in range(session._copies):
+        forwarded = rejected + (used >> (layer + 1) * width).bit_count()
+        if forwarded > (reached + 1) // 2:
+            return AuditViolation(layer, reached, forwarded)
+        reached = forwarded
     return None
 
 
@@ -200,6 +193,8 @@ def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
     adversary move to the first winning reply in stored neighbor order.
     Positions are memoized on (requested, used), both int bitmasks.
     """
+    if s < 1:
+        raise ValueError(f"need s >= 1, got {s}")
     budget = default_limits().game_nodes
     nleft = g.left_size
     rows = g.neighbors
@@ -244,13 +239,13 @@ def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
     # position: a random (5,1,1) graph at s=5 (113,459 nodes) went from
     # 1.65 s to 8.4 s and from 17.6 MB to 597 MB traced peak (2 vCPUs).
     def build_tree(requested: int, used: int, depth: int) -> dict:
+        if depth >= top:
+            return {}
         # equal positions share one subtree, as in `wins`
         key = (requested, used)
         if key in trees:
             return trees[key]
         tree = trees[key] = {}
-        if depth >= top:
-            return tree
         for v in range(nleft):
             bit = 1 << v
             if requested & bit:
@@ -265,9 +260,9 @@ def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
                     break
         return tree
 
-    if wins(0, 0, 0):
-        return GameResult(True, build_tree(0, 0, 0), nodes)
-    return GameResult(False, None, nodes)
+    strategy = build_tree(0, 0, 0) if wins(0, 0, 0) else None
+    del wins, build_tree  # each calls itself: free the cycles and memos now
+    return GameResult(strategy is not None, strategy, nodes)
 
 
 @dataclass
@@ -293,12 +288,9 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     and the half-rejection audit are checked at every node of the tree.
     The search stops at the first node that fails either check.
 
-    The engine's future depends only on the requested set, the used set,
-    `reached` and `forwarded`. Before any rejection the last two are
-    counts of used right vertices by layer (a request reached every layer
-    up to the one it was served in, and was forwarded past those below
-    it), so the two sets, held as int bitmasks, key the state. A node
-    whose state already headed a subtree that passed throughout is not
+    The session's future and its per-layer counts depend only on its
+    `requested` and `used` bitmasks, so they key its state. A node whose
+    state already headed a subtree that passed throughout is not
     descended: its subtree's sequences are counted in closed form. Only
     passing subtrees are cached, so the first failing node, its prefix and
     `sequences` are those of the full walk. The `subset_nodes` budget
@@ -307,7 +299,6 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     budget = default_limits().subset_nodes
     nleft = lg.graph.left_size
     session = MatchingSession(lg, capacity)
-    step, undo = session._step, session._undo
     top = min(capacity, nleft)
     # below[j]: sequences strictly below a node at depth j
     below = [sum(math.perm(nleft - j, i) for i in range(1, top - j + 1))
@@ -316,18 +307,18 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     sweep = SequenceSweep(0, None, None)
     visited = sequences = hits = 0
 
-    def dfs(requested: int, used: int, depth: int) -> bool:
+    def dfs(depth: int) -> bool:
         nonlocal visited, sequences, hits
+        requested = session.requested  # the same again after each undo
         for v in range(nleft):
-            bit = 1 << v
-            if requested & bit:
+            if requested >> v & 1:
                 continue
             if visited == budget:
                 raise LimitExceeded(
                     f"sequence tree exceeds {budget} nodes: visited "
                     f"{visited} nodes, counted {sequences} sequences, "
                     f"cached {len(passed)} passing states")
-            r = step(v)
+            r = session._step(v)
             visited += 1
             sequences += 1
             if r is None:
@@ -337,20 +328,20 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
                 sweep.first_audit_violation = (list(session._order), violation)
             ok = r is not None and violation is None
             if ok and depth + 1 < top:
-                key = (requested | bit, used | 1 << r)
+                key = (session.requested, session.used)
                 if key in passed:
                     hits += 1
                     sequences += below[depth + 1]
                 else:
-                    ok = dfs(*key, depth + 1)
+                    ok = dfs(depth + 1)
                     if ok:
                         passed.add(key)
-            undo()
+            session._undo()
             if not ok:
                 return False
         return True
 
     if top > 0:
-        dfs(0, 0, 0)
+        dfs(0)
     sweep.sequences, sweep.visited, sweep.memo_hits = sequences, visited, hits
     return sweep

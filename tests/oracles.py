@@ -4,8 +4,9 @@ against."""
 import itertools
 from fractions import Fraction
 
-from omex import (ExtractorCheck, GameResult, MatchingSession, PrefixCheck,
-                  SequenceSweep, deviation, half_rejection_audit, truncate)
+from omex import (AuditViolation, ExtractorCheck, GameResult,
+                  MatchingSession, PrefixCheck, SequenceSweep, deviation,
+                  half_rejection_audit, truncate)
 
 
 def naive_is_extractor(view) -> ExtractorCheck:
@@ -39,6 +40,36 @@ def naive_is_prefix_extractor(view, k: int) -> PrefixCheck:
         if check.witness is not None:
             return PrefixCheck(tuple(levels), i)
     return PrefixCheck(tuple(levels), None)
+
+
+def naive_layer_counts(lg, order):
+    """The greedy engine replayed over `order` on sets, with per-layer
+    counters updated at every request: a request served in layer l adds one
+    to `reached` of layers 0..l and to `forwarded` of the layers below l, a
+    rejected one adds one to both counters of every layer. Returns
+    (matched, rejections, reached, forwarded, audit violation), the
+    violation being the lowest layer that forwarded more than half (rounded
+    up) of the requests that reached it."""
+    width, copies = lg.base.right_size, lg.copies
+    matched, used, rejections = {}, set(), []
+    reached, forwarded = [0] * copies, [0] * copies
+    for v in order:
+        r = next((r for r in lg.graph.neighbors_of(v) if r not in used), None)
+        if r is None:
+            rejections.append(v)
+            layer = copies
+        else:
+            matched[v] = r
+            used.add(r)
+            layer = r // width
+            reached[layer] += 1
+        for passed in range(layer):
+            reached[passed] += 1
+            forwarded[passed] += 1
+    violation = next((AuditViolation(j, reached[j], forwarded[j])
+                      for j in range(copies)
+                      if forwarded[j] > (reached[j] + 1) // 2), None)
+    return matched, rejections, reached, forwarded, violation
 
 
 def naive_online_check(lg, capacity: int) -> SequenceSweep:

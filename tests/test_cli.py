@@ -48,6 +48,12 @@ def test_hall_s_below_one_is_failure(capsys, cx_path, s):
                             "--s", s)
     assert code == 1
     assert "s_max >= 1" in report["outcome"]["error"]
+    # the game takes the same count and refuses it the same way
+    for extra in ([], ["--tree"]):
+        code, report = run_json(capsys, "online", "game", "--graph", cx_path,
+                                "--s", s, *extra)
+        assert code == 1
+        assert report["outcome"] == {"error": f"need s >= 1, got {s}"}
 
 
 def test_game_counterexample_exit_1(capsys, cx_path):
@@ -237,6 +243,11 @@ def test_online_run_layers_are_charged_to_gen_edges(capsys, tmp_path,
     (["offline", "bound", "--n", "2", "--k", "1", "--c", "0"], "need c >= 1"),
     (["online", "run", "--graph", "CX", "--layers", "100000000",
       "--requests", "-"], "layered edges exceed limit"),
+    # refused from the size of series_base alone, before x^(2^k) is taken
+    (["offline", "bound", "--n", "6", "--k", "6", "--c", "6"],
+     "integer string conversion"),
+    (["offline", "bound", "--n", "4", "--k", "0", "--c", "8"],
+     "integer string conversion"),
 ])
 def test_unrenderable_or_oversized_is_one_error_report(capsys, cx_path, argv,
                                                        error):
@@ -576,6 +587,12 @@ def test_sample_counts_below_range_are_failures(capsys, tmp_path):
         assert code == 1
         assert report["outcome"] == {
             "error": "sampled mode needs at least 1 sample"}
+    for demo in ("lemma1", "lemma3"):
+        code, report = run_json(capsys, "demo", demo, "--n", "3", "--k", "1",
+                                "--eps", "1/2", "--seed", "7",
+                                "--max-rows", "-1")
+        assert code == 1
+        assert report["outcome"] == {"error": "max_rows must be nonnegative"}
 
 
 def test_limits_env_override(capsys, cx_path, monkeypatch):

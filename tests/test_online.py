@@ -14,7 +14,8 @@ from omex import (AuditViolation, BipartiteGraph, LayeredGraph,
 from omex.rng import SplitMix64
 
 from conftest import small_graphs
-from oracles import naive_online_check, naive_online_strategy_exists
+from oracles import (naive_layer_counts, naive_online_check,
+                     naive_online_strategy_exists)
 
 
 # four left vertices funneled into one right vertex: fails Hall at size 2
@@ -116,6 +117,30 @@ def test_request_then_undo_restores_every_field(drawn):
         session._undo()
         assert session_state(session) == state
     assert session_state(session) == fresh
+
+
+@settings(max_examples=150, deadline=None)
+@given(layered_sessions())
+# two copies of a funnel: six rejections, and both layers fail the audit
+@example((MatchingSession(LayeredGraph.build(
+    BipartiteGraph(3, 1, 1, ((0,),) * 8), 2), capacity=8), list(range(8))))
+def test_derived_counters_match_recount(drawn):
+    drawn_session, order = drawn
+    # a fresh session, so that the explicit example can be run again
+    session = MatchingSession(drawn_session.graph, drawn_session.capacity)
+
+    def check(prefix):
+        assert (session.matched, session.rejections, session.reached,
+                session.forwarded, half_rejection_audit(session)
+                ) == naive_layer_counts(session.graph, prefix)
+
+    check([])
+    for i, v in enumerate(order):
+        session.request(v)
+        check(order[:i + 1])
+    for i in reversed(range(len(order))):
+        session._undo()
+        check(order[:i])
 
 
 def test_greedy_deterministic():
