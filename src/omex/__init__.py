@@ -14,8 +14,9 @@ from .online import (AuditViolation, GameResult, LayeredGraph,
                      exhaustive_online_check, half_rejection_audit, layered,
                      online_strategy_exists)
 from .extractor import (ExtractorCheck, ExtractorView, HazardReport,
-                        PrefixCheck, deviation, hazard_report, is_extractor,
-                        is_prefix_extractor, load_view, next_pow2,
+                        PrefixCheck, deviation, hazard_report, hazard_walk,
+                        is_extractor, is_prefix_extractor, load_view,
+                        next_pow2,
                         optimal_degree, optimal_degree_pow2,
                         prefix_failure_bound, random_extractor_search,
                         save_view, truncate, uniform_view)

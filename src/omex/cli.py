@@ -16,8 +16,8 @@ import time
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .extractor import (ExtractorView, deviation, hazard_report, is_extractor,
-                        is_prefix_extractor, optimal_degree,
+from .extractor import (ExtractorView, deviation, hazard_report, hazard_walk,
+                        is_extractor, is_prefix_extractor, optimal_degree,
                         optimal_degree_pow2, prefix_failure_bound,
                         random_extractor_search)
 from .fingerprint import (EnumeratedSet, Fingerprint, bits_for,
@@ -25,7 +25,7 @@ from .fingerprint import (EnumeratedSet, Fingerprint, bits_for,
                           decode_two_conditions, encode_extractor,
                           encode_matching, encode_two_conditions, layer_sets)
 from .graph import BipartiteGraph, GraphError, load, save
-from .limits import LimitExceeded, default_limits
+from .limits import LimitExceeded
 from .offline import (OfflineParams, construct_verified_offline_graph,
                       hall_check, random_offline_graph, series_base,
                       series_bound)
@@ -132,13 +132,27 @@ def _load_view_or_graph(args) -> ExtractorView:
 
 def _series_bound(n: int, k: int, c: int) -> Fraction:
     """`series_bound`, refused at once if unrenderable: for series_base
-    a/b in lowest terms its denominator is b^(2^k), numerator >= a^(2^k)."""
-    x, limit = series_base(n, k, c), sys.get_int_max_str_digits()
-    bits = max(x.numerator.bit_length(), x.denominator.bit_length()) - 1
-    if limit and bits * math.log10(2) > limit / 2 ** k:
-        raise ValueError(  # the message str() itself would raise
-            f"Exceeds the limit ({limit} digits) for integer string "
-            "conversion; use sys.set_int_max_str_digits() to increase the limit")
+    a/b in lowest terms its denominator is b^(2^k), numerator >= a^(2^k).
+
+    a/b is 2^(n+k) / n^E with E = c(n^c - 1), and at most 2^(n+k) cancels,
+    so b keeps more than E * floor(log2 n) - n - k bits. That bound is
+    tested first, so a base it already refuses is not built (5 million
+    bits at n=6, c=7); taking E at min(c, 64) keeps n^c small."""
+    limit = sys.get_int_max_str_digits()
+
+    def refuse(bits: int) -> None:
+        # bits: at most the larger bit length of a and b, less one
+        if limit and min(bits, 1 << 64) * math.log10(2) > limit / 2 ** k:
+            raise ValueError(  # the message str() itself would raise
+                f"Exceeds the limit ({limit} digits) for integer string "
+                "conversion; use sys.set_int_max_str_digits() to increase "
+                "the limit")
+
+    if n >= 2 and k >= 0 and c >= 1:    # else series_base says what is wrong
+        t = min(c, 64)
+        refuse(t * (n ** t - 1) * (n.bit_length() - 1) - n - k)
+    x = series_base(n, k, c)
+    refuse(max(x.numerator.bit_length(), x.denominator.bit_length()) - 1)
     return series_bound(n, k, c)
 
 
@@ -433,56 +447,64 @@ def _searched_view(args):
     return view, attempts, d
 
 
-def _size_K_subsets(view):
-    """Every size-K left subset of the view, charged to `subset_nodes` before
-    the first is drawn."""
-    total, limit = math.comb(view.N, view.K), default_limits().subset_nodes
-    if total > limit:
-        raise LimitExceeded(
-            f"{total} subsets of size {view.K} exceed limit {limit} subsets")
-    return itertools.combinations(range(view.N), view.K)
+# how `_hazard_rows` shows a subset that `hazard_walk` certified
+_NO_HAZARDS = SimpleNamespace(bad=(), dangerous=(), weakly_dangerous=())
+
+
+def _hazard_rows(view, args, spent=0):
+    """The (S, hazard report) pairs of the first --max-rows size-K subsets
+    in lexicographic order, then the largest dangerous and weakly dangerous
+    counts over all of them, from one `hazard_walk`."""
+    shown = dict.fromkeys(itertools.islice(
+        itertools.combinations(range(view.N), view.K), args.max_rows),
+        _NO_HAZARDS)
+    worst = worst_weak = 0
+    for rep in hazard_walk(view, args.bad_factor, spent=spent):
+        worst = max(worst, len(rep.dangerous))
+        worst_weak = max(worst_weak, len(rep.weakly_dangerous))
+        if rep.subset in shown:
+            shown[rep.subset] = rep
+    return shown.items(), worst, worst_weak
 
 
 def cmd_demo_lemma1(args):
     view, attempts, d = _searched_view(args)
     K, eps = view.K, view.eps
     limit = 2 * eps * K
-    rows = []
-    oracle_checked = 0
-    oracle_ok = True
-    for idx, S in enumerate(_size_K_subsets(view)):
-        rep = hazard_report(view, S, args.bad_factor)
-        rows.append({"S": " ".join(map(str, S)), "dangerous": len(rep.dangerous),
-                     "weakly_dangerous": len(rep.weakly_dangerous),
-                     "bad": len(rep.bad)})
-        if view.M <= 4 and idx % 7 == 0:
-            # verifier cross-check against the all-subsets oracle
-            oracle_ok = oracle_ok and (
-                deviation(view, S) == exhaustive_subset_deviation(view, S))
-            oracle_checked += 1
-    worst = max(r["dangerous"] for r in rows)
+    total = math.comb(view.N, K)
+    # every 7th subset is also checked against the all-subsets oracle; they
+    # are charged to the walk's budget before the walk starts
+    checks = -(-total // 7) if view.M <= 4 else 0
+    shown, worst, _ = _hazard_rows(view, args, spent=checks)
+    oracle_ok = all(
+        deviation(view, S) == exhaustive_subset_deviation(view, S)
+        for S in itertools.islice(itertools.combinations(range(view.N), K),
+                                  0, 7 * checks, 7))
     bound_ok = worst < limit
     ok = bound_ok and oracle_ok
+    rows = [{"S": " ".join(map(str, S)), "dangerous": len(rep.dangerous),
+             "weakly_dangerous": len(rep.weakly_dangerous),
+             "bad": len(rep.bad)} for S, rep in shown]
     return {"attempts": attempts, "d": d, "K": K, "eps": eps,
             "dangerous_limit": limit, "max_dangerous": worst,
-            "subsets": len(rows), "bound_ok": bound_ok,
-            "oracle_checked": oracle_checked, "oracle_ok": oracle_ok,
-            "rows": rows[:args.max_rows]}, ok
+            "subsets": total, "bound_ok": bound_ok,
+            "oracle_checked": checks, "oracle_ok": oracle_ok,
+            "rows": rows}, ok
 
 
 def cmd_demo_lemma3(args):
     view, attempts, d = _searched_view(args)
     K, eps = view.K, view.eps
     limit = 4 * eps * K
-    rows = [{"S": " ".join(map(str, S)), "weakly_dangerous": len(
-                hazard_report(view, S, args.bad_factor).weakly_dangerous)}
-            for S in _size_K_subsets(view)]
-    worst = max(r["weakly_dangerous"] for r in rows)
+    shown, _, worst = _hazard_rows(view, args)
     ok = worst <= limit
+    rows = [{"S": " ".join(map(str, S)),
+             "weakly_dangerous": len(rep.weakly_dangerous)}
+            for S, rep in shown]
     return {"attempts": attempts, "d": d, "K": K, "eps": eps,
             "weak_limit": limit, "max_weakly_dangerous": worst,
-            "subsets": len(rows), "bound_ok": ok,
-            "rows": rows[:args.max_rows]}, ok
+            "subsets": math.comb(view.N, K), "bound_ok": ok,
+            "rows": rows}, ok
 
 
 def cmd_demo_prefix(args):

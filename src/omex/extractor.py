@@ -18,11 +18,13 @@ in `omex.graph`; `save_view`, `load_view` and `view_to_json` are that codec
 bound to views.
 """
 
+import bisect
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 from .graph import (INT, STR, BipartiteGraph, GraphFormatError, load,
                     read_fields, save, to_json)
@@ -144,8 +146,9 @@ def _validate_subset(view: ExtractorView, S) -> tuple[int, ...]:
         raise ValueError("subset must be nonempty")
     if len(set(S)) != len(S):
         raise ValueError("subset has repeated vertices")
+    N = view.N
     for v in S:
-        if not 0 <= v < view.N:
+        if not 0 <= v < N:
             raise ValueError(f"left index {v} out of range")
     return S
 
@@ -344,7 +347,7 @@ def is_extractor(view: ExtractorView, *, samples: int | None = None,
     return ExtractorCheck("sampled", None, None, samples)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HazardReport:
     """Overloaded right vertices and the left vertices pinned to them.
 
@@ -363,29 +366,125 @@ class HazardReport:
     bad_factor: int
 
 
+def _hazards(rows, S, e, cut: int) -> tuple[tuple[int, ...], ...]:
+    """(bad, dangerous, weakly dangerous) of S from its endpoint counts e: y
+    is bad when e[y] > cut, which is e[y] > bad_factor * D * K / M exactly
+    for cut = (bad_factor * D * K) // M, since e[y] is an integer."""
+    if max(e) <= cut:
+        return (), (), ()
+    is_bad = [c > cut for c in e]
+    dangerous = []
+    weakly = []
+    for v in S:
+        row = rows[v]
+        in_bad = sum(map(is_bad.__getitem__, row))
+        if in_bad == len(row):
+            dangerous.append(v)
+        if 2 * in_bad >= len(row):
+            weakly.append(v)
+    return (tuple(y for y, b in enumerate(is_bad) if b), tuple(dangerous),
+            tuple(weakly))
+
+
+# the `bad_threshold` of each report, built once per (bad_factor * D * K, M)
+_bad_threshold = lru_cache(maxsize=64)(Fraction)
+
+
 def hazard_report(view: ExtractorView, S, bad_factor: int = 2) -> HazardReport:
     if bad_factor < 1:
         raise ValueError(f"need bad factor >= 1, got {bad_factor}")
     S = _validate_subset(view, S)
-    if len(S) > view.K:
-        raise ValueError(f"|S| = {len(S)} exceeds K = {view.K}")
-    M, D, K = view.M, view.D, view.K
+    K = view.K
+    if len(S) > K:
+        raise ValueError(f"|S| = {len(S)} exceeds K = {K}")
+    rows = view.graph.neighbors
+    M, scale = view.graph.right_size, bad_factor * len(rows[0]) * K
     e = [0] * M
     for v in S:
-        for r in view.graph.neighbors[v]:
+        for r in rows[v]:
             e[r] += 1
-    # e[y] > bad_factor * D * K / M, exactly
-    bad = frozenset(y for y in range(M) if e[y] * M > bad_factor * D * K)
-    dangerous = []
-    weakly = []
-    for v in S:
-        in_bad = sum(1 for r in view.graph.neighbors[v] if r in bad)
-        if in_bad == D:
-            dangerous.append(v)
-        if 2 * in_bad >= D:
-            weakly.append(v)
-    return HazardReport(S, tuple(sorted(bad)), tuple(dangerous), tuple(weakly),
-                        Fraction(bad_factor * D * K, M), bad_factor)
+    return HazardReport(S, *_hazards(rows, S, e, scale // M),
+                        _bad_threshold(scale, M), bad_factor)
+
+
+def hazard_walk(view: ExtractorView, bad_factor: int = 2, *, spent: int = 0):
+    """Yield the hazard report of every size-K subset that has a bad right
+    vertex, in lexicographic order. Every other size-K subset has empty
+    `bad`, `dangerous` and `weakly_dangerous` sets.
+
+    A depth-first walk in the loop shape of `_exhaustive_walk`: a node is a
+    prefix v_1 < ... < v_j and carries its endpoint counts e. No completion
+    of the prefix has a bad vertex when, for every right vertex y, e[y] plus
+    the sum of the K - j largest counts into y among the vertices after v_j
+    is at most the cut; such a subtree is certified and not entered, and
+    its C(N-1-v_j, K-j) subsets are added to `certified`. A leaf left
+    uncertified has a bad vertex and gets the kernel `hazard_report` uses.
+    Counts are packed one field of `width` bits per right vertex into one
+    integer, and each field is biased so that its top bit is set exactly
+    when its sum exceeds the cut: one addition and one mask test all y.
+    Every node visited counts against the `subset_nodes` budget, on top of
+    the `spent` nodes the caller has charged to it already.
+    """
+    if bad_factor < 1:
+        raise ValueError(f"need bad factor >= 1, got {bad_factor}")
+    rows = view.graph.neighbors
+    N, K, M, D = len(rows), view.K, view.graph.right_size, len(rows[0])
+    scale = bad_factor * D * K
+    cut, threshold = scale // M, _bad_threshold(scale, M)
+    width = max(D * K, cut).bit_length() + 1   # no field carries into the next
+    shifts = range(0, M * width, width)
+    high = sum(1 << (s + width - 1) for s in shifts)
+    bias = sum(((1 << (width - 1)) - 1 - cut) << s for s in shifts)
+    counts = [view.endpoint_counts(v) for v in range(N)]
+    packed = [sum(c << s for c, s in zip(cv, shifts)) for cv in counts]
+    # top[s][r]: field y holds the sum of the r largest counts into y among
+    # the vertices s..N-1, for r <= min(K - 1, N - s)
+    top = [None] * (N + 1)
+    largest = [[] for _ in range(M)]    # ascending, at most K - 1 long
+    for s in range(N, -1, -1):
+        if s < N:
+            for col, c in zip(largest, counts[s]):
+                bisect.insort(col, c)
+                if len(col) == K:
+                    del col[0]
+        sums = [list(itertools.accumulate(reversed(col), initial=0))
+                for col in largest]
+        top[s] = [sum(ys[r] << sh for ys, sh in zip(sums, shifts))
+                  for r in range(len(sums[0]))]
+    total = math.comb(N, K)
+    budget = default_limits().subset_nodes
+    nodes = certified = 0
+    combo = [0] * K
+    prefix = [0] * K                    # packed counts of combo[:j]
+    j, v = 0, 0
+    while True:
+        if v > N - K + j:               # position j has no candidates left
+            if j == 0:
+                return
+            j -= 1
+            v = combo[j] + 1
+            continue
+        if spent + nodes >= budget:
+            before = (f", on top of {spent} nodes charged before it"
+                      if spent else "")
+            raise LimitExceeded(
+                f"hazard walk exceeded limit {budget} nodes: visited {nodes} "
+                f"nodes, certified {certified} of the C({N},{K}) = {total} "
+                f"size-K subsets{before}")
+        nodes += 1
+        combo[j] = v
+        e = prefix[j] + packed[v]
+        if not (e + top[v + 1][K - 1 - j] + bias) & high:
+            certified += math.comb(N - 1 - v, K - 1 - j)
+        elif j == K - 1:
+            S = tuple(combo)
+            e = [e >> s & ((1 << width) - 1) for s in shifts]
+            yield HazardReport(S, *_hazards(rows, S, e, cut), threshold,
+                               bad_factor)
+        else:
+            j += 1
+            prefix[j] = e
+        v += 1
 
 
 def truncate(view: ExtractorView, i: int) -> ExtractorView:

@@ -59,20 +59,35 @@ def max_matching(g: BipartiteGraph, subset: list[int]) -> list[tuple[int, int]]:
             raise ValueError(f"subset repeats left vertex {v}")
         seen.add(v)
         g.neighbors_of(v)  # raises on out-of-range
+    rows = g.neighbors
     match_right: dict[int, int] = {}  # right -> left
-
-    def try_augment(v: int, visited: set[int]) -> bool:
-        for r in g.neighbors_of(v):
-            if r in visited:
+    for root in subset:
+        row = rows[root]
+        if row and row[0] not in match_right:   # the search's first step
+            match_right[row[0]] = root
+            continue
+        # depth-first search for an augmenting path from root: path[i] is a
+        # left vertex and its untried neighbors, tried[i] the right vertex
+        # it offers to the next one, whose partner is path[i + 1]
+        visited: set[int] = set()
+        path = [(root, iter(row))]
+        tried: list[int] = []
+        while path:
+            for r in path[-1][1]:
+                if r not in visited:
+                    break
+            else:                       # a dead end: back to the one before
+                path.pop()
+                if tried:
+                    tried.pop()
                 continue
             visited.add(r)
-            if r not in match_right or try_augment(match_right[r], visited):
-                match_right[r] = v
-                return True
-        return False
-
-    for v in subset:
-        try_augment(v, set())
+            tried.append(r)
+            if r not in match_right:    # free: flip the path's edges
+                for (v, _), r in zip(path, tried):
+                    match_right[r] = v
+                break
+            path.append((match_right[r], iter(rows[match_right[r]])))
     match_left = {left: r for r, left in match_right.items()}
     return [(v, match_left[v]) for v in subset if v in match_left]
 

@@ -306,11 +306,15 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     passed: set[tuple[int, int]] = set()
     sweep = SequenceSweep(0, None, None)
     visited = sequences = hits = 0
-
-    def dfs(depth: int) -> bool:
-        nonlocal visited, sequences, hits
+    # the walk is at a node of depth `depth`, the session holding its
+    # prefix; todo[depth] holds the left vertices not yet tried below it,
+    # and keys[depth] its state, cached once every child has passed
+    todo = [iter(range(nleft))] + [None] * top
+    keys = [None] * (top + 1)
+    depth = 0
+    while top > 0:
         requested = session.requested  # the same again after each undo
-        for v in range(nleft):
+        for v in todo[depth]:
             if requested >> v & 1:
                 continue
             if visited == budget:
@@ -326,22 +330,25 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
             violation = half_rejection_audit(session)
             if violation is not None:
                 sweep.first_audit_violation = (list(session._order), violation)
-            ok = r is not None and violation is None
-            if ok and depth + 1 < top:
+            if r is None or violation is not None:
+                break                   # the first failure ends the walk
+            if depth + 1 < top:
                 key = (session.requested, session.used)
-                if key in passed:
-                    hits += 1
-                    sequences += below[depth + 1]
-                else:
-                    ok = dfs(depth + 1)
-                    if ok:
-                        passed.add(key)
+                if key not in passed:   # enter the child
+                    depth += 1
+                    todo[depth], keys[depth] = iter(range(nleft)), key
+                    break
+                hits += 1
+                sequences += below[depth + 1]
             session._undo()
-            if not ok:
-                return False
-        return True
-
-    if top > 0:
-        dfs(0)
+        else:                           # every child passed
+            if depth == 0:
+                break
+            passed.add(keys[depth])
+            depth -= 1
+            session._undo()
+            continue
+        if r is None or violation is not None:
+            break
     sweep.sequences, sweep.visited, sweep.memo_hits = sequences, visited, hits
     return sweep

@@ -4,7 +4,7 @@ against."""
 import itertools
 from fractions import Fraction
 
-from omex import (AuditViolation, ExtractorCheck, GameResult,
+from omex import (AuditViolation, ExtractorCheck, GameResult, HazardReport,
                   MatchingSession, PrefixCheck, SequenceSweep, deviation,
                   half_rejection_audit, truncate)
 
@@ -40,6 +40,48 @@ def naive_is_prefix_extractor(view, k: int) -> PrefixCheck:
         if check.witness is not None:
             return PrefixCheck(tuple(levels), i)
     return PrefixCheck(tuple(levels), None)
+
+
+def naive_hazard_report(view, S, bad_factor: int = 2) -> HazardReport:
+    """`hazard_report` recounted from the edges: bad right vertices by
+    cross-multiplying, then each element's edges tested one by one."""
+    if bad_factor < 1:
+        raise ValueError(f"need bad factor >= 1, got {bad_factor}")
+    S = tuple(S)
+    if not S:
+        raise ValueError("subset must be nonempty")
+    if len(set(S)) != len(S):
+        raise ValueError("subset has repeated vertices")
+    for v in S:
+        if not 0 <= v < view.N:
+            raise ValueError(f"left index {v} out of range")
+    if len(S) > view.K:
+        raise ValueError(f"|S| = {len(S)} exceeds K = {view.K}")
+    M, D, K = view.M, view.D, view.K
+    e = [0] * M
+    for v in S:
+        for r in view.graph.neighbors[v]:
+            e[r] += 1
+    # e[y] > bad_factor * D * K / M, exactly
+    bad = frozenset(y for y in range(M) if e[y] * M > bad_factor * D * K)
+    dangerous = []
+    weakly = []
+    for v in S:
+        in_bad = sum(1 for r in view.graph.neighbors[v] if r in bad)
+        if in_bad == D:
+            dangerous.append(v)
+        if 2 * in_bad >= D:
+            weakly.append(v)
+    return HazardReport(S, tuple(sorted(bad)), tuple(dangerous), tuple(weakly),
+                        Fraction(bad_factor * D * K, M), bad_factor)
+
+
+def naive_hazard_scan(view, bad_factor: int = 2) -> list[HazardReport]:
+    """The reports of the size-K subsets with a bad right vertex, from
+    `naive_hazard_report` on every size-K subset in lexicographic order."""
+    reports = (naive_hazard_report(view, S, bad_factor)
+               for S in itertools.combinations(range(view.N), view.K))
+    return [rep for rep in reports if rep.bad]
 
 
 def naive_layer_counts(lg, order):
@@ -156,6 +198,28 @@ def naive_online_strategy_exists(g, s: int) -> GameResult:
     if wins(frozenset(), frozenset()):
         return GameResult(True, build_tree(frozenset(), frozenset()), nodes)
     return GameResult(False, None, nodes)
+
+
+def naive_max_matching(g, subset) -> list[tuple[int, int]]:
+    """Kuhn's augmenting-path search written recursively: each left vertex
+    of `subset` in order tries its neighbors in stored order, and a matched
+    neighbor's partner is asked in turn to move; pairs in subset order."""
+    match_right: dict[int, int] = {}
+
+    def try_augment(v: int, visited: set[int]) -> bool:
+        for r in g.neighbors[v]:
+            if r in visited:
+                continue
+            visited.add(r)
+            if r not in match_right or try_augment(match_right[r], visited):
+                match_right[r] = v
+                return True
+        return False
+
+    for v in subset:
+        try_augment(v, set())
+    match_left = {left: r for r, left in match_right.items()}
+    return [(v, match_left[v]) for v in subset if v in match_left]
 
 
 def naive_series_bound(n: int, k: int, c: int) -> Fraction:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import time
@@ -5,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from omex import save, counterexample_graph
+from omex import (counterexample_graph, optimal_degree_pow2,
+                  random_extractor_search, save)
 from omex.cli import main
+
+from oracles import naive_hazard_report
 
 
 def run(capsys, *argv):
@@ -248,6 +252,14 @@ def test_online_run_layers_are_charged_to_gen_edges(capsys, tmp_path,
      "integer string conversion"),
     (["offline", "bound", "--n", "4", "--k", "0", "--c", "8"],
      "integer string conversion"),
+    # refused from an estimate of series_base's size, before it is built;
+    # an invalid n is still named first
+    (["offline", "bound", "--n", "6", "--k", "0", "--c", "7"],
+     "integer string conversion"),
+    (["offline", "bound", "--n", "2", "--k", "0", "--c", "1000000"],
+     "integer string conversion"),
+    (["offline", "bound", "--n", "1", "--k", "0", "--c", "1000000"],
+     "needs n >= 2"),
 ])
 def test_unrenderable_or_oversized_is_one_error_report(capsys, cx_path, argv,
                                                        error):
@@ -656,29 +668,89 @@ def test_demo_trevisan_small(capsys):
 
 @pytest.mark.parametrize("demo", ["lemma1", "lemma3"])
 def test_lemma_subsets_are_charged_to_subset_budget(capsys, monkeypatch, demo):
-    argv = ["demo", demo, "--n", "4", "--k", "2", "--m", "2", "--d", "4",
-            "--eps", "1/2", "--seed", "1", "--max-rows", "0"]
-    # the search's pruned walk fits in 1,819 nodes; the C(16, 4) = 1,820
-    # subsets the demo walks do not
-    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=1819")
+    argv = ["demo", demo, "--n", "4", "--k", "3", "--eps", "1/2", "--seed",
+            "7", "--max-rows", "0"]
+    # the search's dual test fits in 255 nodes; the hazard walk over the
+    # C(16, 8) = 12,870 subsets visits 394
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=393")
     code, report = run_json(capsys, *argv)
     assert code == 1
-    assert ("1820 subsets of size 4 exceed limit 1819"
-            in report["outcome"]["error"])
-    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=1820")
+    assert report["outcome"] == {"error": (
+        "hazard walk exceeded limit 393 nodes: visited 393 nodes, certified "
+        "12833 of the C(16,8) = 12870 size-K subsets")}
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=394")
     code, report = run_json(capsys, *argv)
     assert code == 0
-    assert report["outcome"]["subsets"] == 1820
+    assert report["outcome"]["subsets"] == 12870
 
 
-def test_lemma_guard_stops_a_searched_n6_view(capsys):
-    # the search verifies an n=6, K=8 view; the demo's C(64, 8) subsets are
-    # then refused by the demo's own guard
+def test_lemma1_cross_check_shares_the_walk_budget(capsys, monkeypatch):
+    # M = 4, so every 7th of the 1,820 subsets, 260 of them, is checked
+    # against the all-subsets oracle; the walk itself visits 13 nodes
+    argv = ["demo", "lemma1", "--n", "4", "--k", "2", "--m", "2", "--d", "4",
+            "--eps", "1/2", "--seed", "1", "--max-rows", "0"]
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=272")
+    code, report = run_json(capsys, *argv)
+    assert code == 1
+    assert report["outcome"] == {"error": (
+        "hazard walk exceeded limit 272 nodes: visited 12 nodes, certified "
+        "1819 of the C(16,4) = 1820 size-K subsets, on top of 260 nodes "
+        "charged before it")}
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=273")
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    assert report["outcome"]["oracle_checked"] == 260
+
+
+def test_lemma_guard_stops_a_searched_n6_view(capsys, monkeypatch):
+    # the search verifies an n=6, K=8 view; the walk over its C(64, 8)
+    # subsets finishes at default limits, in 3,437,040 nodes, but not here
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=100000")
     code, report = run_json(capsys, "demo", "lemma1", "--n", "6", "--k", "3",
                             "--eps", "1/2", "--seed", "1")
     assert code == 1
-    assert report["outcome"] == {
-        "error": "4426165368 subsets of size 8 exceed limit 5000000 subsets"}
+    assert report["outcome"] == {"error": (
+        "hazard walk exceeded limit 100000 nodes: visited 100000 nodes, "
+        "certified 492988047 of the C(64,8) = 4426165368 size-K subsets")}
+
+
+@pytest.mark.parametrize("demo", ["lemma1", "lemma3"])
+def test_lemma_frontier_n5_k3_runs_at_default_limits(capsys, demo):
+    code, report = run_json(capsys, "demo", demo, "--n", "5", "--k", "3",
+                            "--eps", "1/2", "--seed", "7")
+    assert code == 0
+    assert report["outcome"]["subsets"] == 10518300
+    assert report["outcome"]["bound_ok"] is True
+    assert len(report["outcome"]["rows"]) == 512
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (4, 3)])
+@pytest.mark.parametrize("bad_factor", [1, 2])
+def test_lemma_rows_and_maxima_match_naive_scan(capsys, n, k, bad_factor):
+    """Every row and both maxima of the walk-based demos, against
+    `naive_hazard_report` on every size-K subset of the same view."""
+    eps = Fraction(1, 2)
+    d = optimal_degree_pow2(2 ** n, 2 ** k, 2 ** k, eps).bit_length() - 1
+    view, _ = random_extractor_search(n, k, k, eps, d, seed=7)
+    reports = [naive_hazard_report(view, S, bad_factor)
+               for S in itertools.combinations(range(view.N), view.K)]
+    argv = ["--n", str(n), "--k", str(k), "--eps", "1/2", "--seed", "7",
+            "--bad-factor", str(bad_factor), "--max-rows", "100000"]
+    _, lemma1 = run_json(capsys, "demo", "lemma1", *argv)
+    _, lemma3 = run_json(capsys, "demo", "lemma3", *argv)
+    names = [" ".join(map(str, rep.subset)) for rep in reports]
+    assert lemma1["outcome"]["rows"] == [
+        {"S": S, "dangerous": len(rep.dangerous),
+         "weakly_dangerous": len(rep.weakly_dangerous), "bad": len(rep.bad)}
+        for S, rep in zip(names, reports)]
+    assert lemma3["outcome"]["rows"] == [
+        {"S": S, "weakly_dangerous": len(rep.weakly_dangerous)}
+        for S, rep in zip(names, reports)]
+    assert lemma1["outcome"]["max_dangerous"] == max(
+        len(rep.dangerous) for rep in reports)
+    assert lemma3["outcome"]["max_weakly_dangerous"] == max(
+        len(rep.weakly_dangerous) for rep in reports)
+    assert lemma1["outcome"]["subsets"] == len(reports)
 
 
 def test_demo_lemma3(capsys):

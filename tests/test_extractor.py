@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omex import (BipartiteGraph, ExtractorView, GraphFormatError,
-                  LimitExceeded, deviation, hazard_report, is_extractor,
-                  is_prefix_extractor, next_pow2, optimal_degree,
+                  LimitExceeded, deviation, hazard_report, hazard_walk,
+                  is_extractor, is_prefix_extractor, next_pow2, optimal_degree,
                   optimal_degree_pow2, prefix_failure_bound,
                   random_extractor_search, truncate, uniform_view)
 from omex.extractor import _log_comb, load_view, save_view, view_to_json
@@ -18,7 +18,8 @@ from omex.oracles import exhaustive_subset_deviation
 from omex.rng import SplitMix64
 
 from conftest import random_view
-from oracles import naive_is_extractor, naive_is_prefix_extractor
+from oracles import (naive_hazard_report, naive_hazard_scan,
+                     naive_is_extractor, naive_is_prefix_extractor)
 
 
 def point_mass_view():
@@ -377,6 +378,8 @@ def test_bad_factor_below_one_rejected(bad_factor):
     view = ExtractorView(BipartiteGraph(0, 2, 2, ((0, 0),)), 1, Fraction(1, 4))
     with pytest.raises(ValueError, match=f"bad factor >= 1, got {bad_factor}"):
         hazard_report(view, (0,), bad_factor=bad_factor)
+    with pytest.raises(ValueError, match=f"bad factor >= 1, got {bad_factor}"):
+        list(hazard_walk(view, bad_factor))
 
 
 def test_dangerous_subset_of_weakly_dangerous():
@@ -401,6 +404,88 @@ def test_hazard_counts_bounded_on_verified_views(verified_views):
             assert len(rep.dangerous) < 2 * eps * K
             assert len(rep.weakly_dangerous) <= 4 * eps * K
             assert len(rep.bad) < eps * view.M   # bad fraction below eps
+
+
+@st.composite
+def hazard_views(draw):
+    """Small views whose edges land on the first `width` right vertices
+    only, so that a narrow width makes bad right vertices common."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    m = draw(st.integers(min_value=0, max_value=3))
+    d = draw(st.integers(min_value=0, max_value=3))
+    N, M, D = 2 ** n, 2 ** m, 2 ** d
+    width = draw(st.integers(min_value=1, max_value=M))
+    rows = tuple(
+        tuple(draw(st.lists(st.integers(min_value=0, max_value=width - 1),
+                            min_size=D, max_size=D)))
+        for _ in range(N))
+    K = draw(st.integers(min_value=1, max_value=N))
+    return ExtractorView(BipartiteGraph(n, M, D, rows), K, Fraction(1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_hazard_report_matches_naive(data):
+    view = data.draw(hazard_views())
+    size = data.draw(st.integers(min_value=1, max_value=view.K))
+    S = data.draw(st.lists(st.integers(min_value=0, max_value=view.N - 1),
+                           min_size=size, max_size=size, unique=True))
+    bad_factor = data.draw(st.integers(min_value=1, max_value=3))
+    assert hazard_report(view, S, bad_factor) == naive_hazard_report(
+        view, S, bad_factor)
+
+
+def test_hazard_report_matches_naive_on_nonempty_bad_sets():
+    # the differential above on a fixed sample that is sure to hit bad
+    # vertices, dangerous elements and weakly dangerous ones
+    rng = SplitMix64(11)
+    seen = {"bad": 0, "dangerous": 0, "weakly_dangerous": 0}
+    for _ in range(300):
+        view = random_view(rng.next_u64(), n=3, m=2, d=rng.below(3),
+                           K=1 + rng.below(8))
+        S = rng.sample(view.N, 1 + rng.below(view.K))
+        for bad_factor in (1, 2, 3):
+            rep = hazard_report(view, S, bad_factor)
+            assert rep == naive_hazard_report(view, S, bad_factor)
+            for key in seen:
+                seen[key] += bool(getattr(rep, key))
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("S, bad_factor", [
+    ((0,), 0), ((0,), -1), ((), 0), ((), 2), ((1, 1), 2), ((1, 1), 0),
+    ((0, 4), 2), ((-1,), 2), ((0, 1, 2), 2), ((0, 0, 1), 2), ((0, 1, 9), 2),
+    (range(5), 2)])
+def test_hazard_report_errors_match_naive(S, bad_factor):
+    view = uniform_view(2, 1, K=2)              # N = 4, K = 2
+    with pytest.raises(ValueError) as got:
+        hazard_report(view, S, bad_factor)
+    with pytest.raises(ValueError) as want:
+        naive_hazard_report(view, S, bad_factor)
+    assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_hazard_walk_matches_naive_scan(data):
+    view = data.draw(hazard_views())
+    bad_factor = data.draw(st.integers(min_value=1, max_value=3))
+    assert list(hazard_walk(view, bad_factor)) == naive_hazard_scan(
+        view, bad_factor)
+
+
+def test_hazard_walk_certifies_a_uniform_view_at_depth_one(monkeypatch):
+    # no vertex is ever bad, so each first element certifies its whole
+    # subtree: N - K + 1 = 9 nodes for the C(16, 8) subsets
+    view = uniform_view(4, 2, K=8)
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=9")
+    assert list(hazard_walk(view)) == []
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=8")
+    with pytest.raises(LimitExceeded) as raised:
+        list(hazard_walk(view))
+    assert str(raised.value) == (
+        "hazard walk exceeded limit 8 nodes: visited 8 nodes, certified "
+        "12869 of the C(16,8) = 12870 size-K subsets")
 
 
 # --- truncation and prefixes ------------------------------------------------

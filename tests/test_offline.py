@@ -13,7 +13,7 @@ from omex import (BipartiteGraph, LimitExceeded, OfflineParams,
 from omex.online import counterexample_graph
 
 from conftest import small_graphs
-from oracles import naive_series_bound
+from oracles import naive_max_matching, naive_series_bound
 
 
 # --- max_matching -----------------------------------------------------------
@@ -40,6 +40,25 @@ def test_max_matching_rejects_duplicates():
 def test_max_matching_deterministic():
     g = BipartiteGraph(2, 3, 3, ((0, 1), (0,), (0, 2), (1,)))
     assert max_matching(g, [0, 1, 2, 3]) == max_matching(g, [0, 1, 2, 3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_max_matching_matches_recursive_kuhn(data):
+    # the same pairs in the same order, on orders that force long
+    # augmenting paths as well as dead ends
+    g = data.draw(small_graphs(max_right=5))
+    subset = data.draw(st.permutations(range(g.left_size)))
+    assert max_matching(g, subset) == naive_max_matching(g, subset)
+
+
+def test_max_matching_follows_a_long_augmenting_path():
+    # 0, 1 and 2 take rights 0, 1 and 2; then 3 wants right 0, and all
+    # three move one step along
+    rows = ((0, 1), (1, 2), (2, 3), (0,))
+    g = BipartiteGraph(2, 4, 2, rows)
+    assert max_matching(g, [0, 1, 2, 3]) == [(0, 1), (1, 2), (2, 3), (3, 0)]
+    assert max_matching(g, [0, 1, 2, 3]) == naive_max_matching(g, [0, 1, 2, 3])
 
 
 # --- hall_check -------------------------------------------------------------

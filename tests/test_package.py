@@ -1,4 +1,5 @@
-"""The library is stdlib-only: pyproject.toml declares no dependencies."""
+"""Source checks on `src/omex`: the library is stdlib-only (pyproject.toml
+declares no dependencies), and leaves no self-recursive closure behind."""
 
 import ast
 import sys
@@ -21,3 +22,31 @@ def test_library_imports_only_the_standard_library():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name}: {name}"
+
+
+def _deleted_names(func) -> set[str]:
+    return {target.id for node in ast.walk(func) if isinstance(node, ast.Delete)
+            for target in node.targets if isinstance(target, ast.Name)}
+
+
+def test_no_nested_function_calls_itself():
+    # a closure that calls itself by name refers to itself through its
+    # enclosing cell, so each call of the outer function leaves a
+    # reference cycle that only the cyclic collector frees; one the outer
+    # function deletes before returning is let go at once
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(outer, functions):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(inner, functions):
+                    continue
+                recursive = any(
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == inner.name for node in ast.walk(inner))
+                if recursive and inner.name not in _deleted_names(outer):
+                    found.append(f"{path.name}: {outer.name}.{inner.name}")
+    assert found == []
