@@ -129,17 +129,24 @@ class MatchingSession:
             raise ValueError(f"capacity {self.capacity} exhausted")
         return self._step(left_index)
 
+    def _reply(self, left_index: int) -> int | None:
+        """The right index `request` would take now, changing nothing: the
+        first unused one in stored order, or None."""
+        used = self.used
+        for r in self._rows[left_index]:
+            if not used >> r & 1:
+                return r
+        return None
+
     def _step(self, left_index: int) -> int | None:
         """The greedy walk of `request`, for a vertex known to be valid."""
         self.requested |= 1 << left_index
         self._order.append(left_index)
-        used = self.used
-        for r in self._rows[left_index]:
-            if not used >> r & 1:
-                self.used = used | 1 << r
-                self.matched[left_index] = r
-                return r
-        return None
+        r = self._reply(left_index)
+        if r is not None:
+            self.used |= 1 << r
+            self.matched[left_index] = r
+        return r
 
     def _undo(self) -> None:
         """Reverse the latest `_step` exactly."""
@@ -191,7 +198,9 @@ def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
     commit an unused neighbor. `exists` is True iff the algorithm can serve
     every adversary sequence of length <= s; the returned strategy maps each
     adversary move to the first winning reply in stored neighbor order.
-    Positions are memoized on (requested, used), both int bitmasks.
+    Positions are memoized on (requested, used), both int bitmasks. The
+    strategy shares the subtree of equal positions, and the last moves of
+    its lines share one `{"pick": r, "next": {}}` per reply r.
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
@@ -232,6 +241,7 @@ def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
         return result
 
     trees: dict[tuple[int, int], dict] = {}
+    last_moves: dict[int, dict] = {}
 
     # A second walk, because `wins` memoizes plain bools and so a losing
     # game keeps no trees. Memoizing subtrees instead halves the time of
@@ -255,13 +265,21 @@ def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
                 if used & rbit:
                     continue
                 if wins(requested | bit, used | rbit, depth + 1):
-                    tree[v] = {"pick": r, "next": build_tree(
-                        requested | bit, used | rbit, depth + 1)}
+                    if depth + 1 < top:
+                        tree[v] = {"pick": r, "next": build_tree(
+                            requested | bit, used | rbit, depth + 1)}
+                    else:       # most moves are last ones: share them
+                        if r not in last_moves:
+                            last_moves[r] = {"pick": r, "next": {}}
+                        tree[v] = last_moves[r]
                     break
         return tree
 
-    strategy = build_tree(0, 0, 0) if wins(0, 0, 0) else None
-    del wins, build_tree  # each calls itself: free the cycles and memos now
+    # each calls itself: free the cycles and memos now, on a refusal too
+    try:
+        strategy = build_tree(0, 0, 0) if wins(0, 0, 0) else None
+    finally:
+        del wins, build_tree
     return GameResult(strategy is not None, strategy, nodes)
 
 
@@ -280,6 +298,33 @@ class SequenceSweep:
         return self.first_rejection is None and self.first_audit_violation is None
 
 
+def _serving_mask(session: MatchingSession) -> int:
+    """The base right vertices free in some layer where one more request
+    can be served with the audit still passing, for a session that has
+    rejected none and passes `half_rejection_audit`. One more request is
+    then served and passes the audit iff its base row meets this mask.
+
+    A request served in layer L adds one to what each layer below L
+    forwards and to what each layer up to L reaches. Layers L and up keep
+    passing: each forwards as many as before and reaches at least as many.
+    So the request passes iff every layer below L passes with one more
+    forwarded and one more reached. The layers where it passes are thus
+    the lowest few, layer 0 always among them, and greedy serves the
+    request in one of them iff its row meets a vertex free in one of them.
+    """
+    width, used = session._width, session.used
+    full = (1 << width) - 1
+    mask = ~used & full
+    reached = len(session._order)       # reached layer 0
+    for layer in range(1, session._copies):
+        forwarded = (used >> layer * width).bit_count()  # past layer - 1
+        if forwarded + 1 > (reached + 2) // 2:
+            break
+        mask |= ~(used >> layer * width) & full
+        reached = forwarded
+    return mask
+
+
 def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     """Run the greedy engine over every sequence of distinct left vertices
     of length <= capacity, sharing prefixes depth-first with undo.
@@ -288,14 +333,18 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     and the half-rejection audit are checked at every node of the tree.
     The search stops at the first node that fails either check.
 
-    The session's future and its per-layer counts depend only on its
-    `requested` and `used` bitmasks, so they key its state. A node whose
-    state already headed a subtree that passed throughout is not
-    descended: its subtree's sequences are counted in closed form. Only
-    passing subtrees are cached, so the first failing node, its prefix and
-    `sequences` are those of the full walk. The `subset_nodes` budget
-    bounds the nodes stepped through.
+    Whether a child passes is read off its parent's `_serving_mask`, so a
+    leaf is settled without stepping the engine; a failing child is
+    stepped and audited for the report. The session's future and its
+    per-layer counts depend only on its `requested` and `used` bitmasks,
+    so they key its state. A node whose state already headed a subtree
+    that passed throughout is not descended: its subtree's sequences are
+    counted in closed form. Only passing subtrees are cached, so the first
+    failing node, its prefix and `sequences` are those of the full walk.
+    The `subset_nodes` budget bounds the nodes visited.
     """
+    if capacity < 1:
+        raise ValueError(f"need capacity >= 1, got {capacity}")
     budget = default_limits().subset_nodes
     nleft = lg.graph.left_size
     session = MatchingSession(lg, capacity)
@@ -303,17 +352,20 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     # below[j]: sequences strictly below a node at depth j
     below = [sum(math.perm(nleft - j, i) for i in range(1, top - j + 1))
              for j in range(top + 1)]
+    rowmasks = [sum(1 << r for r in set(row)) for row in lg.base.neighbors]
     passed: set[tuple[int, int]] = set()
     sweep = SequenceSweep(0, None, None)
     visited = sequences = hits = 0
     # the walk is at a node of depth `depth`, the session holding its
-    # prefix; todo[depth] holds the left vertices not yet tried below it,
-    # and keys[depth] its state, cached once every child has passed
+    # prefix; todo[depth] holds the left vertices not yet tried below it
+    # and serving[depth] its `_serving_mask`
     todo = [iter(range(nleft))] + [None] * top
-    keys = [None] * (top + 1)
+    serving = [_serving_mask(session)] + [0] * top
     depth = 0
-    while top > 0:
-        requested = session.requested  # the same again after each undo
+    while True:
+        requested, used = session.requested, session.used
+        mask = serving[depth]
+        leaves = depth + 1 == top       # the children end their sequences
         for v in todo[depth]:
             if requested >> v & 1:
                 continue
@@ -322,33 +374,36 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
                     f"sequence tree exceeds {budget} nodes: visited "
                     f"{visited} nodes, counted {sequences} sequences, "
                     f"cached {len(passed)} passing states")
-            r = session._step(v)
             visited += 1
             sequences += 1
-            if r is None:
-                sweep.first_rejection = list(session._order)
-            violation = half_rejection_audit(session)
-            if violation is not None:
-                sweep.first_audit_violation = (list(session._order), violation)
-            if r is None or violation is not None:
-                break                   # the first failure ends the walk
-            if depth + 1 < top:
-                key = (session.requested, session.used)
-                if key not in passed:   # enter the child
-                    depth += 1
-                    todo[depth], keys[depth] = iter(range(nleft)), key
-                    break
+            if not rowmasks[v] & mask:  # the first failure ends the walk
+                if session._step(v) is None:
+                    sweep.first_rejection = list(session._order)
+                violation = half_rejection_audit(session)
+                if violation is not None:
+                    sweep.first_audit_violation = (list(session._order),
+                                                   violation)
+                break
+            if leaves:
+                continue
+            key = (requested | 1 << v, used | 1 << session._reply(v))
+            if key in passed:
                 hits += 1
                 sequences += below[depth + 1]
-            session._undo()
+                continue
+            session._step(v)            # enter the child
+            depth += 1
+            todo[depth] = iter(range(nleft))
+            serving[depth] = _serving_mask(session)
+            break
         else:                           # every child passed
             if depth == 0:
                 break
-            passed.add(keys[depth])
+            passed.add((requested, used))
             depth -= 1
             session._undo()
             continue
-        if r is None or violation is not None:
+        if not sweep.ok:
             break
     sweep.sequences, sweep.visited, sweep.memo_hits = sequences, visited, hits
     return sweep

@@ -2,11 +2,12 @@
 against."""
 
 import itertools
+import math
 from fractions import Fraction
 
 from omex import (AuditViolation, ExtractorCheck, GameResult, HazardReport,
-                  MatchingSession, PrefixCheck, SequenceSweep, deviation,
-                  half_rejection_audit, truncate)
+                  LimitExceeded, MatchingSession, PrefixCheck, SequenceSweep,
+                  default_limits, deviation, half_rejection_audit, truncate)
 
 
 def naive_is_extractor(view) -> ExtractorCheck:
@@ -141,6 +142,71 @@ def naive_online_check(lg, capacity: int) -> SequenceSweep:
             sweep.first_audit_violation = (sequence, violation)
         if not sweep.ok:
             break
+    return sweep
+
+
+def stepwise_online_check(lg, capacity: int) -> SequenceSweep:
+    """The sequence sweep stepping the engine at every node, leaves
+    included: each node is stepped, audited with `half_rejection_audit` and
+    undone, and a child whose `(requested, used)` state already headed a
+    passing subtree is counted in closed form. The reference for
+    `exhaustive_online_check`'s `visited` and `memo_hits` counters and its
+    `LimitExceeded` message, as well as for its result."""
+    budget = default_limits().subset_nodes
+    nleft = lg.graph.left_size
+    session = MatchingSession(lg, capacity)
+    top = min(capacity, nleft)
+    # below[j]: sequences strictly below a node at depth j
+    below = [sum(math.perm(nleft - j, i) for i in range(1, top - j + 1))
+             for j in range(top + 1)]
+    passed: set[tuple[int, int]] = set()
+    sweep = SequenceSweep(0, None, None)
+    visited = sequences = hits = 0
+    # the walk is at a node of depth `depth`, the session holding its
+    # prefix; todo[depth] holds the left vertices not yet tried below it,
+    # and keys[depth] its state, cached once every child has passed
+    todo = [iter(range(nleft))] + [None] * top
+    keys = [None] * (top + 1)
+    depth = 0
+    while top > 0:
+        requested = session.requested  # the same again after each undo
+        for v in todo[depth]:
+            if requested >> v & 1:
+                continue
+            if visited == budget:
+                raise LimitExceeded(
+                    f"sequence tree exceeds {budget} nodes: visited "
+                    f"{visited} nodes, counted {sequences} sequences, "
+                    f"cached {len(passed)} passing states")
+            r = session._step(v)
+            visited += 1
+            sequences += 1
+            if r is None:
+                sweep.first_rejection = list(session._order)
+            violation = half_rejection_audit(session)
+            if violation is not None:
+                sweep.first_audit_violation = (list(session._order), violation)
+            if r is None or violation is not None:
+                break                   # the first failure ends the walk
+            if depth + 1 < top:
+                key = (session.requested, session.used)
+                if key not in passed:   # enter the child
+                    depth += 1
+                    todo[depth], keys[depth] = iter(range(nleft)), key
+                    break
+                hits += 1
+                sequences += below[depth + 1]
+            session._undo()
+        else:                           # every child passed
+            if depth == 0:
+                break
+            passed.add(keys[depth])
+            depth -= 1
+            session._undo()
+            continue
+        if r is None or violation is not None:
+            break
+    sweep.sequences, sweep.visited, sweep.memo_hits = sequences, visited, hits
     return sweep
 
 

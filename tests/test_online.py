@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import gc
 import itertools
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,12 +12,12 @@ from omex import (AuditViolation, BipartiteGraph, LayeredGraph,
                   complete_graph, construct_verified_offline_graph,
                   counterexample_graph, exhaustive_online_check,
                   half_rejection_audit, hall_check, layered,
-                  online_strategy_exists)
+                  online_strategy_exists, random_offline_graph)
 from omex.rng import SplitMix64
 
 from conftest import small_graphs
 from oracles import (naive_layer_counts, naive_online_check,
-                     naive_online_strategy_exists)
+                     naive_online_strategy_exists, stepwise_online_check)
 
 
 # four left vertices funneled into one right vertex: fails Hall at size 2
@@ -257,6 +259,7 @@ def test_sweep_reports_audit_violation_without_rejection():
 @example(HIT_THEN_AUDIT, 4, 4)
 @example(SAME_USED_OTHER_REQUESTED, 1, 2)
 @example(SAME_REQUESTED_OTHER_USED, 2, 4)
+@example(verified_base(3, 2), 3, 4)
 def test_sweep_matches_naive_replay(base, copies, capacity):
     # LayeredGraph.build skips the Hall check, so rejections and audit
     # violations occur as well as clean sweeps
@@ -266,6 +269,32 @@ def test_sweep_matches_naive_replay(base, copies, capacity):
     assert sweep.sequences == naive.sequences
     assert sweep.first_rejection == naive.first_rejection
     assert sweep.first_audit_violation == naive.first_audit_violation
+    # the counters take no part in equality, so they are compared with
+    # the walk that steps and audits every node; so is the refusal at every
+    # budget short of the full walk, some of which run out among leaves
+    assert sweep_outcome(lg, capacity, exhaustive_online_check) == \
+        sweep_outcome(lg, capacity, stepwise_online_check)
+    with pytest.MonkeyPatch.context() as patch:
+        for budget in range(1, sweep.visited + 1):
+            patch.setenv("OMEX_LIMITS", f"subset_nodes={budget}")
+            assert sweep_outcome(lg, capacity, exhaustive_online_check) == \
+                sweep_outcome(lg, capacity, stepwise_online_check)
+
+
+def sweep_outcome(lg, capacity, check):
+    """Every result field and counter of a sweep, or its refusal."""
+    try:
+        sweep = check(lg, capacity)
+    except LimitExceeded as refusal:
+        return str(refusal)
+    return (sweep.sequences, sweep.visited, sweep.memo_hits,
+            sweep.first_rejection, sweep.first_audit_violation)
+
+
+@pytest.mark.parametrize("capacity", [0, -2])
+def test_sweep_refuses_capacity_below_one(capacity):
+    with pytest.raises(ValueError, match=f"need capacity >= 1, got {capacity}"):
+        exhaustive_online_check(layered(counterexample_graph(), 1), capacity)
 
 
 @pytest.mark.parametrize("base, copies, capacity, rejected, audited", [
@@ -338,6 +367,24 @@ def test_counterexample_no_online_strategy_at_2():
     assert res.strategy is None
 
 
+def test_refused_game_leaves_no_cycle_to_the_collector(monkeypatch):
+    g = random_offline_graph(OfflineParams(4, 2, 1), 3)
+    monkeypatch.setenv("OMEX_LIMITS", "game_nodes=50")
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with pytest.raises(LimitExceeded, match="exceeds 50 nodes") as raised:
+            online_strategy_exists(g, 5)
+        del raised  # its traceback would keep the game's frames alive
+        gc.collect()
+        names = {obj.__name__ for obj in gc.garbage
+                 if isinstance(obj, types.FunctionType)}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert names.isdisjoint({"wins", "build_tree"})
+
+
 def test_counterexample_strategy_at_1():
     res = online_strategy_exists(counterexample_graph(), 1)
     assert res.exists is True
@@ -350,6 +397,16 @@ def test_layered_base_has_strategy_at_2():
     lg = layered(verified_base(2, 1), 1)
     res = online_strategy_exists(lg.graph, 2)
     assert res.exists is True
+
+
+def test_strategy_shares_last_moves():
+    # one dict per reply for the moves that end a line, which most are
+    res = online_strategy_exists(layered(verified_base(2, 1), 1).graph, 2)
+    last = [move for first in res.strategy.values()
+            for move in first["next"].values()]
+    assert all(move["next"] == {} for move in last)
+    assert len({id(move) for move in last}) == \
+        len({move["pick"] for move in last}) < len(last)
 
 
 def test_strategy_tree_wins_every_adversary_line():
