@@ -19,6 +19,7 @@ from functools import partial
 from .extractor import ExtractorView
 from .graph import (INT, ROWS, BipartiteGraph, GraphInvariantError, load,
                     read_fields, save)
+from .limits import LimitExceeded, default_limits
 from .rng import SplitMix64
 
 
@@ -242,12 +243,24 @@ def as_extractor_view(code: CodeTable, design: WeakDesign, K: int, eps) -> Extra
     """The evaluation map as a left-regular graph: left part is all messages,
     edge labels are all seeds, right part is all m-bit outputs. Useful for
     measuring empirical deviation; no extractor guarantee is implied at desk
-    scale."""
+    scale. Bit i of the output, <x, y|S_i> mod 2, is linear in the seed y
+    over GF(2), so a row is fixed by its outputs on the d one-bit seeds and
+    is built by doubling from seed bit 0 (coordinate d) upward: 2^(n+d)
+    XORs in all. The 2^(n+d) edges are charged to `gen_edges` after the
+    design checks, before the first row."""
     _check_block_size(code, design)
     n, d = code.n_msg, design.d
     masks = [_masks(s, d) for s in design.sets]
-    # the positions read depend on the seed only, so precompute them
-    positions = [[_parities(y, m) for m in masks] for y in range(2 ** d)]
-    rows = tuple(tuple(_parities(x, pos) for pos in positions)
-                 for x in range(2 ** n))
-    return ExtractorView(BipartiteGraph(n, 2 ** design.m, 2 ** d, rows), K, eps)
+    edges, limit = 2 ** (n + d), default_limits().gen_edges
+    if edges > limit:
+        raise LimitExceeded(f"{edges} view edges exceed limit {limit}")
+    unit_positions = [[_parities(1 << j, m) for m in masks] for j in range(d)]
+    rows = []
+    for x in range(2 ** n):
+        row = [0]
+        for positions in unit_positions:
+            bit = _parities(x, positions)
+            row += [r ^ bit for r in row]
+        rows.append(tuple(row))
+    return ExtractorView(BipartiteGraph(n, 2 ** design.m, 2 ** d, tuple(rows)),
+                         K, eps)

@@ -5,9 +5,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from omex import (AuditViolation, ExtractorCheck, GameResult, HazardReport,
-                  LimitExceeded, MatchingSession, PrefixCheck, SequenceSweep,
-                  default_limits, deviation, half_rejection_audit, truncate)
+from omex import (AuditViolation, BipartiteGraph, ExtractorCheck,
+                  ExtractorView, GameResult, HazardReport, LimitExceeded,
+                  MatchingSession, PrefixCheck, SequenceSweep, default_limits,
+                  deviation, half_rejection_audit, truncate)
+from omex.trevisan import _check_block_size, _masks, _parities
 
 
 def naive_is_extractor(view) -> ExtractorCheck:
@@ -83,6 +85,19 @@ def naive_hazard_scan(view, bad_factor: int = 2) -> list[HazardReport]:
     reports = (naive_hazard_report(view, S, bad_factor)
                for S in itertools.combinations(range(view.N), view.K))
     return [rep for rep in reports if rep.bad]
+
+
+def naive_extractor_view(code, design, K: int, eps) -> ExtractorView:
+    """`as_extractor_view` seed by seed: the positions each seed reads, then
+    every (message, seed) output from its m parities."""
+    _check_block_size(code, design)
+    n, d = code.n_msg, design.d
+    masks = [_masks(s, d) for s in design.sets]
+    # the positions read depend on the seed only, so precompute them
+    positions = [[_parities(y, m) for m in masks] for y in range(2 ** d)]
+    rows = tuple(tuple(_parities(x, pos) for pos in positions)
+                 for x in range(2 ** n))
+    return ExtractorView(BipartiteGraph(n, 2 ** design.m, 2 ** d, rows), K, eps)
 
 
 def naive_layer_counts(lg, order):

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omex import (CodeTable, WeakDesign, as_extractor_view, encode,
-                  greedy_weak_design, list_decode, restrict, trevisan_eval,
-                  verify_weak_design)
+from omex import (CodeTable, LimitExceeded, WeakDesign, as_extractor_view,
+                  encode, greedy_weak_design, list_decode, restrict,
+                  trevisan_eval, verify_weak_design)
+from omex.graph import to_json
 from omex.oracles import brute_list_decode
 from omex.rng import SplitMix64
+
+from oracles import naive_extractor_view
 
 DELTA = Fraction(1, 4)
 
@@ -294,6 +297,63 @@ def test_exported_view_agrees_with_eval_on_greedy_designs(shape, seed):
         assert row == tuple(
             int(trevisan_eval(code, design, u, format(y, f"0{d}b")), 2)
             for y in range(2 ** d))
+
+
+def _assert_view_matches_naive(code, design):
+    fast = as_extractor_view(code, design, K=1, eps=Fraction(1, 2))
+    naive = naive_extractor_view(code, design, K=1, eps=Fraction(1, 2))
+    assert to_json(fast.graph) == to_json(naive.graph)
+    return fast
+
+
+def test_exported_view_matches_naive_on_greedy_grid():
+    # block 1-3, universe 4-10, seeds 0-2, and m = 1, 2, ... up to the first
+    # m the greedy construction cannot fill (276 designs); past that m the
+    # construction fails for every larger m on this grid as well
+    for block in range(1, 4):
+        code = CodeTable(block, DELTA)
+        for d in range(4, 11):
+            for seed in range(3):
+                for m in range(1, 7):
+                    try:
+                        design = greedy_weak_design(block, m, d, seed)
+                    except RuntimeError:
+                        break
+                    _assert_view_matches_naive(code, design)
+
+
+@pytest.mark.parametrize("design", [
+    WeakDesign(3, 2, ((3, 1), (2, 3))),     # unsorted set
+    WeakDesign(3, 2, ((2, 2),)),            # repeated coordinate
+    WeakDesign(4, 2, ((1, 3),)),            # one set
+    WeakDesign(3, 2, ()),                   # no sets
+])
+def test_exported_view_matches_naive_on_unverified_designs(design):
+    view = _assert_view_matches_naive(CodeTable(2, DELTA), design)
+    assert view.M == 2 ** design.m
+
+
+def test_export_is_charged_to_gen_edges(monkeypatch):
+    code = CodeTable(2, DELTA)
+    design = greedy_weak_design(2, 4, 10, seed=0)
+    monkeypatch.setenv("OMEX_LIMITS", "gen_edges=4095")
+    with pytest.raises(LimitExceeded,
+                       match="4096 view edges exceed limit 4095"):
+        as_extractor_view(code, design, K=2, eps=Fraction(1, 4))
+    monkeypatch.setenv("OMEX_LIMITS", "gen_edges=4096")
+    view = as_extractor_view(code, design, K=2, eps=Fraction(1, 4))
+    assert (view.N, view.D) == (4, 1024)
+
+
+def test_export_checks_its_input_before_the_budget(monkeypatch):
+    monkeypatch.setenv("OMEX_LIMITS", "gen_edges=1")
+    code = CodeTable(2, DELTA)
+    with pytest.raises(ValueError, match="block size"):
+        as_extractor_view(code, WeakDesign(4, 3, ((1, 2, 3),)), K=2,
+                          eps=Fraction(1, 2))
+    with pytest.raises(ValueError, match="out of range"):
+        as_extractor_view(code, WeakDesign(4, 2, ((1, 5),)), K=2,
+                          eps=Fraction(1, 2))
 
 
 @pytest.mark.parametrize("block", [1, 3])
