@@ -26,7 +26,8 @@ class Limits:
     gen_edges: int = 8_000_000
 
     def override(self, text: str) -> "Limits":
-        """Apply ``key=value`` overrides from a comma-separated string."""
+        """Apply ``key=value`` overrides from a comma-separated string; an
+        unknown key or a negative value raises ValueError."""
         known = {f.name for f in fields(self)}
         for part in text.split(","):
             part = part.strip()
@@ -38,7 +39,10 @@ class Limits:
             key = key.strip()
             if key not in known:
                 raise ValueError(f"unknown limit: {key!r}")
-            setattr(self, key, int(value))
+            number = int(value)
+            if number < 0:
+                raise ValueError(f"limit {key!r} must be >= 0, got {number}")
+            setattr(self, key, number)
         return self
 
 

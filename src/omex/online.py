@@ -129,32 +129,24 @@ class MatchingSession:
             raise ValueError(f"capacity {self.capacity} exhausted")
         return self._step(left_index)
 
-    def _reply(self, left_index: int) -> int | None:
-        """The right index `request` would take now, changing nothing: the
-        first unused one in stored order, or None."""
-        used = self.used
-        for r in self._rows[left_index]:
-            if not used >> r & 1:
-                return r
-        return None
-
     def _step(self, left_index: int) -> int | None:
         """The greedy walk of `request`, for a vertex known to be valid."""
         self.requested |= 1 << left_index
         self._order.append(left_index)
-        r = self._reply(left_index)
+        r = _first_free(self._rows[left_index], self.used)
         if r is not None:
             self.used |= 1 << r
             self.matched[left_index] = r
         return r
 
-    def _undo(self) -> None:
-        """Reverse the latest `_step` exactly."""
-        left_index = self._order.pop()
-        self.requested ^= 1 << left_index
-        r = self.matched.pop(left_index, None)
-        if r is not None:
-            self.used ^= 1 << r
+
+def _first_free(row, used: int) -> int | None:
+    """The greedy rule: the first right index of `row`, in stored order,
+    that is not in the `used` bitmask, or None."""
+    for r in row:
+        if not used >> r & 1:
+            return r
+    return None
 
 
 @dataclass(frozen=True)
@@ -198,45 +190,51 @@ def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
     commit an unused neighbor. `exists` is True iff the algorithm can serve
     every adversary sequence of length <= s; the returned strategy maps each
     adversary move to the first winning reply in stored neighbor order.
-    Positions are memoized on (requested, used), both int bitmasks. The
-    strategy shares the subtree of equal positions, and the last moves of
-    its lines share one `{"pick": r, "next": {}}` per reply r.
+    Positions are memoized on (requested, used), both int bitmasks. A
+    position one move from the end is decided without trying its replies:
+    it wins iff every unrequested left vertex still has an unused neighbor.
+    The strategy shares the subtree of equal positions, and the last moves
+    of its lines share one `{"pick": r, "next": {}}` per reply r.
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     budget = default_limits().game_nodes
     nleft = g.left_size
     rows = g.neighbors
-    top = min(s, nleft)
+    rowmasks = [sum(1 << r for r in set(row)) for row in rows]
+    last = min(s, nleft) - 1            # the depth of the last move
     memo: dict[tuple[int, int], bool] = {}
     nodes = 0
 
     def wins(requested: int, used: int, depth: int) -> bool:
         nonlocal nodes
-        if depth >= top:
-            return True
         key = (requested, used)
         if key in memo:
             return memo[key]
         nodes += 1
         if nodes > budget:
             raise LimitExceeded(f"game tree exceeds {budget} nodes")
-        result = True
-        for v in range(nleft):
-            bit = 1 << v
-            if requested & bit:
-                continue
-            tried = used  # a reply already tried is a repeat, like a used one
-            for r in rows[v]:
-                rbit = 1 << r
-                if tried & rbit:
+        if depth == last:   # any unused neighbor serves the last move
+            free = ~used
+            result = all(rowmasks[v] & free for v in range(nleft)
+                         if not requested >> v & 1)
+        else:
+            result = True
+            for v in range(nleft):
+                bit = 1 << v
+                if requested & bit:
                     continue
-                tried |= rbit
-                if wins(requested | bit, used | rbit, depth + 1):
+                tried = used  # a reply already tried is a repeat
+                for r in rows[v]:
+                    rbit = 1 << r
+                    if tried & rbit:
+                        continue
+                    tried |= rbit
+                    if wins(requested | bit, used | rbit, depth + 1):
+                        break
+                else:
+                    result = False
                     break
-            else:
-                result = False
-                break
         memo[key] = result
         return result
 
@@ -249,13 +247,19 @@ def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
     # position: a random (5,1,1) graph at s=5 (113,459 nodes) went from
     # 1.65 s to 8.4 s and from 17.6 MB to 597 MB traced peak (2 vCPUs).
     def build_tree(requested: int, used: int, depth: int) -> dict:
-        if depth >= top:
-            return {}
         # equal positions share one subtree, as in `wins`
         key = (requested, used)
         if key in trees:
             return trees[key]
         tree = trees[key] = {}
+        if depth == last:   # the first unused reply wins each last move
+            for v in range(nleft):
+                if not requested >> v & 1:
+                    r = _first_free(rows[v], used)
+                    if r not in last_moves:   # most moves are last ones
+                        last_moves[r] = {"pick": r, "next": {}}
+                    tree[v] = last_moves[r]
+            return tree
         for v in range(nleft):
             bit = 1 << v
             if requested & bit:
@@ -265,13 +269,8 @@ def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
                 if used & rbit:
                     continue
                 if wins(requested | bit, used | rbit, depth + 1):
-                    if depth + 1 < top:
-                        tree[v] = {"pick": r, "next": build_tree(
-                            requested | bit, used | rbit, depth + 1)}
-                    else:       # most moves are last ones: share them
-                        if r not in last_moves:
-                            last_moves[r] = {"pick": r, "next": {}}
-                        tree[v] = last_moves[r]
+                    tree[v] = {"pick": r, "next": build_tree(
+                        requested | bit, used | rbit, depth + 1)}
                     break
         return tree
 
@@ -288,8 +287,8 @@ class SequenceSweep:
     sequences: int
     first_rejection: list[int] | None
     first_audit_violation: tuple[list[int], AuditViolation] | None
-    # nodes the walk stepped through, and subtrees counted from the cache
-    # of passing states instead; neither takes part in equality
+    # nodes the walk visited, and subtrees counted from the cache of
+    # passing states instead; neither takes part in equality
     visited: int = field(default=0, compare=False)
     memo_hits: int = field(default=0, compare=False)
 
@@ -298,11 +297,13 @@ class SequenceSweep:
         return self.first_rejection is None and self.first_audit_violation is None
 
 
-def _serving_mask(session: MatchingSession) -> int:
+def _serving_mask(used: int, served: int, width: int, copies: int) -> int:
     """The base right vertices free in some layer where one more request
-    can be served with the audit still passing, for a session that has
-    rejected none and passes `half_rejection_audit`. One more request is
-    then served and passes the audit iff its base row meets this mask.
+    can be served with the audit still passing, for a session over `copies`
+    layers of `width` right vertices that has served `served` requests,
+    taken the right vertices in `used`, rejected none and passes
+    `half_rejection_audit`. One more request is then served and passes the
+    audit iff its base row meets this mask.
 
     A request served in layer L adds one to what each layer below L
     forwards and to what each layer up to L reaches. Layers L and up keep
@@ -312,11 +313,10 @@ def _serving_mask(session: MatchingSession) -> int:
     the lowest few, layer 0 always among them, and greedy serves the
     request in one of them iff its row meets a vertex free in one of them.
     """
-    width, used = session._width, session.used
     full = (1 << width) - 1
     mask = ~used & full
-    reached = len(session._order)       # reached layer 0
-    for layer in range(1, session._copies):
+    reached = served                    # reached layer 0
+    for layer in range(1, copies):
         forwarded = (used >> layer * width).bit_count()  # past layer - 1
         if forwarded + 1 > (reached + 2) // 2:
             break
@@ -325,85 +325,139 @@ def _serving_mask(session: MatchingSession) -> int:
     return mask
 
 
+def _served(mask: int, tables) -> int:
+    """The left vertices whose base rows meet `mask`, a bitmask of base
+    right vertices, looked up one byte of it at a time in `tables`."""
+    served = 0
+    for low, table in tables:
+        served |= table[mask >> low & 255]
+    return served
+
+
+def _sweep_refusal(budget: int, visited: int, sequences: int,
+                   cached: int) -> LimitExceeded:
+    return LimitExceeded(
+        f"sequence tree exceeds {budget} nodes: visited {visited} nodes, "
+        f"counted {sequences} sequences, cached {cached} passing states")
+
+
 def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     """Run the greedy engine over every sequence of distinct left vertices
-    of length <= capacity, sharing prefixes depth-first with undo.
+    of length <= capacity, sharing prefixes depth first.
 
     Each prefix is itself a complete request stream, so rejection-freedom
     and the half-rejection audit are checked at every node of the tree.
     The search stops at the first node that fails either check.
 
-    Whether a child passes is read off its parent's `_serving_mask`, so a
-    leaf is settled without stepping the engine; a failing child is
-    stepped and audited for the report. The session's future and its
-    per-layer counts depend only on its `requested` and `used` bitmasks,
-    so they key its state. A node whose state already headed a subtree
-    that passed throughout is not descended: its subtree's sequences are
-    counted in closed form. Only passing subtrees are cached, so the first
-    failing node, its prefix and `sequences` are those of the full walk.
-    The `subset_nodes` budget bounds the nodes visited.
+    The walk keeps each node's `(requested, used)` bitmasks, which fix the
+    engine's future and its per-layer counts, and steps no session: a
+    child's reply is the greedy rule `_first_free`. Byte tables of the
+    base graph's right-to-left adjacency turn each node's `_serving_mask`
+    into the set of left vertices it serves, and a child passes iff it is
+    in that set. So the leaves below a node one request from the end are
+    settled together: one popcount counts them and the lowest unserved one
+    is the first failure. Only the first failing sequence is replayed in a
+    `MatchingSession` and audited by `half_rejection_audit`, for the report.
+
+    A node whose state already headed a subtree that passed throughout is
+    not descended: its subtree's sequences are counted in closed form.
+    Only passing subtrees are cached, so the first failing node, its prefix
+    and `sequences` are those of the full walk. The `subset_nodes` budget
+    bounds the nodes visited.
     """
     if capacity < 1:
         raise ValueError(f"need capacity >= 1, got {capacity}")
     budget = default_limits().subset_nodes
-    nleft = lg.graph.left_size
-    session = MatchingSession(lg, capacity)
+    base, rows = lg.base, lg.graph.neighbors
+    nleft, width, copies = base.left_size, base.right_size, lg.copies
     top = min(capacity, nleft)
     # below[j]: sequences strictly below a node at depth j
     below = [sum(math.perm(nleft - j, i) for i in range(1, top - j + 1))
              for j in range(top + 1)]
-    rowmasks = [sum(1 << r for r in set(row)) for row in lg.base.neighbors]
+    # for each byte of a base right mask, from bit `low`, table[b] holds
+    # the left vertices whose rows meet a right vertex low + j for a bit j
+    # of b; each table doubles once per right vertex
+    cols = [0] * width
+    for v, row in enumerate(base.neighbors):
+        for r in row:
+            cols[r] |= 1 << v
+    tables = []
+    for low in range(0, width, 8):
+        table = [0]
+        for col in cols[low:low + 8]:
+            table += [left | col for left in table]
+        tables.append((low, table))
+    everyone = (1 << nleft) - 1
     passed: set[tuple[int, int]] = set()
-    sweep = SequenceSweep(0, None, None)
     visited = sequences = hits = 0
-    # the walk is at a node of depth `depth`, the session holding its
-    # prefix; todo[depth] holds the left vertices not yet tried below it
-    # and serving[depth] its `_serving_mask`
-    todo = [iter(range(nleft))] + [None] * top
-    serving = [_serving_mask(session)] + [0] * top
+    failure = None                      # the first failing sequence
+    # the walk is at a node of depth `depth`, reached by the requests
+    # path[:depth]; state[depth] holds its (requested, used) bitmasks,
+    # serving[depth] the left vertices it serves and todo[depth] those not
+    # yet tried below it, none for a node whose children are leaves
+    path = [0] * top
+    state = [(0, 0)] * top
+    serving = [_served(_serving_mask(0, 0, width, copies), tables)] * top
+    todo = [iter(range(nleft)) if top > 1 else ()] + [()] * (top - 1)
     depth = 0
     while True:
-        requested, used = session.requested, session.used
-        mask = serving[depth]
-        leaves = depth + 1 == top       # the children end their sequences
+        requested, used = state[depth]
+        served = serving[depth]
+        if depth + 1 == top:            # settle the leaves at once
+            leaves = everyone & ~requested
+            failing = leaves & ~served
+            if failing:                 # the walk ends at the lowest one
+                failing &= -failing
+                leaves &= 2 * failing - 1
+            count = leaves.bit_count()
+            if count > budget - visited:  # the budget runs out among them
+                spare = max(budget - visited, 0)
+                raise _sweep_refusal(budget, visited + spare,
+                                     sequences + spare, len(passed))
+            visited += count
+            sequences += count
+            if failing:
+                failure = path[:depth] + [failing.bit_length() - 1]
+                break
         for v in todo[depth]:
             if requested >> v & 1:
                 continue
-            if visited == budget:
-                raise LimitExceeded(
-                    f"sequence tree exceeds {budget} nodes: visited "
-                    f"{visited} nodes, counted {sequences} sequences, "
-                    f"cached {len(passed)} passing states")
+            if visited >= budget:
+                raise _sweep_refusal(budget, visited, sequences, len(passed))
             visited += 1
             sequences += 1
-            if not rowmasks[v] & mask:  # the first failure ends the walk
-                if session._step(v) is None:
-                    sweep.first_rejection = list(session._order)
-                violation = half_rejection_audit(session)
-                if violation is not None:
-                    sweep.first_audit_violation = (list(session._order),
-                                                   violation)
+            if not served >> v & 1:     # the first failure ends the walk
+                failure = path[:depth] + [v]
                 break
-            if leaves:
-                continue
-            key = (requested | 1 << v, used | 1 << session._reply(v))
-            if key in passed:
+            reply = _first_free(rows[v], used)
+            child = (requested | 1 << v, used | 1 << reply)
+            if child in passed:
                 hits += 1
                 sequences += below[depth + 1]
                 continue
-            session._step(v)            # enter the child
+            path[depth] = v             # enter the child
             depth += 1
-            todo[depth] = iter(range(nleft))
-            serving[depth] = _serving_mask(session)
+            state[depth] = child
+            serving[depth] = _served(
+                _serving_mask(child[1], depth, width, copies), tables)
+            todo[depth] = iter(range(nleft)) if depth + 1 < top else ()
             break
         else:                           # every child passed
             if depth == 0:
                 break
             passed.add((requested, used))
             depth -= 1
-            session._undo()
             continue
-        if not sweep.ok:
+        if failure is not None:
             break
-    sweep.sequences, sweep.visited, sweep.memo_hits = sequences, visited, hits
+    sweep = SequenceSweep(sequences, None, None, visited, hits)
+    if failure is not None:
+        session = MatchingSession(lg, capacity)
+        for v in failure:
+            r = session.request(v)
+        if r is None:
+            sweep.first_rejection = failure
+        violation = half_rejection_audit(session)
+        if violation is not None:
+            sweep.first_audit_violation = (list(failure), violation)
     return sweep

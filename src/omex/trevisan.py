@@ -92,13 +92,21 @@ def greedy_weak_design(block_size: int, m: int, d: int,
     """Randomized greedy construction: draw candidate blocks until one keeps
     the partial intersection sum within m - 1, restarting from scratch when
     a slot cannot be filled. Deterministic given the seed; raises when the
-    budget runs out (the caller should raise d)."""
+    budget runs out, or at once when no design of this shape exists (the
+    caller should raise d)."""
     if block_size < 1:
         raise ValueError("block_size must be positive")
     if d < block_size:
         raise ValueError(f"universe size {d} smaller than block size {block_size}")
     if m < 1:
         raise ValueError("m must be positive")
+    # the last of m >= 2 sets has m - 1 intersection terms of at least 1
+    # each, so it must miss every earlier set, and the first among them
+    if m >= 2 and d < 2 * block_size:
+        raise RuntimeError(
+            f"no weak design exists for (block_size={block_size}, m={m}, "
+            f"d={d}): its last set must miss the first, so d >= "
+            f"{2 * block_size}; raise d")
     rng = SplitMix64(seed)
     for _ in range(GREEDY_RESTARTS):
         sets: list[tuple[int, ...]] = []

@@ -160,6 +160,15 @@ def naive_online_check(lg, capacity: int) -> SequenceSweep:
     return sweep
 
 
+def undo(session) -> None:
+    """Reverse the latest `request` of a `MatchingSession` exactly."""
+    left_index = session._order.pop()
+    session.requested ^= 1 << left_index
+    r = session.matched.pop(left_index, None)
+    if r is not None:
+        session.used ^= 1 << r
+
+
 def stepwise_online_check(lg, capacity: int) -> SequenceSweep:
     """The sequence sweep stepping the engine at every node, leaves
     included: each node is stepped, audited with `half_rejection_audit` and
@@ -188,7 +197,7 @@ def stepwise_online_check(lg, capacity: int) -> SequenceSweep:
         for v in todo[depth]:
             if requested >> v & 1:
                 continue
-            if visited == budget:
+            if visited >= budget:
                 raise LimitExceeded(
                     f"sequence tree exceeds {budget} nodes: visited "
                     f"{visited} nodes, counted {sequences} sequences, "
@@ -211,13 +220,13 @@ def stepwise_online_check(lg, capacity: int) -> SequenceSweep:
                     break
                 hits += 1
                 sequences += below[depth + 1]
-            session._undo()
+            undo(session)
         else:                           # every child passed
             if depth == 0:
                 break
             passed.add(keys[depth])
             depth -= 1
-            session._undo()
+            undo(session)
             continue
         if r is None or violation is not None:
             break

@@ -623,6 +623,21 @@ def test_limits_env_bad_key_is_usage_failure(capsys, cx_path, monkeypatch):
     assert "unknown limit" in report["outcome"]["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("offline", "hall", "--s", "2"),
+    ("demo", "om", "--seed", "3", "--trials", "50"),
+])
+def test_limits_env_negative_value_is_usage_failure(capsys, cx_path,
+                                                    monkeypatch, argv):
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=-1")
+    if argv[0] == "offline":
+        argv += ("--graph", cx_path)
+    code, report = run_json(capsys, *argv)
+    assert code == 1
+    assert report["outcome"] == {
+        "error": "limit 'subset_nodes' must be >= 0, got -1"}
+
+
 def test_demo_om_small(capsys):
     code, report = run_json(capsys, "demo", "om", "--seed", "3",
                             "--trials", "50")

@@ -10,14 +10,16 @@ from hypothesis import example, given, settings, strategies as st
 from omex import (AuditViolation, BipartiteGraph, LayeredGraph,
                   LimitExceeded, Limits, MatchingSession, OfflineParams,
                   complete_graph, construct_verified_offline_graph,
-                  counterexample_graph, exhaustive_online_check,
-                  half_rejection_audit, hall_check, layered,
-                  online_strategy_exists, random_offline_graph)
+                  counterexample_graph, default_limits,
+                  exhaustive_online_check, half_rejection_audit, hall_check,
+                  layered, online_strategy_exists, random_offline_graph)
+from omex import online as online_module
 from omex.rng import SplitMix64
 
 from conftest import small_graphs
 from oracles import (naive_layer_counts, naive_online_check,
-                     naive_online_strategy_exists, stepwise_online_check)
+                     naive_online_strategy_exists, stepwise_online_check,
+                     undo)
 
 
 # four left vertices funneled into one right vertex: fails Hall at size 2
@@ -32,6 +34,17 @@ HIT_THEN_AUDIT = BipartiteGraph(2, 2, 2, ((0,), (0,), (0,), (0, 1)))
 # would count a failing subtree as passed
 SAME_USED_OTHER_REQUESTED = BipartiteGraph(1, 2, 2, ((1,), (1, 0)))
 SAME_REQUESTED_OTHER_USED = BipartiteGraph(2, 2, 3, ((0, 0), (0, 1, 1), (0,)))
+# sweeps whose first failure lies among the leaves of one node, settled
+# together: below [0, 4], leaves 1-3 pass and 5 and 6 are rejected (two
+# copies, capacity 3); below [0, 4, 5], leaves 1-3 pass and 6 and 7 fail
+# the audit (four copies, capacity 4)
+REJECT_AMONG_LEAVES = BipartiteGraph(
+    3, 2, 2, ((1,), (0,), (0,), (0,), (1,), (1,), (1,), (0, 1)))
+AUDIT_AMONG_LEAVES = BipartiteGraph(
+    3, 2, 2, ((1, 0), (0,), (0,), (0,), (1,), (1,), (1,), (1, 1)))
+# x sees both right vertices and y only the first: after x takes the
+# first, the last move loses, so a strategy must answer x with the second
+LAST_MOVE_LOSES = BipartiteGraph(1, 2, 2, ((0, 1), (0,)))
 
 
 def verified_base(n, k, seed=7):
@@ -111,12 +124,12 @@ def test_request_then_undo_restores_every_field(drawn):
         states.append(session_state(session))
         session.request(v)
         after = session_state(session)
-        session._undo()
+        undo(session)
         assert session_state(session) == states[-1]
         session.request(v)
         assert session_state(session) == after
     for state in reversed(states):
-        session._undo()
+        undo(session)
         assert session_state(session) == state
     assert session_state(session) == fresh
 
@@ -141,7 +154,7 @@ def test_derived_counters_match_recount(drawn):
         session.request(v)
         check(order[:i + 1])
     for i in reversed(range(len(order))):
-        session._undo()
+        undo(session)
         check(order[:i])
 
 
@@ -260,6 +273,8 @@ def test_sweep_reports_audit_violation_without_rejection():
 @example(SAME_USED_OTHER_REQUESTED, 1, 2)
 @example(SAME_REQUESTED_OTHER_USED, 2, 4)
 @example(verified_base(3, 2), 3, 4)
+@example(REJECT_AMONG_LEAVES, 2, 3)
+@example(AUDIT_AMONG_LEAVES, 4, 4)
 def test_sweep_matches_naive_replay(base, copies, capacity):
     # LayeredGraph.build skips the Hall check, so rejections and audit
     # violations occur as well as clean sweeps
@@ -331,6 +346,31 @@ def test_sweep_node_budget(monkeypatch):
     monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=15")
     with pytest.raises(LimitExceeded, match="exceeds 15 nodes"):
         exhaustive_online_check(lg, 2)
+
+
+@pytest.mark.parametrize("key", ["subset_nodes", "game_nodes", "gen_edges"])
+def test_limits_refuse_negative_values(monkeypatch, key):
+    with pytest.raises(ValueError, match=f"'{key}' must be >= 0, got -1"):
+        Limits().override(f"{key}=-1")
+    monkeypatch.setenv("OMEX_LIMITS", f"{key}=-3")
+    with pytest.raises(ValueError, match=f"'{key}' must be >= 0, got -3"):
+        default_limits()
+    monkeypatch.setenv("OMEX_LIMITS", f"{key}=0")
+    assert getattr(default_limits(), key) == 0
+
+
+def test_guards_refuse_a_negative_budget(monkeypatch):
+    # a budget that bypasses `override` is below every count, so each
+    # guard refuses before the first node
+    monkeypatch.setattr(online_module, "default_limits",
+                        lambda: Limits(subset_nodes=-1, game_nodes=-1))
+    lg = layered(verified_base(3, 2), 2)
+    with pytest.raises(LimitExceeded, match="exceeds -1 nodes: visited 0 "):
+        exhaustive_online_check(lg, 1)
+    with pytest.raises(LimitExceeded, match="exceeds -1 nodes: visited 0 "):
+        exhaustive_online_check(lg, 4)
+    with pytest.raises(LimitExceeded, match="game tree exceeds -1 nodes"):
+        online_strategy_exists(lg.graph, 2)
 
 
 def test_exhaustive_limit_message_reports_progress(monkeypatch):
@@ -438,6 +478,7 @@ def test_online_strategy_implies_hall(g):
 @example(layered(counterexample_graph(), 1).graph, 3)
 @example(layered(verified_base(2, 1), 1).graph, 4)
 @example(layered(verified_base(3, 1), 1).graph, 3)
+@example(LAST_MOVE_LOSES, 2)
 def test_game_matches_frozenset_oracle(g, s):
     res = online_strategy_exists(g, s)
     naive = naive_online_strategy_exists(g, s)

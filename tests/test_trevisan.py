@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from omex import (CodeTable, LimitExceeded, WeakDesign, as_extractor_view,
                   encode, greedy_weak_design, list_decode, restrict,
                   trevisan_eval, verify_weak_design)
+from omex import trevisan
 from omex.graph import to_json
 from omex.oracles import brute_list_decode
 from omex.rng import SplitMix64
@@ -73,6 +74,44 @@ def test_greedy_infeasible_universe():
     # only one candidate block exists, so the third set cannot be placed
     with pytest.raises(RuntimeError, match="raise d"):
         greedy_weak_design(2, 5, 2, seed=1)
+
+
+def test_greedy_refuses_an_impossible_shape_without_drawing(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("drew for a shape with no design")
+    monkeypatch.setattr(trevisan, "SplitMix64", no_draws)
+    with pytest.raises(RuntimeError, match="so d >= 6; raise d"):
+        greedy_weak_design(3, 2, 5, seed=1)
+
+
+def _some_design(block: int, m: int, d: int) -> bool:
+    """Whether any m sets of size `block` in {1..d} form a weak design
+    for bound m, by depth-first search over the sets in order; a prefix
+    that breaks the bound breaks it in every extension."""
+    blocks = list(itertools.combinations(range(1, d + 1), block))
+    prefixes = [()]
+    while prefixes:
+        prefix = prefixes.pop()
+        if len(prefix) == m:
+            return True
+        for s in blocks:
+            sets = prefix + (s,)
+            if verify_weak_design(WeakDesign(d, block, sets), m) is None:
+                prefixes.append(sets)
+    return False
+
+
+def test_refused_shapes_have_no_design():
+    refused = [(block, m, d) for d in range(1, 7) for block in range(1, d + 1)
+               for m in range(2, 7) if d < 2 * block]
+    assert len(refused) == 60
+    for block, m, d in refused:
+        assert not _some_design(block, m, d), (block, m, d)
+        with pytest.raises(RuntimeError, match="raise d"):
+            greedy_weak_design(block, m, d, seed=0)
+    # the search does find the designs of shapes just past the rule
+    assert all(_some_design(*shape)
+               for shape in [(1, 3, 2), (2, 2, 4), (3, 2, 6)])
 
 
 def test_greedy_argument_validation():
