@@ -52,6 +52,7 @@ class ExtractorView:
     graph: BipartiteGraph
     K: int
     eps: Fraction
+    _counts = None      # not a field: `hazard_report`'s count table
 
     def __post_init__(self):
         object.__setattr__(self, "eps", Fraction(self.eps))
@@ -146,7 +147,7 @@ def _validate_subset(view: ExtractorView, S) -> tuple[int, ...]:
         raise ValueError("subset must be nonempty")
     if len(set(S)) != len(S):
         raise ValueError("subset has repeated vertices")
-    N = view.N
+    N = len(view.graph.neighbors)
     for v in S:
         if not 0 <= v < N:
             raise ValueError(f"left index {v} out of range")
@@ -366,12 +367,36 @@ class HazardReport:
     bad_factor: int
 
 
+class _CountTable:
+    """Each left vertex's endpoint counts, from one pass over the edges, also
+    packed one field per right vertex y at bit `shifts[y]`. A set of <= K
+    vertices puts at most D * K <= `top` endpoints on a y, so sums never
+    carry, and `bias(cut)` sets a field's top bit (`high`) iff its count
+    exceeds the cut."""
+
+    def __init__(self, view: ExtractorView):
+        width = (view.D * view.K).bit_length() + 1
+        self.shifts = range(0, view.M * width, width)
+        self.top = (1 << (width - 1)) - 1
+        self.ones = self.pack([1] * view.M)
+        self.high = (self.top + 1) * self.ones
+        self.counts = [view.endpoint_counts(v) for v in range(view.N)]
+        self.packed = list(map(self.pack, self.counts))
+
+    def pack(self, fields) -> int:
+        return sum(map(operator.lshift, fields, self.shifts))
+
+    def unpack(self, e: int) -> list[int]:
+        return [e >> s & self.top for s in self.shifts]
+
+    def bias(self, cut: int) -> int:
+        return (self.top - cut if cut < self.top else 0) * self.ones
+
+
 def _hazards(rows, S, e, cut: int) -> tuple[tuple[int, ...], ...]:
     """(bad, dangerous, weakly dangerous) of S from its endpoint counts e: y
     is bad when e[y] > cut, which is e[y] > bad_factor * D * K / M exactly
     for cut = (bad_factor * D * K) // M, since e[y] is an integer."""
-    if max(e) <= cut:
-        return (), (), ()
     is_bad = [c > cut for c in e]
     dangerous = []
     weakly = []
@@ -391,6 +416,9 @@ _bad_threshold = lru_cache(maxsize=64)(Fraction)
 
 
 def hazard_report(view: ExtractorView, S, bad_factor: int = 2) -> HazardReport:
+    """S's hazards, from the view's count table. The table reads N * D
+    edges and a count of S alone |S| * D, so the view's first call counts S
+    and marks the view (`_counts` False), and its second builds the table."""
     if bad_factor < 1:
         raise ValueError(f"need bad factor >= 1, got {bad_factor}")
     S = _validate_subset(view, S)
@@ -399,12 +427,27 @@ def hazard_report(view: ExtractorView, S, bad_factor: int = 2) -> HazardReport:
         raise ValueError(f"|S| = {len(S)} exceeds K = {K}")
     rows = view.graph.neighbors
     M, scale = view.graph.right_size, bad_factor * len(rows[0]) * K
-    e = [0] * M
-    for v in S:
-        for r in rows[v]:
-            e[r] += 1
-    return HazardReport(S, *_hazards(rows, S, e, scale // M),
-                        _bad_threshold(scale, M), bad_factor)
+    cut, hazards = scale // M, ((), (), ())
+    table = view._counts
+    if table is False:
+        table = view.__dict__["_counts"] = _CountTable(view)
+    if table is None:
+        view.__dict__["_counts"] = False
+        e = [0] * M
+        for v in S:
+            for r in rows[v]:
+                e[r] += 1
+        if max(e) > cut:
+            hazards = _hazards(rows, S, e, cut)
+    else:
+        # also where no set of <= K vertices can have a bad vertex, so that
+        # a call costs the same whichever view it is on
+        packed, e = table.packed, 0
+        for v in S:
+            e += packed[v]
+        if (e + table.bias(cut)) & table.high:
+            hazards = _hazards(rows, S, table.unpack(e), cut)
+    return HazardReport(S, *hazards, _bad_threshold(scale, M), bad_factor)
 
 
 def hazard_walk(view: ExtractorView, bad_factor: int = 2, *, spent: int = 0):
@@ -419,9 +462,7 @@ def hazard_walk(view: ExtractorView, bad_factor: int = 2, *, spent: int = 0):
     is at most the cut; such a subtree is certified and not entered, and
     its C(N-1-v_j, K-j) subsets are added to `certified`. A leaf left
     uncertified has a bad vertex and gets the kernel `hazard_report` uses.
-    Counts are packed one field of `width` bits per right vertex into one
-    integer, and each field is biased so that its top bit is set exactly
-    when its sum exceeds the cut: one addition and one mask test all y.
+    Counts are packed as in `_CountTable`: one addition and one mask test.
     Every node visited counts against the `subset_nodes` budget, on top of
     the `spent` nodes the caller has charged to it already.
     """
@@ -431,26 +472,21 @@ def hazard_walk(view: ExtractorView, bad_factor: int = 2, *, spent: int = 0):
     N, K, M, D = len(rows), view.K, view.graph.right_size, len(rows[0])
     scale = bad_factor * D * K
     cut, threshold = scale // M, _bad_threshold(scale, M)
-    width = max(D * K, cut).bit_length() + 1   # no field carries into the next
-    shifts = range(0, M * width, width)
-    high = sum(1 << (s + width - 1) for s in shifts)
-    bias = sum(((1 << (width - 1)) - 1 - cut) << s for s in shifts)
-    counts = [view.endpoint_counts(v) for v in range(N)]
-    packed = [sum(c << s for c, s in zip(cv, shifts)) for cv in counts]
+    table = view.__dict__["_counts"] = view._counts or _CountTable(view)
+    packed, high, bias = table.packed, table.high, table.bias(cut)
     # top[s][r]: field y holds the sum of the r largest counts into y among
     # the vertices s..N-1, for r <= min(K - 1, N - s)
     top = [None] * (N + 1)
     largest = [[] for _ in range(M)]    # ascending, at most K - 1 long
     for s in range(N, -1, -1):
         if s < N:
-            for col, c in zip(largest, counts[s]):
+            for col, c in zip(largest, table.counts[s]):
                 bisect.insort(col, c)
                 if len(col) == K:
                     del col[0]
         sums = [list(itertools.accumulate(reversed(col), initial=0))
                 for col in largest]
-        top[s] = [sum(ys[r] << sh for ys, sh in zip(sums, shifts))
-                  for r in range(len(sums[0]))]
+        top[s] = [table.pack(ys) for ys in zip(*sums)]
     total = math.comb(N, K)
     budget = default_limits().subset_nodes
     nodes = certified = 0
@@ -478,9 +514,8 @@ def hazard_walk(view: ExtractorView, bad_factor: int = 2, *, spent: int = 0):
             certified += math.comb(N - 1 - v, K - 1 - j)
         elif j == K - 1:
             S = tuple(combo)
-            e = [e >> s & ((1 << width) - 1) for s in shifts]
-            yield HazardReport(S, *_hazards(rows, S, e, cut), threshold,
-                               bad_factor)
+            yield HazardReport(S, *_hazards(rows, S, table.unpack(e), cut),
+                               threshold, bad_factor)
         else:
             j += 1
             prefix[j] = e

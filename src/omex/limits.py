@@ -27,7 +27,7 @@ class Limits:
 
     def override(self, text: str) -> "Limits":
         """Apply ``key=value`` overrides from a comma-separated string; an
-        unknown key or a negative value raises ValueError."""
+        unknown key or a value other than an integer >= 0 raises ValueError."""
         known = {f.name for f in fields(self)}
         for part in text.split(","):
             part = part.strip()
@@ -39,7 +39,11 @@ class Limits:
             key = key.strip()
             if key not in known:
                 raise ValueError(f"unknown limit: {key!r}")
-            number = int(value)
+            try:
+                number = int(value)
+            except ValueError:
+                raise ValueError(f"limit {key!r} in OMEX_LIMITS must be an "
+                                 f"integer, got {value!r}") from None
             if number < 0:
                 raise ValueError(f"limit {key!r} must be >= 0, got {number}")
             setattr(self, key, number)

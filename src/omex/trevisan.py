@@ -100,13 +100,14 @@ def greedy_weak_design(block_size: int, m: int, d: int,
         raise ValueError(f"universe size {d} smaller than block size {block_size}")
     if m < 1:
         raise ValueError("m must be positive")
-    # the last of m >= 2 sets has m - 1 intersection terms of at least 1
-    # each, so it must miss every earlier set, and the first among them
-    if m >= 2 and d < 2 * block_size:
+    # set i has i terms 2^a >= 1 + a in a sum of at most m - 1, so it
+    # shares at most j = m - 1 - i coordinates with the sets before it
+    need = block_size + sum(max(0, block_size - j) for j in range(m - 1))
+    if d < need:
         raise RuntimeError(
             f"no weak design exists for (block_size={block_size}, m={m}, "
-            f"d={d}): its last set must miss the first, so d >= "
-            f"{2 * block_size}; raise d")
+            f"d={d}): set i shares at most m - 1 - i coordinates with the "
+            f"sets before it, so d >= {need}; raise d")
     rng = SplitMix64(seed)
     for _ in range(GREEDY_RESTARTS):
         sets: list[tuple[int, ...]] = []

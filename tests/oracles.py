@@ -9,7 +9,7 @@ from omex import (AuditViolation, BipartiteGraph, ExtractorCheck,
                   ExtractorView, GameResult, HazardReport, LimitExceeded,
                   MatchingSession, PrefixCheck, SequenceSweep, default_limits,
                   deviation, half_rejection_audit, truncate)
-from omex.trevisan import _check_block_size, _masks, _parities
+from omex.trevisan import WeakDesign, _check_block_size, _masks, _parities
 
 
 def naive_is_extractor(view) -> ExtractorCheck:
@@ -85,6 +85,30 @@ def naive_hazard_scan(view, bad_factor: int = 2) -> list[HazardReport]:
     reports = (naive_hazard_report(view, S, bad_factor)
                for S in itertools.combinations(range(view.N), view.K))
     return [rep for rep in reports if rep.bad]
+
+
+def some_weak_design(block: int, m: int, d: int) -> WeakDesign | None:
+    """A weak design of m sets of size `block` in {1..d} for bound m, or None
+    when no such design exists, by depth-first search over the sets in
+    order. The bound reads only intersection sizes, so every design is one
+    with its coordinates numbered by first appearance: set i is some part
+    of the coordinates 1..u that the sets before it use, plus the next
+    coordinates u+1, u+2, ... up to size `block`. A prefix that breaks the
+    bound breaks it in every extension, so it is not extended."""
+    stack = [((), 0)]
+    while stack:
+        sets, used = stack.pop()
+        if len(sets) == m:
+            return WeakDesign(d, block, sets)
+        for shared in range(min(block, used) + 1):
+            top = used + block - shared
+            if top > d:
+                continue
+            for old in itertools.combinations(range(1, used + 1), shared):
+                new = old + tuple(range(used + 1, top + 1))
+                if sum(2 ** len(set(new) & set(s)) for s in sets) <= m - 1:
+                    stack.append((sets + (new,), top))
+    return None
 
 
 def naive_extractor_view(code, design, K: int, eps) -> ExtractorView:

@@ -638,6 +638,16 @@ def test_limits_env_negative_value_is_usage_failure(capsys, cx_path,
         "error": "limit 'subset_nodes' must be >= 0, got -1"}
 
 
+def test_limits_env_non_integer_value_is_usage_failure(capsys, monkeypatch):
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=abc")
+    code, report = run_json(capsys, "offline", "gen", "--n", "2", "--k", "1",
+                            "--seed", "1")
+    assert code == 1
+    assert report["outcome"] == {
+        "error": "limit 'subset_nodes' in OMEX_LIMITS must be an integer, "
+                 "got 'abc'"}
+
+
 def test_demo_om_small(capsys):
     code, report = run_json(capsys, "demo", "om", "--seed", "3",
                             "--trials", "50")

@@ -144,3 +144,42 @@ def test_random_argv_never_crashes(files, data):
 ])
 def test_demo_count_flags_never_crash(argv):
     check_run(argv)
+
+
+LIMIT_KEYS = ["subset_nodes", "game_nodes", "gen_edges"]
+BAD_LIMIT_ENTRIES = st.one_of(
+    st.tuples(st.sampled_from(LIMIT_KEYS),
+              st.sampled_from(["abc", "", "1.5", "1e3", "-1", "-20000", "½",
+                               "0x10", "2 0"])).map("=".join),
+    st.sampled_from(["bogus=1", "subset_nodes", "=5", "Subset_nodes=1"]))
+GOOD_LIMIT_ENTRIES = st.tuples(
+    st.sampled_from(LIMIT_KEYS),
+    st.integers(min_value=0, max_value=20000).map(str)).map("=".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(good=st.lists(GOOD_LIMIT_ENTRIES, max_size=3),
+       bad=BAD_LIMIT_ENTRIES, where=st.integers(min_value=0, max_value=3),
+       argv=st.sampled_from([
+           ["offline", "gen", "--n", "2", "--k", "1", "--seed", "1"],
+           ["offline", "hall", "--s", "2"],
+           ["ext", "check"],
+       ]))
+def test_malformed_limits_are_error_reports(files, good, bad, where, argv):
+    """A malformed OMEX_LIMITS entry, wherever it sits among good ones,
+    gives exit 1 and an error report, never a traceback."""
+    inputs = files[0]
+    if argv[:2] == ["offline", "hall"]:
+        argv = argv + ["--graph", inputs[0]]
+    elif argv[0] == "ext":
+        argv = argv + ["--graph", inputs[3]]
+    entries = good[:where] + [bad] + good[where:]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.MonkeyPatch.context() as mp:
+        mp.setenv("OMEX_LIMITS", ",".join(entries))
+        code = main(argv)
+    assert code == 1, (entries, argv)
+    assert "Traceback" not in err.getvalue()
+    error = json.loads(out.getvalue())["outcome"]["error"]
+    assert "limit" in error, error

@@ -426,13 +426,16 @@ def hazard_views(draw):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_hazard_report_matches_naive(data):
+    # a view's first call counts S directly and later ones read its count
+    # table; factors up to 9 put the cut at or above D * K when M <= 8
     view = data.draw(hazard_views())
-    size = data.draw(st.integers(min_value=1, max_value=view.K))
-    S = data.draw(st.lists(st.integers(min_value=0, max_value=view.N - 1),
-                           min_size=size, max_size=size, unique=True))
-    bad_factor = data.draw(st.integers(min_value=1, max_value=3))
-    assert hazard_report(view, S, bad_factor) == naive_hazard_report(
-        view, S, bad_factor)
+    for _ in range(3):
+        size = data.draw(st.integers(min_value=1, max_value=view.K))
+        S = data.draw(st.lists(st.integers(min_value=0, max_value=view.N - 1),
+                               min_size=size, max_size=size, unique=True))
+        bad_factor = data.draw(st.integers(min_value=1, max_value=9))
+        assert hazard_report(view, S, bad_factor) == naive_hazard_report(
+            view, S, bad_factor)
 
 
 def test_hazard_report_matches_naive_on_nonempty_bad_sets():
@@ -455,7 +458,7 @@ def test_hazard_report_matches_naive_on_nonempty_bad_sets():
 @pytest.mark.parametrize("S, bad_factor", [
     ((0,), 0), ((0,), -1), ((), 0), ((), 2), ((1, 1), 2), ((1, 1), 0),
     ((0, 4), 2), ((-1,), 2), ((0, 1, 2), 2), ((0, 0, 1), 2), ((0, 1, 9), 2),
-    (range(5), 2)])
+    (range(5), 2), ((9, -1), 2), ((3, -1), 2)])
 def test_hazard_report_errors_match_naive(S, bad_factor):
     view = uniform_view(2, 1, K=2)              # N = 4, K = 2
     with pytest.raises(ValueError) as got:
@@ -463,6 +466,56 @@ def test_hazard_report_errors_match_naive(S, bad_factor):
     with pytest.raises(ValueError) as want:
         naive_hazard_report(view, S, bad_factor)
     assert str(got.value) == str(want.value)
+
+
+def test_hazard_report_takes_every_branch():
+    # each branch of `hazard_report` against the naive recount: the first
+    # call's direct count and the packed test with and without a bad
+    # vertex, also on views where no set of <= K vertices has one (the sum
+    # over y of the K largest counts into y is at most the cut); the
+    # samples include cuts at or above D * K (M = 1, or a factor of at
+    # least M) and |S| < K
+    rng = SplitMix64(23)
+    seen = dict.fromkeys(["direct", "hazard-free view", "packed, bad",
+                          "packed, clean", "cut >= D*K", "M = 1", "|S| < K"], 0)
+    for _ in range(150):
+        view = random_view(rng.next_u64(), n=1 + rng.below(3), m=rng.below(3),
+                           d=rng.below(3), K=1)
+        view = ExtractorView(view.graph, 1 + rng.below(view.N), view.eps)
+        peak = max(sum(sorted(c)[-view.K:]) for c in zip(
+            *map(view.endpoint_counts, range(view.N))))
+        for _ in range(4):
+            S = rng.sample(view.N, 1 + rng.below(view.K))
+            bad_factor = 1 + rng.below(2 * view.M)
+            fresh = "_counts" not in vars(view)
+            rep = hazard_report(view, S, bad_factor)
+            assert rep == naive_hazard_report(view, S, bad_factor)
+            cut = bad_factor * view.D * view.K // view.M
+            if fresh:
+                seen["direct"] += 1
+            else:
+                seen["packed, bad" if rep.bad else "packed, clean"] += 1
+            if peak <= cut:
+                seen["hazard-free view"] += 1
+                assert not rep.bad
+            seen["cut >= D*K"] += cut >= view.D * view.K
+            seen["M = 1"] += view.M == 1
+            seen["|S| < K"] += len(S) < view.K
+    assert min(seen.values()) > 0, seen
+
+
+def test_count_table_stays_outside_the_view_fields():
+    view = random_view(3, n=3, m=2, d=2, K=4)
+    twin = random_view(3, n=3, m=2, d=2, K=4)
+    before = repr(view), hash(view), view.to_doc(), view_to_json(view)
+    for S in [(0, 1), (2, 3, 4), (5,)]:
+        hazard_report(view, S)
+    list(hazard_walk(view))
+    assert "_counts" in vars(view) and "_counts" not in vars(twin)
+    assert view == twin and hash(view) == hash(twin)
+    assert (repr(view), hash(view), view.to_doc(),
+            view_to_json(view)) == before
+    assert repr(view) == repr(twin) and view.to_doc() == twin.to_doc()
 
 
 @settings(max_examples=100, deadline=None)

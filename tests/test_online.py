@@ -359,6 +359,19 @@ def test_limits_refuse_negative_values(monkeypatch, key):
     assert getattr(default_limits(), key) == 0
 
 
+@pytest.mark.parametrize("value", ["abc", "", "1.5", "2e3", "0x10"])
+def test_limits_refuse_non_integer_values(monkeypatch, value):
+    want = (f"limit 'game_nodes' in OMEX_LIMITS must be an integer, "
+            f"got {value!r}")
+    with pytest.raises(ValueError) as raised:
+        Limits().override(f"subset_nodes=5,game_nodes={value}")
+    assert str(raised.value) == want
+    monkeypatch.setenv("OMEX_LIMITS", f"game_nodes={value}")
+    with pytest.raises(ValueError) as raised:
+        default_limits()
+    assert str(raised.value) == want
+
+
 def test_guards_refuse_a_negative_budget(monkeypatch):
     # a budget that bypasses `override` is below every count, so each
     # guard refuses before the first node

@@ -13,7 +13,7 @@ from omex.graph import to_json
 from omex.oracles import brute_list_decode
 from omex.rng import SplitMix64
 
-from oracles import naive_extractor_view
+from oracles import naive_extractor_view, some_weak_design
 
 DELTA = Fraction(1, 4)
 
@@ -112,6 +112,49 @@ def test_refused_shapes_have_no_design():
     # the search does find the designs of shapes just past the rule
     assert all(_some_design(*shape)
                for shape in [(1, 3, 2), (2, 2, 4), (3, 2, 6)])
+
+
+def test_weak_design_search_agrees_with_the_plain_search():
+    for d in range(1, 6):
+        for block in range(1, d + 1):
+            for m in range(1, 6):
+                design = some_weak_design(block, m, d)
+                assert (design is not None) == _some_design(block, m, d)
+                if design is not None:
+                    assert verify_weak_design(design, m) is None
+
+
+def test_greedy_refuses_only_shapes_without_a_design(monkeypatch):
+    # every shape with block <= 3, m <= 5, d <= 10 that the bound
+    # d >= b + sum_{i=1}^{m-1} max(0, b - (m-1-i)) refuses is refused
+    # before any draw, and has no design at all
+    class Drew(Exception):
+        pass
+
+    def no_draws(seed):
+        raise Drew
+    monkeypatch.setattr(trevisan, "SplitMix64", no_draws)
+    refused = []
+    for block in range(1, 4):
+        for m in range(1, 6):
+            for d in range(block, 11):
+                try:
+                    greedy_weak_design(block, m, d, seed=0)
+                except Drew:
+                    continue
+                except RuntimeError as e:
+                    assert str(e).endswith("; raise d")
+                    refused.append((block, m, d))
+                assert some_weak_design(block, m, d) is None, (block, m, d)
+    assert refused == [
+        (block, m, d) for block in range(1, 4) for m in range(1, 6)
+        for d in range(block, 11)
+        if d < block + sum(max(0, block - (m - 1 - i)) for i in range(1, m))]
+    assert len(refused) == 35
+    # 2b at m = 2, 3b - 1 at m = 3
+    assert (3, 2, 5) in refused and (3, 2, 6) not in refused
+    assert (2, 3, 4) in refused and (3, 3, 6) in refused
+    assert (2, 3, 5) not in refused and (3, 3, 8) not in refused
 
 
 def test_greedy_argument_validation():
