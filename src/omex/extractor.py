@@ -524,15 +524,20 @@ def hazard_walk(view: ExtractorView, bad_factor: int = 2, *, spent: int = 0):
 
 def truncate(view: ExtractorView, i: int) -> ExtractorView:
     """Drop the last i output bits: every edge endpoint is replaced by its
-    high (m-i)-bit prefix and K halves per dropped bit (floored at 1)."""
+    high (m-i)-bit prefix and K halves per dropped bit (floored at 1). The
+    view is built once per i and kept in `view`'s instance dict outside its
+    fields, so a repeat call returns it with its count table."""
     if not 0 <= i <= view.m:
         raise ValueError(f"need 0 <= i <= m = {view.m}, got {i}")
     if i == 0:
         return view
-    g = view.graph
-    rows = tuple(tuple(r >> i for r in row) for row in g.neighbors)
-    sub = BipartiteGraph(g.n, g.right_size >> i, g.max_degree, rows)
-    return ExtractorView(sub, max(1, view.K >> i), view.eps)
+    kept = view.__dict__.setdefault("_truncated", {})
+    if i not in kept:
+        g = view.graph
+        rows = tuple(tuple(r >> i for r in row) for row in g.neighbors)
+        sub = BipartiteGraph(g.n, g.right_size >> i, g.max_degree, rows)
+        kept[i] = ExtractorView(sub, max(1, view.K >> i), view.eps)
+    return kept[i]
 
 
 @dataclass(frozen=True)

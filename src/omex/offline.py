@@ -8,7 +8,6 @@ via maximum matching) and the two modes must agree; `random_offline_graph`
 draws the graphs whose failure probability `series_bound` upper-bounds.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,26 +91,15 @@ def max_matching(g: BipartiteGraph, subset: list[int]) -> list[tuple[int, int]]:
     return [(v, match_left[v]) for v in subset if v in match_left]
 
 
-def _count_distinct_neighbors(g: BipartiteGraph, subset: tuple[int, ...],
-                              need: int) -> bool:
-    """True when the subset has at least `need` distinct right neighbors."""
-    distinct: set[int] = set()
-    for v in subset:
-        for r in g.neighbors[v]:
-            distinct.add(r)
-            if len(distinct) >= need:
-                return True
-    return len(distinct) >= need
-
-
 def hall_check(g: BipartiteGraph, s_max: int, *,
                mode: str = "exhaustive") -> list[int] | None:
     """None when every left subset of size <= s_max has enough neighbors;
     otherwise the smallest violating subset in (size, lexicographic) order.
 
-    mode="exhaustive" counts distinct neighbors per subset; mode="matching"
-    tests saturation with `max_matching`. Both scan subset sizes in
-    increasing order, so they return identical witnesses.
+    Per size t, a depth-first walk of the size-t subsets in lexicographic
+    order; a prefix carries the OR of its vertices' int neighbor masks. A
+    leaf fails with fewer than t mask bits, or, in mode="matching", when
+    `max_matching` does not saturate it; both modes give the same witness.
     """
     if mode not in ("exhaustive", "matching"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -121,20 +109,42 @@ def hall_check(g: BipartiteGraph, s_max: int, *,
         raise ValueError(f"need s_max >= 1, got {s_max}")
     if s_max > 2 ** g.n:
         raise ValueError(f"s_max {s_max} exceeds left index space 2^{g.n}")
+    masks = [sum(1 << r for r in set(row)) for row in g.neighbors]
+    exhaustive = mode == "exhaustive"
     examined = 0
     for size in range(1, min(s_max, nleft) + 1):
-        count = math.comb(nleft, size)
-        examined += count
+        checked, examined = examined, examined + math.comb(nleft, size)
         if examined > budget:
+            passed = f"sizes 1-{size - 1} passed, " if size > 1 else ""
             raise LimitExceeded(
-                f"subset enumeration would visit {examined} > {budget} nodes")
-        for combo in itertools.combinations(range(nleft), size):
-            if mode == "exhaustive":
-                ok = _count_distinct_neighbors(g, combo, size)
+                f"subset enumeration would visit {examined} > {budget} nodes; "
+                f"{passed}{checked} subsets checked")
+        last = size - 1
+        combo, acc = [0] * size, [0] * size  # acc[j]: OR of combo[:j]'s masks
+        j = v = 0
+        while True:
+            if j == last:       # the leaves combo[:last] + [w] for w >= v
+                if exhaustive:
+                    prefix = acc[last]
+                    for m in masks[v:]:
+                        if (prefix | m).bit_count() < size:
+                            # an equal mask before it would have failed first
+                            return combo[:last] + [masks.index(m, v)]
+                else:
+                    for w in range(v, nleft):
+                        if len(max_matching(g, combo[:last] + [w])) < size:
+                            return combo[:last] + [w]
+                v = nleft       # every leaf passed: back up
+            if v > nleft - size + j:    # position j has no candidates left
+                if j == 0:
+                    break
+                j -= 1
+                v = combo[j] + 1
             else:
-                ok = len(max_matching(g, list(combo))) == size
-            if not ok:
-                return list(combo)
+                combo[j] = v
+                acc[j + 1] = acc[j] | masks[v]
+                j += 1
+                v += 1
     return None
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from omex import (AuditViolation, BipartiteGraph, ExtractorCheck,
                   ExtractorView, GameResult, HazardReport, LimitExceeded,
                   MatchingSession, PrefixCheck, SequenceSweep, default_limits,
-                  deviation, half_rejection_audit, truncate)
+                  deviation, half_rejection_audit, max_matching, truncate)
 from omex.trevisan import WeakDesign, _check_block_size, _masks, _parities
 
 
@@ -334,6 +334,33 @@ def naive_max_matching(g, subset) -> list[tuple[int, int]]:
         try_augment(v, set())
     match_left = {left: r for r, left in match_right.items()}
     return [(v, match_left[v]) for v in subset if v in match_left]
+
+
+def _count_distinct_neighbors(g, subset: tuple[int, ...], need: int) -> bool:
+    """True when the subset has at least `need` distinct right neighbors."""
+    distinct: set[int] = set()
+    for v in subset:
+        for r in g.neighbors[v]:
+            distinct.add(r)
+            if len(distinct) >= need:
+                return True
+    return len(distinct) >= need
+
+
+def naive_hall_check(g, s_max: int,
+                     mode: str = "exhaustive") -> list[int] | None:
+    """`hall_check` as a plain scan: `itertools.combinations` per size in
+    increasing order, each subset's distinct neighbors collected in a set
+    (or, in matching mode, its `max_matching` size); no budget."""
+    for size in range(1, min(s_max, g.left_size) + 1):
+        for combo in itertools.combinations(range(g.left_size), size):
+            if mode == "exhaustive":
+                ok = _count_distinct_neighbors(g, combo, size)
+            else:
+                ok = len(max_matching(g, list(combo))) == size
+            if not ok:
+                return list(combo)
+    return None
 
 
 def naive_series_bound(n: int, k: int, c: int) -> Fraction:

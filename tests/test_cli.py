@@ -623,6 +623,17 @@ def test_limits_env_bad_key_is_usage_failure(capsys, cx_path, monkeypatch):
     assert "unknown limit" in report["outcome"]["error"]
 
 
+def test_hall_refusal_says_how_far_it_got(capsys, cx_path, monkeypatch):
+    # 3 left vertices: sizes 1 and 2 hold 3 + 3 subsets, size 3 one more
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=6")
+    code, report = run_json(capsys, "offline", "hall", "--graph", cx_path,
+                            "--s", "3")
+    assert code == 1
+    assert report["outcome"] == {"error": (
+        "subset enumeration would visit 7 > 6 nodes; sizes 1-2 passed, "
+        "6 subsets checked")}
+
+
 @pytest.mark.parametrize("argv", [
     ("offline", "hall", "--s", "2"),
     ("demo", "om", "--seed", "3", "--trials", "50"),

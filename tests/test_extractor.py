@@ -518,6 +518,26 @@ def test_count_table_stays_outside_the_view_fields():
     assert repr(view) == repr(twin) and view.to_doc() == twin.to_doc()
 
 
+def test_truncated_views_stay_outside_the_view_fields():
+    view = random_view(3, n=3, m=2, d=2, K=4)
+    twin = random_view(3, n=3, m=2, d=2, K=4)
+    before = repr(view), hash(view), view.to_doc(), view_to_json(view)
+    kept = [truncate(view, i) for i in (1, 2)]
+    assert all(truncate(view, i) is sub for i, sub in zip((1, 2), kept))
+    assert truncate(view, 0) is view
+    assert "_truncated" in vars(view) and "_truncated" not in vars(twin)
+    assert view == twin and hash(view) == hash(twin)
+    assert (repr(view), hash(view), view.to_doc(),
+            view_to_json(view)) == before
+    assert repr(view) == repr(twin) and view.to_doc() == twin.to_doc()
+    # equal, field by field, to the views built from a twin left untouched
+    fresh = [truncate(ExtractorView(twin.graph, twin.K, twin.eps), i)
+             for i in (1, 2)]
+    assert kept == fresh
+    assert [view_to_json(sub) for sub in kept] == [view_to_json(sub)
+                                                   for sub in fresh]
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_hazard_walk_matches_naive_scan(data):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -251,6 +252,30 @@ def test_two_condition_roundtrip_on_searched_prefix_view():
             assert decode_two_conditions(pview, s_c, fp, "c") == a
             successes += 1
     assert successes == 50
+
+
+def test_two_condition_bytes_do_not_hang_on_kept_truncations():
+    # the fingerprints of the roundtrip above, once on the searched view,
+    # which keeps its truncated view and count tables between calls, and
+    # once on a fresh equal view per call; the digest is of the bytes the
+    # encoder wrote when it still rebuilt the truncated view on every call
+    pview, _ = random_extractor_search(4, 2, 2, Fraction(1, 2), 4, seed=21,
+                                       prefix=True)
+    rng = SplitMix64(63)
+    kept, fresh = [], []
+    for _ in range(25):
+        b_elems = tuple(rng.sample(16, 4))
+        s_b = EnumeratedSet("b", 2, b_elems)
+        s_c = EnumeratedSet("c", 1, b_elems[:2])
+        for a in b_elems[:2]:
+            fp = encode_two_conditions(pview, s_b, s_c, a)
+            assert decode_two_conditions(pview, s_c, fp, "c") == a
+            kept.append(to_json(fp))
+            once = ExtractorView(pview.graph, pview.K, pview.eps)
+            fresh.append(to_json(encode_two_conditions(once, s_b, s_c, a)))
+    assert kept == fresh
+    digest = hashlib.sha256("".join(kept).encode()).hexdigest()
+    assert digest.startswith("48786d2c63d1b404")
 
 
 def test_equal_bounds_collapse_prefix():

@@ -11,9 +11,10 @@ from omex import (BipartiteGraph, LimitExceeded, OfflineParams,
                   hall_check, max_matching, random_offline_graph, series_base,
                   series_bound)
 from omex.online import counterexample_graph
+from omex.rng import SplitMix64
 
 from conftest import small_graphs
-from oracles import naive_max_matching, naive_series_bound
+from oracles import naive_hall_check, naive_max_matching, naive_series_bound
 
 
 # --- max_matching -----------------------------------------------------------
@@ -106,6 +107,51 @@ def test_subset_budget_refuses_over_budget_scan(mode, monkeypatch):
     monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=527")
     with pytest.raises(LimitExceeded, match="528 > 527"):
         hall_check(g, 2, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "matching"])
+def test_subset_budget_refusal_says_how_far_it_got(mode, monkeypatch):
+    g = complete_graph(3, 2)    # 8 left vertices: 8 + C(8, 2) = 36 subsets
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=10")
+    with pytest.raises(LimitExceeded) as raised:
+        hall_check(g, 2, mode=mode)
+    assert str(raised.value) == ("subset enumeration would visit 36 > 10 "
+                                 "nodes; sizes 1-1 passed, 8 subsets checked")
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=7")
+    with pytest.raises(LimitExceeded) as raised:
+        hall_check(g, 2, mode=mode)
+    assert str(raised.value) == ("subset enumeration would visit 8 > 7 "
+                                 "nodes; 0 subsets checked")
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "matching"])
+@settings(max_examples=80, deadline=None)
+@given(small_graphs())
+def test_hall_check_matches_naive_scan(mode, g):
+    for s in range(1, min(2 ** g.n, g.left_size + 1) + 1):
+        assert hall_check(g, s, mode=mode) == naive_hall_check(g, s, mode)
+
+
+def test_hall_check_matches_naive_scan_on_bench_shaped_graphs():
+    # the benchmark's shapes: (4, 3, 2) draws checked up to size 8, and 16
+    # left vertices of degree 2-4 on 12-16 right ones checked up to 16
+    rng = SplitMix64(2024)
+    cases = [(random_offline_graph(OfflineParams(4, 3, 2), rng.next_u64()), 8)
+             for _ in range(3)]
+    for degree in (2, 3, 4):
+        for right in (12, 14, 16):
+            rows = [[rng.below(right) for _ in range(degree)]
+                    for _ in range(16)]
+            cases.append((BipartiteGraph.build(4, right, degree, rows), 16))
+    witnesses = []
+    for g, s in cases:
+        witness = hall_check(g, s)
+        assert witness == naive_hall_check(g, s)
+        witnesses.append(witness)
+        if witness is not None and len(witness) <= 5:
+            assert hall_check(g, s, mode="matching") == witness
+    assert witnesses[:3] == [None] * 3
+    assert sum(w is not None for w in witnesses) >= 6
 
 
 @settings(max_examples=60, deadline=None)
