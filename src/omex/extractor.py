@@ -24,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 from .graph import (INT, STR, BipartiteGraph, GraphFormatError, load,
                     read_fields, save, to_json)
@@ -52,7 +52,6 @@ class ExtractorView:
     graph: BipartiteGraph
     K: int
     eps: Fraction
-    _counts = None      # not a field: `hazard_report`'s count table
 
     def __post_init__(self):
         object.__setattr__(self, "eps", Fraction(self.eps))
@@ -96,12 +95,27 @@ class ExtractorView:
     def d(self) -> int:
         return self.D.bit_length() - 1
 
-    def endpoint_counts(self, left_index: int) -> list[int]:
-        """How many of this vertex's D edges land on each right vertex."""
-        counts = [0] * self.M
-        for r in self.graph.neighbors_of(left_index):
-            counts[r] += 1
-        return counts
+    @cached_property
+    def counts(self) -> tuple[tuple[int, ...], ...]:
+        """counts[v][y]: how many of left vertex v's D edges land on right
+        vertex y. Not a field, nor is any cached property here."""
+        M, table = self.M, []
+        for row in self.graph.neighbors:
+            c = [0] * M
+            for r in row:
+                c[r] += 1
+            table.append(tuple(c))
+        return tuple(table)
+
+    @cached_property
+    def _table(self) -> "_CountTable":
+        """`counts` packed for the hazard kernels."""
+        return _CountTable(self)
+
+    @cached_property
+    def _truncated(self) -> dict[int, "ExtractorView"]:
+        """The views `truncate` has built from this one, by i."""
+        return {}
 
     def to_doc(self) -> dict:
         return {**self.graph.to_doc(), "K": self.K, "eps": str(self.eps)}
@@ -164,10 +178,7 @@ def deviation(view: ExtractorView, S) -> Fraction:
     """
     S = _validate_subset(view, S)
     M, D, s = view.M, view.D, len(S)
-    e = [0] * M
-    for v in S:
-        for r in view.graph.neighbors[v]:
-            e[r] += 1
+    e = map(sum, zip(*map(view.counts.__getitem__, S)))
     positive = sum(c * M - D * s for c in e if c * M > D * s)
     return Fraction(positive, D * s * M)
 
@@ -250,7 +261,7 @@ def _exhaustive_walk(view: ExtractorView) -> ExtractorCheck:
     against the `subset_nodes` budget, and every exact test 2^M - 1 more.
     """
     N, K, M, D = view.N, view.K, view.M, view.D
-    counts = [tuple(view.endpoint_counts(v)) for v in range(N)]
+    counts = view.counts
     threshold_num = view.eps.numerator * D * K * M   # compare against eps
     threshold_den = view.eps.denominator             # exactly, as deviation
     total = math.comb(N, K)
@@ -368,11 +379,10 @@ class HazardReport:
 
 
 class _CountTable:
-    """Each left vertex's endpoint counts, from one pass over the edges, also
-    packed one field per right vertex y at bit `shifts[y]`. A set of <= K
-    vertices puts at most D * K <= `top` endpoints on a y, so sums never
-    carry, and `bias(cut)` sets a field's top bit (`high`) iff its count
-    exceeds the cut."""
+    """A view's `counts`, packed one field per right vertex y at bit
+    `shifts[y]`. A set of <= K vertices puts at most D * K <= `top`
+    endpoints on a y, so sums never carry, and `bias(cut)` sets a field's
+    top bit (`high`) iff its count exceeds the cut."""
 
     def __init__(self, view: ExtractorView):
         width = (view.D * view.K).bit_length() + 1
@@ -380,8 +390,7 @@ class _CountTable:
         self.top = (1 << (width - 1)) - 1
         self.ones = self.pack([1] * view.M)
         self.high = (self.top + 1) * self.ones
-        self.counts = [view.endpoint_counts(v) for v in range(view.N)]
-        self.packed = list(map(self.pack, self.counts))
+        self.packed = list(map(self.pack, view.counts))
 
     def pack(self, fields) -> int:
         return sum(map(operator.lshift, fields, self.shifts))
@@ -416,9 +425,9 @@ _bad_threshold = lru_cache(maxsize=64)(Fraction)
 
 
 def hazard_report(view: ExtractorView, S, bad_factor: int = 2) -> HazardReport:
-    """S's hazards, from the view's count table. The table reads N * D
-    edges and a count of S alone |S| * D, so the view's first call counts S
-    and marks the view (`_counts` False), and its second builds the table."""
+    """S's hazards, from the view's packed count table: one sum of S's
+    packed counts and one mask test, and only a set with a bad vertex has
+    its counts unpacked."""
     if bad_factor < 1:
         raise ValueError(f"need bad factor >= 1, got {bad_factor}")
     S = _validate_subset(view, S)
@@ -428,25 +437,14 @@ def hazard_report(view: ExtractorView, S, bad_factor: int = 2) -> HazardReport:
     rows = view.graph.neighbors
     M, scale = view.graph.right_size, bad_factor * len(rows[0]) * K
     cut, hazards = scale // M, ((), (), ())
-    table = view._counts
-    if table is False:
-        table = view.__dict__["_counts"] = _CountTable(view)
-    if table is None:
-        view.__dict__["_counts"] = False
-        e = [0] * M
-        for v in S:
-            for r in rows[v]:
-                e[r] += 1
-        if max(e) > cut:
-            hazards = _hazards(rows, S, e, cut)
-    else:
-        # also where no set of <= K vertices can have a bad vertex, so that
-        # a call costs the same whichever view it is on
-        packed, e = table.packed, 0
-        for v in S:
-            e += packed[v]
-        if (e + table.bias(cut)) & table.high:
-            hazards = _hazards(rows, S, table.unpack(e), cut)
+    # also where no set of <= K vertices can have a bad vertex, so that a
+    # call costs the same whichever view it is on
+    table = view._table
+    packed, e = table.packed, 0
+    for v in S:
+        e += packed[v]
+    if (e + table.bias(cut)) & table.high:
+        hazards = _hazards(rows, S, table.unpack(e), cut)
     return HazardReport(S, *hazards, _bad_threshold(scale, M), bad_factor)
 
 
@@ -472,7 +470,7 @@ def hazard_walk(view: ExtractorView, bad_factor: int = 2, *, spent: int = 0):
     N, K, M, D = len(rows), view.K, view.graph.right_size, len(rows[0])
     scale = bad_factor * D * K
     cut, threshold = scale // M, _bad_threshold(scale, M)
-    table = view.__dict__["_counts"] = view._counts or _CountTable(view)
+    table = view._table
     packed, high, bias = table.packed, table.high, table.bias(cut)
     # top[s][r]: field y holds the sum of the r largest counts into y among
     # the vertices s..N-1, for r <= min(K - 1, N - s)
@@ -480,7 +478,7 @@ def hazard_walk(view: ExtractorView, bad_factor: int = 2, *, spent: int = 0):
     largest = [[] for _ in range(M)]    # ascending, at most K - 1 long
     for s in range(N, -1, -1):
         if s < N:
-            for col, c in zip(largest, table.counts[s]):
+            for col, c in zip(largest, view.counts[s]):
                 bisect.insort(col, c)
                 if len(col) == K:
                     del col[0]
@@ -525,13 +523,13 @@ def hazard_walk(view: ExtractorView, bad_factor: int = 2, *, spent: int = 0):
 def truncate(view: ExtractorView, i: int) -> ExtractorView:
     """Drop the last i output bits: every edge endpoint is replaced by its
     high (m-i)-bit prefix and K halves per dropped bit (floored at 1). The
-    view is built once per i and kept in `view`'s instance dict outside its
-    fields, so a repeat call returns it with its count table."""
+    view is built once per i and kept by `view` outside its fields, so a
+    repeat call returns it with its count tables."""
     if not 0 <= i <= view.m:
         raise ValueError(f"need 0 <= i <= m = {view.m}, got {i}")
     if i == 0:
         return view
-    kept = view.__dict__.setdefault("_truncated", {})
+    kept = view._truncated
     if i not in kept:
         g = view.graph
         rows = tuple(tuple(r >> i for r in row) for row in g.neighbors)

@@ -51,7 +51,7 @@ class EnumeratedSet:
             raise ValueError("k must be nonnegative")
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("elements must be distinct")
-        if len(self.elements) > 2 ** self.k:
+        if self.elements and bits_for(len(self.elements)) > self.k:
             raise ValueError(
                 f"{len(self.elements)} elements exceed the bound 2^{self.k}")
 
@@ -282,6 +282,8 @@ def encode_two_conditions(pview: ExtractorView, s_b: EnumeratedSet,
     k, l = s_b.k, s_c.k
     if l > k:
         raise ValueError(f"second bound l={l} must not exceed k={k}")
+    if k > pview.n:
+        raise ValueError(f"first bound k={k} exceeds the view's n={pview.n}")
     if pview.K != 2 ** k:
         raise ValueError(f"view has K={pview.K}, the first set needs 2^{k}")
     if a not in s_b or a not in s_c:

@@ -94,7 +94,7 @@ def validate(g: BipartiteGraph) -> Violation | None:
         return Violation("right_size_positive", None, f"right_size = {g.right_size}")
     if g.max_degree < 0:
         return Violation("max_degree_nonnegative", None, f"max_degree = {g.max_degree}")
-    if g.left_size > 2 ** g.n:
+    if max(g.left_size - 1, 0).bit_length() > g.n:   # left_size > 2^n
         return Violation("left_size_bound", None,
                          f"{g.left_size} left vertices exceed 2^{g.n}")
     for left, row in enumerate(g.neighbors):

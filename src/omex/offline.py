@@ -107,7 +107,7 @@ def hall_check(g: BipartiteGraph, s_max: int, *,
     nleft = g.left_size
     if s_max < 1:
         raise ValueError(f"need s_max >= 1, got {s_max}")
-    if s_max > 2 ** g.n:
+    if (s_max - 1).bit_length() > g.n:      # s_max > 2^n, without 2^n
         raise ValueError(f"s_max {s_max} exceeds left index space 2^{g.n}")
     masks = [sum(1 << r for r in set(row)) for row in g.neighbors]
     exhaustive = mode == "exhaustive"

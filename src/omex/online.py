@@ -65,6 +65,8 @@ def layered(base: BipartiteGraph, k: int) -> LayeredGraph:
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got k = {k}")
+    if k > base.n:
+        raise ValueError(f"k = {k} exceeds the base graph's n = {base.n}")
     witness = hall_check(base, 2 ** k)
     if witness is not None:
         raise ValueError(
@@ -165,14 +167,10 @@ def half_rejection_audit(session: MatchingSession) -> AuditViolation | None:
     requests that reached it. On a layered graph whose base is off-line
     good this holds for every request order; a violation localizes a
     broken precondition to its layer."""
-    width, used = session._width, session.used
-    rejected = len(session._order) - len(session.matched)
-    reached = len(session._order)  # every request reaches layer 0
-    for layer in range(session._copies):
-        forwarded = rejected + (used >> (layer + 1) * width).bit_count()
+    for layer, (reached, forwarded) in enumerate(
+            zip(session.reached, session.forwarded)):
         if forwarded > (reached + 1) // 2:
             return AuditViolation(layer, reached, forwarded)
-        reached = forwarded
     return None
 
 

@@ -21,6 +21,15 @@ def small_graphs(draw, max_n=4, max_right=6, max_degree=4):
     return BipartiteGraph(n, right, max_degree, rows)
 
 
+class NoPower(int):
+    """An exponent that refuses to be raised to: `2 ** k` calls its
+    `__rpow__` first, since it is a subclass of int. Input checks take it to
+    show that they compare bit lengths and never build 2^k."""
+
+    def __rpow__(self, base):
+        raise AssertionError(f"{base} ** {int(self)} was built")
+
+
 def random_view(seed: int, n: int, m: int, d: int, K: int,
                 eps=Fraction(1, 2)) -> ExtractorView:
     """One random left-regular view, no verification."""

@@ -16,7 +16,7 @@ def naive_is_extractor(view) -> ExtractorCheck:
     """Exhaustive check by scanning every size-K subset in lexicographic
     order and recomputing its endpoint counts from scratch."""
     N, K, M, D = view.N, view.K, view.M, view.D
-    counts = [tuple(view.endpoint_counts(v)) for v in range(N)]
+    counts = [[row.count(y) for y in range(M)] for row in view.graph.neighbors]
     threshold_num = view.eps.numerator * D * K * M
     threshold_den = view.eps.denominator
     checked = 0

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from omex import (counterexample_graph, optimal_degree_pow2,
-                  random_extractor_search, save)
+                  random_extractor_search, save, uniform_view)
 from omex.cli import main
 
 from oracles import naive_hazard_report
@@ -389,6 +389,39 @@ def test_online_layered_negative_k_is_failure(capsys, cx_path):
                             "--k", "-1")
     assert code == 1
     assert "k >= 0, got k = -1" in report["outcome"]["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["online", "layered", "--graph", "CX", "--k", "20000"],
+    ["fp", "encode", "--flavor", "match", "--graph", "CX", "--set", "SET",
+     "--target", "0"],
+    ["fp", "decode", "--flavor", "match", "--graph", "CX", "--set", "SET",
+     "--fingerprint", "FP"],
+])
+def test_layered_k_above_n_names_k_and_n(capsys, tmp_path, cx_path, argv):
+    # the counterexample graph has n = 2; 2^20000 has 6,021 digits, past
+    # Python's 4,300-digit limit on int-to-str conversion
+    paths = {"CX": cx_path, "SET": str(tmp_path / "s.json"),
+             "FP": str(tmp_path / "fp.json")}
+    (tmp_path / "s.json").write_text('{"label":"b","k":20000,"elements":[0]}')
+    code, report = run_json(capsys, *[paths.get(a, a) for a in argv])
+    assert code == 1
+    assert report["outcome"] == {
+        "error": "k = 20000 exceeds the base graph's n = 2"}
+
+
+def test_fp_two_first_bound_above_n_names_k_and_n(capsys, tmp_path):
+    view, s_b, s_c = (tmp_path / name for name in ("v.json", "b.json",
+                                                    "c.json"))
+    save(uniform_view(3, 2, K=4), view)
+    s_b.write_text('{"label":"b","k":20000,"elements":[0, 1]}')
+    s_c.write_text('{"label":"c","k":1,"elements":[0]}')
+    code, report = run_json(capsys, "fp", "encode", "--flavor", "two",
+                            "--views", str(view), "--set", str(s_b),
+                            "--set2", str(s_c), "--target", "0")
+    assert code == 1
+    assert report["outcome"] == {
+        "error": "first bound k=20000 exceeds the view's n=3"}
 
 
 def test_ext_search_check_roundtrip(capsys, tmp_path):

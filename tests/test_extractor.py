@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from omex import (BipartiteGraph, ExtractorView, GraphFormatError,
@@ -174,7 +174,7 @@ def test_exact_subtree_test_settles_what_missing_mass_cannot():
     for v in (0, 1):
         # neither prefix (0) nor (1) has its missing mass below the
         # threshold, so the cheap filter certifies neither
-        e = view.endpoint_counts(v)
+        e = view.counts[v]
         assert sum(max(0, D * K - M * c) for c in e) >= threshold
     # yet every completion of (0) passes, so the exact test certifies it,
     # while (1) holds a failure and is entered
@@ -469,32 +469,26 @@ def test_hazard_report_errors_match_naive(S, bad_factor):
 
 
 def test_hazard_report_takes_every_branch():
-    # each branch of `hazard_report` against the naive recount: the first
-    # call's direct count and the packed test with and without a bad
-    # vertex, also on views where no set of <= K vertices has one (the sum
-    # over y of the K largest counts into y is at most the cut); the
-    # samples include cuts at or above D * K (M = 1, or a factor of at
-    # least M) and |S| < K
+    # each branch of `hazard_report` against the naive recount: the packed
+    # test with and without a bad vertex, also on views where no set of
+    # <= K vertices has one (the sum over y of the K largest counts into y
+    # is at most the cut); the samples include cuts at or above D * K
+    # (M = 1, or a factor of at least M) and |S| < K
     rng = SplitMix64(23)
-    seen = dict.fromkeys(["direct", "hazard-free view", "packed, bad",
-                          "packed, clean", "cut >= D*K", "M = 1", "|S| < K"], 0)
+    seen = dict.fromkeys(["hazard-free view", "packed, bad", "packed, clean",
+                          "cut >= D*K", "M = 1", "|S| < K"], 0)
     for _ in range(150):
         view = random_view(rng.next_u64(), n=1 + rng.below(3), m=rng.below(3),
                            d=rng.below(3), K=1)
         view = ExtractorView(view.graph, 1 + rng.below(view.N), view.eps)
-        peak = max(sum(sorted(c)[-view.K:]) for c in zip(
-            *map(view.endpoint_counts, range(view.N))))
+        peak = max(sum(sorted(c)[-view.K:]) for c in zip(*view.counts))
         for _ in range(4):
             S = rng.sample(view.N, 1 + rng.below(view.K))
             bad_factor = 1 + rng.below(2 * view.M)
-            fresh = "_counts" not in vars(view)
             rep = hazard_report(view, S, bad_factor)
             assert rep == naive_hazard_report(view, S, bad_factor)
             cut = bad_factor * view.D * view.K // view.M
-            if fresh:
-                seen["direct"] += 1
-            else:
-                seen["packed, bad" if rep.bad else "packed, clean"] += 1
+            seen["packed, bad" if rep.bad else "packed, clean"] += 1
             if peak <= cut:
                 seen["hazard-free view"] += 1
                 assert not rep.bad
@@ -504,6 +498,21 @@ def test_hazard_report_takes_every_branch():
     assert min(seen.values()) > 0, seen
 
 
+@settings(max_examples=100, deadline=None)
+@given(view=hazard_views())
+@example(view=point_mass_view())                                # multi-edge
+@example(view=ExtractorView(BipartiteGraph(1, 1, 2, ((0, 0), (0, 0))), 1,
+                            Fraction(1, 2)))                    # M = 1
+@example(view=ExtractorView(BipartiteGraph(1, 2, 1, ((1,), (1,))), 2,
+                            Fraction(1, 2)))                    # D = 1
+def test_counts_match_a_recount_from_the_edges(view):
+    recount = [[0] * view.M for _ in range(view.N)]
+    for v, row in enumerate(view.graph.neighbors):
+        for r in row:
+            recount[v][r] += 1
+    assert view.counts == tuple(map(tuple, recount))
+
+
 def test_count_table_stays_outside_the_view_fields():
     view = random_view(3, n=3, m=2, d=2, K=4)
     twin = random_view(3, n=3, m=2, d=2, K=4)
@@ -511,7 +520,8 @@ def test_count_table_stays_outside_the_view_fields():
     for S in [(0, 1), (2, 3, 4), (5,)]:
         hazard_report(view, S)
     list(hazard_walk(view))
-    assert "_counts" in vars(view) and "_counts" not in vars(twin)
+    assert {"counts", "_table"} <= vars(view).keys()
+    assert not {"counts", "_table"} & vars(twin).keys()
     assert view == twin and hash(view) == hash(twin)
     assert (repr(view), hash(view), view.to_doc(),
             view_to_json(view)) == before

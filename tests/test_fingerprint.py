@@ -14,6 +14,8 @@ from omex.graph import from_json, to_json
 from omex.online import counterexample_graph
 from omex.rng import SplitMix64
 
+from conftest import NoPower
+
 
 def matching_setup(n, k, seed=7):
     base, _ = construct_verified_offline_graph(OfflineParams(n, k, 2), seed)
@@ -38,6 +40,30 @@ def test_set_invariants():
         EnumeratedSet("b", 2, (1, 1))
     with pytest.raises(ValueError, match="bound"):
         EnumeratedSet("b", 1, (0, 1, 2))
+
+
+def test_set_bound_holds_exactly_at_2_to_the_k():
+    for k in range(5):
+        for size in range(2 ** k + 3):
+            elements = tuple(range(size))
+            if size <= 2 ** k:
+                assert EnumeratedSet("b", k, elements).elements == elements
+            else:
+                with pytest.raises(ValueError, match=f"bound 2\\^{k}$"):
+                    EnumeratedSet("b", k, elements)
+
+
+def test_set_and_two_condition_bounds_build_no_power_of_k():
+    # a k read from a set file is compared by bit length, and one above the
+    # view's n is refused before 2^k is formed
+    huge = NoPower(10 ** 18)
+    s_b = EnumeratedSet("b", huge, (0, 1))
+    with pytest.raises(ValueError, match="bound 2\\^1$"):
+        EnumeratedSet("b", NoPower(1), (0, 1, 2))
+    with pytest.raises(ValueError, match=f"first bound k={huge} exceeds the "
+                                         "view's n=3$"):
+        encode_two_conditions(uniform_view(3, 2, K=4), s_b,
+                              EnumeratedSet("c", 1, (0,)), 0)
 
 
 def test_set_json_roundtrip():

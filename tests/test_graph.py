@@ -8,7 +8,7 @@ from omex import (BipartiteGraph, EnumeratedSet, ExtractorFingerprint,
 from omex.fingerprint import Fingerprint
 from omex.graph import from_json, to_json
 
-from conftest import small_graphs
+from conftest import NoPower, small_graphs
 
 
 def test_empty_graph_is_valid():
@@ -40,6 +40,12 @@ def test_degree_bound_violation_reports_vertex():
 def test_left_size_cannot_exceed_index_space():
     g = BipartiteGraph(1, 2, 1, ((), (), ()))
     assert validate(g).rule == "left_size_bound"
+    for n in range(4):
+        for left in range(2 ** n + 2):
+            v = validate(BipartiteGraph(n, 1, 0, ((),) * left))
+            assert (v is None) == (left <= 2 ** n)
+    # an n read from a graph file is compared by bit length
+    assert validate(BipartiteGraph(NoPower(10 ** 18), 1, 0, ((), ()))) is None
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -13,7 +13,7 @@ from omex import (BipartiteGraph, LimitExceeded, OfflineParams,
 from omex.online import counterexample_graph
 from omex.rng import SplitMix64
 
-from conftest import small_graphs
+from conftest import NoPower, small_graphs
 from oracles import naive_hall_check, naive_max_matching, naive_series_bound
 
 
@@ -90,6 +90,10 @@ def test_hall_bad_mode_rejected():
 def test_hall_s_max_beyond_index_space_rejected():
     with pytest.raises(ValueError, match="s_max"):
         hall_check(counterexample_graph(), 5)
+    assert hall_check(counterexample_graph(), 4) == [0, 1, 2]   # 4 = 2^n
+    # an n read from a graph file is compared by bit length
+    g = BipartiteGraph(NoPower(10 ** 18), 2, 2, ((0, 1), (0, 1)))
+    assert hall_check(g, 2 ** 70) is None
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "matching"])

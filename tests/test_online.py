@@ -16,7 +16,7 @@ from omex import (AuditViolation, BipartiteGraph, LayeredGraph,
 from omex import online as online_module
 from omex.rng import SplitMix64
 
-from conftest import small_graphs
+from conftest import NoPower, small_graphs
 from oracles import (naive_layer_counts, naive_online_check,
                      naive_online_strategy_exists, stepwise_online_check,
                      undo)
@@ -410,6 +410,12 @@ def test_sweep_frontier_n4_k3():
 def test_layered_refuses_negative_k():
     with pytest.raises(ValueError, match="k >= 0, got k = -1"):
         layered(counterexample_graph(), -1)
+
+
+def test_layered_refuses_k_above_n_before_building_2_to_the_k():
+    with pytest.raises(ValueError,
+                       match="^k = 3 exceeds the base graph's n = 2$"):
+        layered(counterexample_graph(), NoPower(3))
 
 
 # --- strategy existence game ------------------------------------------------

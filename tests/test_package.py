@@ -1,5 +1,6 @@
 """Source checks on `src/omex`: the library is stdlib-only (pyproject.toml
-declares no dependencies), and leaves no self-recursive closure behind."""
+declares no dependencies), leaves no self-recursive closure behind, and
+keeps per-object caches in `cached_property`s, not in `__dict__`."""
 
 import ast
 import sys
@@ -54,4 +55,15 @@ def test_no_nested_function_calls_itself():
                     and node.func.id == inner.name for node in ast.walk(inner))
                 if recursive and inner.name not in _deleted_names(outer):
                     found.append(f"{path.name}: {outer.name}.{inner.name}")
+    assert found == []
+
+
+def test_no_code_reaches_into_an_instance_dict():
+    # a cache written into `__dict__` by hand is a second, unchecked way to
+    # add state to a frozen dataclass; `functools.cached_property` is the one
+    # way, and keeps the cache out of the fields all the same
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "__dict__"]
     assert found == []
