@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache, partial
 from .graph import (INT, STR, BipartiteGraph, GraphFormatError, load,
                     read_fields, save, to_json)
 from .limits import LimitExceeded, default_limits
-from .rng import SplitMix64
+from .rng import SplitMix64, check_draw_bits
 
 
 def _is_pow2(x: int) -> bool:
@@ -144,9 +144,17 @@ def optimal_degree(N: int, K: int, M: int, eps) -> int:
     if not 0 < eps < 1:
         raise ValueError(f"need 0 < eps < 1, got {eps}")
     e2 = float(eps) ** 2
-    first = (M / K) * (math.log(2) / e2)
-    second = (math.log(N / K) + 1) / e2
-    return math.ceil(max(first, second))
+    if not e2:
+        raise ValueError("eps is too small: eps^2 underflows a float")
+    try:
+        second = (math.log(N / K) + 1) / e2
+    except OverflowError:               # N/K is past the float range
+        second = (math.log(N) - math.log(K) + 1) / e2
+    try:
+        return math.ceil(max((M / K) * (math.log(2) / e2), second))
+    except OverflowError:
+        raise ValueError(f"M/K is past the float range: M has "
+                         f"{M.bit_length()} bits, K {K.bit_length()}") from None
 
 
 def optimal_degree_pow2(N: int, K: int, M: int, eps) -> int:
@@ -448,7 +456,7 @@ def hazard_report(view: ExtractorView, S, bad_factor: int = 2) -> HazardReport:
     return HazardReport(S, *hazards, _bad_threshold(scale, M), bad_factor)
 
 
-def hazard_walk(view: ExtractorView, bad_factor: int = 2, *, spent: int = 0):
+def hazard_walk(view: ExtractorView, bad_factor: int = 2):
     """Yield the hazard report of every size-K subset that has a bad right
     vertex, in lexicographic order. Every other size-K subset has empty
     `bad`, `dangerous` and `weakly_dangerous` sets.
@@ -461,8 +469,7 @@ def hazard_walk(view: ExtractorView, bad_factor: int = 2, *, spent: int = 0):
     its C(N-1-v_j, K-j) subsets are added to `certified`. A leaf left
     uncertified has a bad vertex and gets the kernel `hazard_report` uses.
     Counts are packed as in `_CountTable`: one addition and one mask test.
-    Every node visited counts against the `subset_nodes` budget, on top of
-    the `spent` nodes the caller has charged to it already.
+    Every node visited counts against the `subset_nodes` budget.
     """
     if bad_factor < 1:
         raise ValueError(f"need bad factor >= 1, got {bad_factor}")
@@ -498,13 +505,11 @@ def hazard_walk(view: ExtractorView, bad_factor: int = 2, *, spent: int = 0):
             j -= 1
             v = combo[j] + 1
             continue
-        if spent + nodes >= budget:
-            before = (f", on top of {spent} nodes charged before it"
-                      if spent else "")
+        if nodes >= budget:
             raise LimitExceeded(
                 f"hazard walk exceeded limit {budget} nodes: visited {nodes} "
                 f"nodes, certified {certified} of the C({N},{K}) = {total} "
-                f"size-K subsets{before}")
+                f"size-K subsets")
         nodes += 1
         combo[j] = v
         e = prefix[j] + packed[v]
@@ -579,33 +584,37 @@ def prefix_failure_bound(n: int, k: int, m: int, d: int, eps) -> float:
         sum_{i=0}^{k} C(N, K/2^i) * 2^(M/2^i) * exp(-2 eps^2 K D / 2^i)
 
     The result is floating point and may overflow to inf for hopeless
-    parameters (callers should treat inf as "not < 1"). Binomials of at most
-    2^16 bits are exact, which leaves it good to about 1e-12 relative error;
-    a larger one would take unbounded time and memory to build, so its log
-    comes from `math.lgamma`, whose rounding grows with N (about
-    1e-16 * N * ln N in the exponent).
+    parameters (callers should treat inf as "not < 1"). From the exponents,
+    term i is exp(j (ln C(N, j)/j + 2^(m-k) ln 2 - 2 eps^2 D)) for j = 2^s,
+    s = k - i; the bracket falls as s grows, so s = 1014 stands for all
+    above it. Binomials of at most 2^16 bits are exact (about 1e-12 relative
+    error); larger ones come from `math.lgamma` (rounding about
+    1e-16 * N * ln N in the exponent), past N = 2^1014 from the upper bound
+    ln(N^j / j!) - (j - 1)/2N, within j p^2 / 6 for p = j/N.
     """
     eps = Fraction(eps)
     if min(n, m, d) < 0 or k < 0:
         raise ValueError("parameters must be nonnegative")
     if not 0 < eps < 1:
         raise ValueError(f"need 0 < eps < 1, got {eps}")
-    N, K, M, D = 2 ** n, 2 ** k, 2 ** m, 2 ** d
-    if K > N:
+    if k > n:
         raise ValueError("need K <= N")
-    total = 0.0
-    e2 = float(eps) ** 2
-    for i in range(k + 1):
-        Ki = K >> i
-        if Ki < 1:
-            raise ValueError(f"K/2^{i} < 1")
-        log_term = (_log_comb(N, Ki, n)
-                    + (M / 2 ** i) * math.log(2)
-                    - 2.0 * e2 * K * D / 2 ** i)
+    x, ln2, total = 2.0 * float(eps) ** 2, math.log(2), 0.0
+    # brackets are kept in units of 2^e, which holds both below 2^1001
+    e = max(m - k, d, 1000) - 1000
+    gain, cost = math.ldexp(ln2, m - k - e), math.ldexp(x, d - e)
+    for s in range(min(k, 1014), -1, -1):
+        j = 1 << s
+        if n <= 1014 or n * j <= 1 << 16:
+            rate = math.ldexp(_log_comb(1 << n, j, n), -s)
+        else:
+            rate = n * ln2 - math.lgamma(j + 1) / j - math.ldexp(1.0, s - n - 1)
+        bracket = math.ldexp(rate, -e) + gain - cost
         try:
-            total += math.exp(log_term)
-        except OverflowError:
-            return math.inf
+            total += math.exp(math.ldexp(bracket, s + e))
+        except OverflowError:           # the term is 0.0 or inf
+            if bracket > 0:
+                return math.inf
     return total
 
 
@@ -648,6 +657,8 @@ def random_extractor_search(n: int, k: int, m: int, eps, d: int, seed: int,
         raise ValueError("max_attempts must be at least 1")
     if min(n, k, m, d) < 0:
         raise ValueError("parameters must be nonnegative")
+    if n + d >= 64:                     # refused before 2^(n+d) is built
+        check_draw_bits(n + d)
     eps = Fraction(eps)
     N, M, D, K = 2 ** n, 2 ** m, 2 ** d, 2 ** k
     rng = SplitMix64(seed)

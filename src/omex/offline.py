@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .graph import BipartiteGraph
 from .limits import LimitExceeded, default_limits
-from .rng import SplitMix64
+from .rng import SplitMix64, check_draw_bits
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ class OfflineParams:
 
     @property
     def left_size(self) -> int:
+        if self.n >= 64:                # refused before 2^n is built
+            check_draw_bits(self.n)
         return 2 ** self.n
 
     @property
@@ -198,8 +200,8 @@ def construct_verified_offline_graph(
         raise ValueError("max_attempts must be at least 1")
     rng = SplitMix64(seed)
     for attempt in range(1, max_attempts + 1):
-        g = BipartiteGraph(p.n, p.right_size, p.degree,
-                           rng.rows(p.left_size, p.degree, p.right_size))
+        rows = rng.rows(p.left_size, p.degree, p.right_size)
+        g = BipartiteGraph(p.n, p.right_size, p.degree, rows)
         if hall_check(g, 2 ** p.k) is None:
             return g, attempt
     raise RuntimeError(

@@ -15,6 +15,14 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+def check_draw_bits(bits: int) -> None:
+    """Refuse 2^bits edge draws or more past `gen_edges` from the exponent,
+    before the caller builds the power; callers ask from 2^64 draws up."""
+    limit = default_limits().gen_edges
+    if bits >= limit.bit_length():      # 2^bits > limit
+        raise LimitExceeded(f"at least 2^{bits} edge draws exceed limit {limit}")
+
+
 class SplitMix64:
     """SplitMix64 stream seeded with an arbitrary integer (reduced mod 2^64)."""
 
@@ -57,6 +65,8 @@ class SplitMix64:
         construction draws here, so the draws are charged to `gen_edges`."""
         edges, limit = count * degree, default_limits().gen_edges
         if edges > limit:
+            if edges.bit_length() > 64:     # named by size, as callers do
+                edges = f"at least 2^{edges.bit_length() - 1}"
             raise LimitExceeded(f"{edges} edge draws exceed limit {limit}")
         return tuple(tuple(self.below(bound) for _ in range(degree))
                      for _ in range(count))

@@ -4,8 +4,7 @@ Walsh-Hadamard list decoding, coordinate restriction, and the evaluation map.
 The evaluation map feeds a seed y through a family of coordinate sets: bit i
 of the output is the encoded message read at position y restricted to set i.
 Bits are ints inside (bit a of the codeword of x is the parity of x & a);
-'0'/'1' strings appear only at the public functions. The brute-force decoder
-the fast one is checked against lives in `omex.oracles`.
+'0'/'1' strings appear only at the public functions.
 
 Design files go through the codec in `omex.graph` (`save_design` and
 `load_design` are its bindings); loading refuses a design that breaks its

@@ -9,7 +9,8 @@ from omex import (AuditViolation, BipartiteGraph, ExtractorCheck,
                   ExtractorView, GameResult, HazardReport, LimitExceeded,
                   MatchingSession, PrefixCheck, SequenceSweep, default_limits,
                   deviation, half_rejection_audit, max_matching, truncate)
-from omex.trevisan import WeakDesign, _check_block_size, _masks, _parities
+from omex.trevisan import (CodeTable, WeakDesign, _check_block_size, _masks,
+                           _parities, encode)
 
 
 def naive_is_extractor(view) -> ExtractorCheck:
@@ -43,6 +44,18 @@ def naive_is_prefix_extractor(view, k: int) -> PrefixCheck:
         if check.witness is not None:
             return PrefixCheck(tuple(levels), i)
     return PrefixCheck(tuple(levels), None)
+
+
+def exhaustive_subset_deviation(view, S) -> Fraction:
+    """Worst |e(S, Y)/(D|S|) - |Y|/M| over all 2^M right subsets Y."""
+    denom = view.D * len(S)
+    best = Fraction(0)
+    for mask in range(2 ** view.M):
+        edges = sum(1 for v in S for r in view.graph.neighbors[v]
+                    if mask >> r & 1)
+        gap = abs(Fraction(edges, denom) - Fraction(mask.bit_count(), view.M))
+        best = max(best, gap)
+    return best
 
 
 def naive_hazard_report(view, S, bad_factor: int = 2) -> HazardReport:
@@ -109,6 +122,19 @@ def some_weak_design(block: int, m: int, d: int) -> WeakDesign | None:
                 if sum(2 ** len(set(new) & set(s)) for s in sets) <= m - 1:
                     stack.append((sets + (new,), top))
     return None
+
+
+def brute_list_decode(code: CodeTable, word: str) -> list[str]:
+    """`list_decode` by encoding every message in numeric order and
+    counting its agreements with `word`."""
+    half_plus = Fraction(1, 2) + code.delta
+    hits = []
+    for x in range(2 ** code.n_msg):
+        u = format(x, f"0{code.n_msg}b")
+        agree = sum(a == b for a, b in zip(encode(code, u), word))
+        if Fraction(agree, code.codeword_length) >= half_plus:
+            hits.append(u)
+    return hits
 
 
 def naive_extractor_view(code, design, K: int, eps) -> ExtractorView:

@@ -19,10 +19,11 @@ from omex import (EnumeratedSet, OfflineParams, construct_verified_offline_graph
                   random_offline_graph, series_bound, truncate)
 from omex.fingerprint import bits_for
 from omex.rng import SplitMix64
-from omex.trevisan import CodeTable, encode as hadamard_encode, \
-    greedy_weak_design, list_decode, verify_weak_design
+from omex.trevisan import (CodeTable, greedy_weak_design, list_decode,
+                           verify_weak_design)
 
 from conftest import random_view
+from oracles import brute_list_decode, exhaustive_subset_deviation
 
 
 def report(number: int, description: str, ok: bool, elapsed: float, budget: float):
@@ -102,16 +103,8 @@ def test_criterion_4_deviation_equals_exhaustive_maximum():
         for _ in range(4):
             size = 1 + rng.below(view.N)
             S = tuple(sorted(rng.sample(view.N, size)))
-            direct = deviation(view, S)
-            denom = view.D * len(S)
-            best = Fraction(0)
-            for mask in range(2 ** view.M):
-                edges = sum(
-                    sum(1 for r in view.graph.neighbors[v] if mask >> r & 1)
-                    for v in S)
-                best = max(best, abs(Fraction(edges, denom)
-                                     - Fraction(bin(mask).count("1"), view.M)))
-            ok = ok and direct == best
+            ok = ok and (deviation(view, S)
+                         == exhaustive_subset_deviation(view, S))
             cases += 1
     report(4, f"direct deviation equals the 2^M-subset maximum on {cases} cases",
            ok, time.monotonic() - started, 30.0)
@@ -161,38 +154,24 @@ def test_criterion_7_trevisan_ingredients():
         verify_weak_design(greedy_weak_design(block, m, d, seed=77), m) is None
         for block, m, d in grid)
 
-    def agreement_list(codewords, word, delta, nbar):
-        hits = []
-        for u, cw in codewords:
-            agree = sum(a == b for a, b in zip(cw, word))
-            if Fraction(agree, nbar) >= Fraction(1, 2) + delta:
-                hits.append(u)
-        return hits
-
     code2 = CodeTable(2, Fraction(1, 4))
-    table2 = [(format(u, "02b"), hadamard_encode(code2, format(u, "02b")))
-              for u in range(4)]
     bound2 = 1 / (4 * float(code2.delta) ** 2)
     decode2_ok = True
     johnson_ok = True
     for w in range(16):
         word = format(w, "04b")
         got = list_decode(code2, word)
-        decode2_ok = decode2_ok and got == agreement_list(
-            table2, word, code2.delta, 4)
+        decode2_ok = decode2_ok and got == brute_list_decode(code2, word)
         johnson_ok = johnson_ok and len(got) <= bound2
 
     code4 = CodeTable(4, Fraction(1, 8))
-    table4 = [(format(u, "04b"), hadamard_encode(code4, format(u, "04b")))
-              for u in range(16)]
     bound4 = 1 / (4 * float(code4.delta) ** 2)
     rng = SplitMix64(777)
     decode4_ok = True
     for _ in range(10_000):
         word = format(rng.below(2 ** 16), "016b")
         got = list_decode(code4, word)
-        decode4_ok = decode4_ok and got == agreement_list(
-            table4, word, code4.delta, 16)
+        decode4_ok = decode4_ok and got == brute_list_decode(code4, word)
         johnson_ok = johnson_ok and len(got) <= bound4
     ok = designs_ok and decode2_ok and decode4_ok and johnson_ok
     report(7, "designs verify; decoder matches agreement recount; lists small",

@@ -472,6 +472,50 @@ def test_pbound_on_a_huge_binomial_returns_promptly(capsys):
     assert report["outcome"] == {"bound": math.inf, "finite": False}
 
 
+@pytest.mark.parametrize("n, m, d, bound", [
+    ("1000000", "1", "1", math.inf),    # ln C(N, 2) alone is about 1.4e6
+    ("3", "1", "5000", 0.0),            # every term underflows
+    ("2", "2000", "1", math.inf),       # 2^(M/2^i) is past the float range
+])
+def test_pbound_works_from_the_exponents(capsys, n, m, d, bound):
+    code, report = run_json(capsys, "ext", "pbound", "--n", n, "--k", "1",
+                            "--m", m, "--d", d, "--eps", "1/2")
+    assert code == 0
+    assert report["outcome"] == {"bound": bound,
+                                 "finite": math.isfinite(bound)}
+
+
+def test_lemma_degree_refusal_names_m(capsys):
+    code, report = run_json(capsys, "demo", "lemma1", "--n", "3", "--k", "1",
+                            "--eps", "1/2", "--seed", "1", "--m", "100000000")
+    assert code == 1
+    assert report["outcome"]["error"].startswith(
+        "M/K is past the float range: M has 100000001 bits")
+
+
+def test_degree_of_a_tiny_eps_is_an_error_report(capsys):
+    code, report = run_json(capsys, "ext", "degree", "--N", "16", "--K", "4",
+                            "--M", "16", "--eps", f"1/{10 ** 200}")
+    assert code == 1
+    assert report["outcome"] == {
+        "error": "eps is too small: eps^2 underflows a float"}
+
+
+@pytest.mark.parametrize("argv, bits", [
+    (["offline", "gen", "--n", "100000000", "--k", "1"], 100000000),
+    (["ext", "search", "--n", "100000000", "--k", "1", "--m", "1", "--d",
+      "1", "--eps", "1/2"], 100000001),
+    (["demo", "prefix", "--n", "100000000"], 100000004),
+])
+def test_huge_draws_are_refused_from_the_exponent(capsys, monkeypatch, argv,
+                                                  bits):
+    monkeypatch.delenv("OMEX_LIMITS", raising=False)
+    code, report = run_json(capsys, *argv, "--seed", "1")
+    assert code == 1
+    assert report["outcome"] == {
+        "error": f"at least 2^{bits} edge draws exceed limit 8000000"}
+
+
 def test_ext_hazards(capsys, tmp_path):
     view_path = str(tmp_path / "view.json")
     run_json(capsys, "ext", "search", "--n", "3", "--k", "2", "--m", "2",
@@ -736,7 +780,10 @@ def test_demo_trevisan_small(capsys):
                             "--samples", "200")
     assert code == 0
     assert report["outcome"]["designs_ok"] is True
-    assert report["outcome"]["decode_sampled_ok"] is True
+    assert report["outcome"]["johnson_ok"] is True
+    # the decoder is compared with the brute-force one in the tests only
+    assert not {"decode_exhaustive_ok", "decode_sampled_ok"} & set(
+        report["outcome"])
 
 
 @pytest.mark.parametrize("demo", ["lemma1", "lemma3"])
@@ -757,22 +804,16 @@ def test_lemma_subsets_are_charged_to_subset_budget(capsys, monkeypatch, demo):
     assert report["outcome"]["subsets"] == 12870
 
 
-def test_lemma1_cross_check_shares_the_walk_budget(capsys, monkeypatch):
-    # M = 4, so every 7th of the 1,820 subsets, 260 of them, is checked
-    # against the all-subsets oracle; the walk itself visits 13 nodes
-    argv = ["demo", "lemma1", "--n", "4", "--k", "2", "--m", "2", "--d", "4",
-            "--eps", "1/2", "--seed", "1", "--max-rows", "0"]
-    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=272")
-    code, report = run_json(capsys, *argv)
-    assert code == 1
-    assert report["outcome"] == {"error": (
-        "hazard walk exceeded limit 272 nodes: visited 12 nodes, certified "
-        "1819 of the C(16,4) = 1820 size-K subsets, on top of 260 nodes "
-        "charged before it")}
-    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=273")
-    code, report = run_json(capsys, *argv)
+def test_lemma1_walk_has_the_subset_budget_to_itself(capsys, monkeypatch):
+    # the search's dual test takes 15 nodes and the walk over the C(16, 4)
+    # subsets 13; nothing else is charged to the walk's budget
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=15")
+    code, report = run_json(capsys, "demo", "lemma1", "--n", "4", "--k", "2",
+                            "--m", "2", "--d", "4", "--eps", "1/2", "--seed",
+                            "1", "--max-rows", "0")
     assert code == 0
-    assert report["outcome"]["oracle_checked"] == 260
+    assert report["outcome"]["subsets"] == 1820
+    assert not {"oracle_checked", "oracle_ok"} & set(report["outcome"])
 
 
 def test_lemma_guard_stops_a_searched_n6_view(capsys, monkeypatch):

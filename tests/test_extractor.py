@@ -14,12 +14,12 @@ from omex import (BipartiteGraph, ExtractorView, GraphFormatError,
                   random_extractor_search, truncate, uniform_view)
 from omex.extractor import _log_comb, load_view, save_view, view_to_json
 from omex.graph import from_json
-from omex.oracles import exhaustive_subset_deviation
 from omex.rng import SplitMix64
 
 from conftest import random_view
-from oracles import (naive_hazard_report, naive_hazard_scan,
-                     naive_is_extractor, naive_is_prefix_extractor)
+from oracles import (exhaustive_subset_deviation, naive_hazard_report,
+                     naive_hazard_scan, naive_is_extractor,
+                     naive_is_prefix_extractor)
 
 
 def point_mass_view():

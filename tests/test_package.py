@@ -1,12 +1,16 @@
 """Source checks on `src/omex`: the library is stdlib-only (pyproject.toml
-declares no dependencies), leaves no self-recursive closure behind, and
-keeps per-object caches in `cached_property`s, not in `__dict__`."""
+declares no dependencies), leaves no self-recursive closure behind, keeps
+per-object caches in `cached_property`s, not in `__dict__`, and still has
+every name the benchmark in `bench/` patches or calls."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "omex"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "omex"
+BENCH = ROOT / "bench"
 
 
 def test_library_imports_only_the_standard_library():
@@ -67,3 +71,71 @@ def test_no_code_reaches_into_an_instance_dict():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr == "__dict__"]
     assert found == []
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether `dotted` names a module, or an attribute path inside one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(obj, name):
+                return False
+            obj = getattr(obj, name)
+        return True
+    return False
+
+
+def _dotted(node) -> str | None:
+    """`a.b.c` for a chain of attributes on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def test_every_name_the_benchmark_patches_exists():
+    # bench/tracing.py wraps each (owner, attribute) of TARGETS in a span
+    tree = ast.parse((BENCH / "tracing.py").read_text(encoding="utf-8"))
+    targets = next(node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets]
+                   == ["TARGETS"])
+    names = [".".join(ast.literal_eval(entry.elts[0]).split(":")
+                      + [ast.literal_eval(entry.elts[1])])
+             for entry in targets.elts]
+    assert len(names) > 20
+    assert [name for name in names if not _resolves(name)] == []
+
+
+def test_every_omex_name_the_workloads_call_exists():
+    # bench/workloads.py reaches omex through module aliases; every
+    # `<alias>.<name>` chain on one of them must still resolve
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    aliases, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.partition(".")[0]
+                if top == "omex":
+                    aliases[alias.asname or top] = (
+                        alias.name if alias.asname else top)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module.partition(".")[0] == "omex"):
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = (
+                    f"{node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        dotted = _dotted(node)
+        if isinstance(node, ast.Attribute) and dotted is not None:
+            head, _, rest = dotted.partition(".")
+            if head in aliases:
+                names.add(f"{aliases[head]}.{rest}")
+    names.update(aliases.values())
+    assert len(names) > 20
+    assert sorted(name for name in names if not _resolves(name)) == []

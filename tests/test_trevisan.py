@@ -10,10 +10,9 @@ from omex import (CodeTable, LimitExceeded, WeakDesign, as_extractor_view,
                   trevisan_eval, verify_weak_design)
 from omex import trevisan
 from omex.graph import to_json
-from omex.oracles import brute_list_decode
 from omex.rng import SplitMix64
 
-from oracles import naive_extractor_view, some_weak_design
+from oracles import brute_list_decode, naive_extractor_view, some_weak_design
 
 DELTA = Fraction(1, 4)
 
