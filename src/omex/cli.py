@@ -228,6 +228,18 @@ def cmd_online_game(args):
     return outcome, res.exists
 
 
+def cmd_online_sweep(args):
+    sweep = exhaustive_online_check(layered(load(args.graph), args.k),
+                                    2 ** args.k)
+    violation = sweep.first_audit_violation
+    return {"ok": sweep.ok, "sequences": sweep.sequences,
+            "visited": sweep.visited, "memo_hits": sweep.memo_hits,
+            "certified": sweep.certified,
+            "first_rejection": sweep.first_rejection,
+            "first_audit_violation": None if violation is None
+            else [violation[0], str(violation[1])]}, sweep.ok
+
+
 def cmd_online_layered(args):
     base = load(args.graph)
     lg = layered(base, args.k)
@@ -416,14 +428,15 @@ def cmd_demo_om(args):
     mc_ok = freq <= float(bound) + 3 * sigma
     rows = []
     sweeps_ok = True
-    # every k <= n for n <= 3, then two sizes at the sweep's frontier
+    # every k <= n for n <= 3, then two larger sizes
     for n, k in ((2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 3), (5, 2)):
         base, attempts = construct_verified_offline_graph(
             OfflineParams(n, k, 2), args.seed)
         sweep = exhaustive_online_check(layered(base, k), 2 ** k)
         rows.append({"n": n, "k": k, "attempts": attempts,
                      "sequences": sweep.sequences, "visited": sweep.visited,
-                     "memo_hits": sweep.memo_hits, "ok": sweep.ok})
+                     "memo_hits": sweep.memo_hits,
+                     "certified": sweep.certified, "ok": sweep.ok})
         sweeps_ok = sweeps_ok and sweep.ok
     ok = exact_ok and mc_ok and sweeps_ok
     return {"series_bound": bound, "series_bound_exact_ok": exact_ok,
@@ -686,6 +699,9 @@ COMMANDS = {
                         "help": "include the winning strategy tree"})]),
         "layered": (cmd_online_layered, "verify the base and stack k+1 copies",
                     [GRAPH, *_ints("--k"), OUT]),
+        "sweep": (cmd_online_sweep,
+                  "serve every sequence of up to 2^k requests on k+1 copies",
+                  [GRAPH, *_ints("--k")]),
     }),
     "ext": ("extractor verification and search", {
         "check": (cmd_ext_check, "verify a view exhaustively or sampled", [

@@ -588,9 +588,10 @@ def prefix_failure_bound(n: int, k: int, m: int, d: int, eps) -> float:
     term i is exp(j (ln C(N, j)/j + 2^(m-k) ln 2 - 2 eps^2 D)) for j = 2^s,
     s = k - i; the bracket falls as s grows, so s = 1014 stands for all
     above it. Binomials of at most 2^16 bits are exact (about 1e-12 relative
-    error); larger ones come from `math.lgamma` (rounding about
-    1e-16 * N * ln N in the exponent), past N = 2^1014 from the upper bound
-    ln(N^j / j!) - (j - 1)/2N, within j p^2 / 6 for p = j/N.
+    error); larger ones come from ln(N^j / j!) - j(j - 1)/2N (within
+    j p^2 / 6 for p = j/N) where N >> j, else from `math.lgamma` (rounding
+    about 1e-16 * N * ln N in the exponent), past N = 2^1014 from the first
+    form divided by j.
     """
     eps = Fraction(eps)
     if min(n, m, d) < 0 or k < 0:
@@ -620,10 +621,17 @@ def prefix_failure_bound(n: int, k: int, m: int, d: int, eps) -> float:
 
 def _log_comb(N: int, k: int, n: int) -> float:
     """ln C(N, k) for N = 2^n, without building a binomial over 2^16 bits
-    (C(N, k) <= N^k = 2^(n*k))."""
+    (C(N, k) <= N^k = 2^(n*k)).
+
+    Past that size, ln C(N, k) = k ln N - ln k! + sum_{i<k} ln(1 - i/N).
+    Where k^3 <= N^3 / 2^50, the sum is -k(k-1)/2N within about k^3/6N^2,
+    less than the rounding of lgamma(N + 1), about 2^-52 N ln N, which
+    cancels against lgamma(N - k + 1) and leaves nothing when N >> k."""
     k = min(k, N - k)
     if n * k <= 1 << 16:
         return math.log(math.comb(N, k))
+    if 3 * k.bit_length() + 50 <= 3 * n:
+        return k * n * math.log(2) - math.lgamma(k + 1) - k * (k - 1) / (2 * N)
     return math.lgamma(N + 1) - math.lgamma(k + 1) - math.lgamma(N - k + 1)
 
 

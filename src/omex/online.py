@@ -199,7 +199,8 @@ def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
     budget = default_limits().game_nodes
     nleft = g.left_size
     rows = g.neighbors
-    rowmasks = [sum(1 << r for r in set(row)) for row in rows]
+    tables = _column_tables(rows, g.right_size)
+    everyone = (1 << nleft) - 1
     last = min(s, nleft) - 1            # the depth of the last move
     memo: dict[tuple[int, int], bool] = {}
     nodes = 0
@@ -213,9 +214,7 @@ def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
         if nodes > budget:
             raise LimitExceeded(f"game tree exceeds {budget} nodes")
         if depth == last:   # any unused neighbor serves the last move
-            free = ~used
-            result = all(rowmasks[v] & free for v in range(nleft)
-                         if not requested >> v & 1)
+            result = not everyone & ~requested & ~_served(~used, tables)
         else:
             result = True
             for v in range(nleft):
@@ -253,7 +252,10 @@ def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
         if depth == last:   # the first unused reply wins each last move
             for v in range(nleft):
                 if not requested >> v & 1:
-                    r = _first_free(rows[v], used)
+                    row = rows[v]
+                    r = row[0]
+                    if used >> r & 1:
+                        r = _first_free(row, used)
                     if r not in last_moves:   # most moves are last ones
                         last_moves[r] = {"pick": r, "next": {}}
                     tree[v] = last_moves[r]
@@ -285,10 +287,12 @@ class SequenceSweep:
     sequences: int
     first_rejection: list[int] | None
     first_audit_violation: tuple[list[int], AuditViolation] | None
-    # nodes the walk visited, and subtrees counted from the cache of
-    # passing states instead; neither takes part in equality
+    # nodes the walk visited, and subtrees counted in closed form instead,
+    # from the cache of passing states or the layer-0 certificate; none
+    # takes part in equality
     visited: int = field(default=0, compare=False)
     memo_hits: int = field(default=0, compare=False)
+    certified: int = field(default=0, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -323,9 +327,28 @@ def _serving_mask(used: int, served: int, width: int, copies: int) -> int:
     return mask
 
 
+def _column_tables(rows, width: int) -> list[tuple[int, list[int]]]:
+    """Byte tables of the right-to-left adjacency of left `rows` over
+    `width` right vertices, for `_served`: the table for the byte from bit
+    `low` holds at b the left vertices whose rows meet right vertex low + j
+    for a bit j of b. Padded to whole bytes, so that any mask, a negative
+    one too, can be looked up."""
+    cols = [0] * (width + -width % 8)
+    for v, row in enumerate(rows):
+        for r in row:
+            cols[r] |= 1 << v
+    tables = []
+    for low in range(0, width, 8):
+        table = [0]
+        for col in cols[low:low + 8]:
+            table += [left | col for left in table]
+        tables.append((low, table))
+    return tables
+
+
 def _served(mask: int, tables) -> int:
-    """The left vertices whose base rows meet `mask`, a bitmask of base
-    right vertices, looked up one byte of it at a time in `tables`."""
+    """The left vertices whose rows meet `mask`, a bitmask of right
+    vertices, looked up one byte of it at a time in `_column_tables`."""
     served = 0
     for low, table in tables:
         served |= table[mask >> low & 255]
@@ -333,10 +356,11 @@ def _served(mask: int, tables) -> int:
 
 
 def _sweep_refusal(budget: int, visited: int, sequences: int,
-                   cached: int) -> LimitExceeded:
+                   cached: int, certified: int) -> LimitExceeded:
     return LimitExceeded(
         f"sequence tree exceeds {budget} nodes: visited {visited} nodes, "
-        f"counted {sequences} sequences, cached {cached} passing states")
+        f"counted {sequences} sequences, cached {cached} passing states, "
+        f"certified {certified} subtrees")
 
 
 def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
@@ -357,11 +381,22 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     is the first failure. Only the first failing sequence is replayed in a
     `MatchingSession` and audited by `half_rejection_audit`, for the report.
 
-    A node whose state already headed a subtree that passed throughout is
-    not descended: its subtree's sequences are counted in closed form.
-    Only passing subtrees are cached, so the first failing node, its prefix
-    and `sequences` are those of the full walk. The `subset_nodes` budget
-    bounds the nodes visited.
+    Two rules count a passing node's subtree in closed form instead of
+    descending into it. A node whose state already headed a subtree that
+    passed throughout is a cache hit. A node at depth j is certified when
+    every unrequested left vertex still has at least top - j distinct base
+    neighbours whose layer-0 copies are unused, top being the longest
+    sequence: rows are layer-major, so greedy serves each of the at most
+    top - j requests below in layer 0, each takes one layer-0 vertex and
+    leaves every later one enough, and a request served in layer 0 is
+    forwarded past no layer, so no rejection and no audit violation can
+    occur below. It is tested on the nodes whose children are not leaves,
+    the root included: below the others, one popcount settles the leaves
+    for less than the test costs, which keeps a visited node cheap. Both
+    rules skip only passing subtrees, so the first failing node, its
+    prefix and `sequences` are those of the full walk. The `subset_nodes`
+    budget bounds the nodes visited; a budget of 0 or below refuses before
+    the first node.
     """
     if capacity < 1:
         raise ValueError(f"need capacity >= 1, got {capacity}")
@@ -372,22 +407,39 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     # below[j]: sequences strictly below a node at depth j
     below = [sum(math.perm(nleft - j, i) for i in range(1, top - j + 1))
              for j in range(top + 1)]
-    # for each byte of a base right mask, from bit `low`, table[b] holds
-    # the left vertices whose rows meet a right vertex low + j for a bit j
-    # of b; each table doubles once per right vertex
-    cols = [0] * width
-    for v, row in enumerate(base.neighbors):
-        for r in row:
-            cols[r] |= 1 << v
-    tables = []
-    for low in range(0, width, 8):
-        table = [0]
-        for col in cols[low:low + 8]:
-            table += [left | col for left in table]
-        tables.append((low, table))
+    tables = _column_tables(base.neighbors, width)
     everyone = (1 << nleft) - 1
+    full = (1 << width) - 1
+    # each left vertex's distinct base neighbours, and short[need] the left
+    # vertices with fewer than `need` of them, which no node certifies
+    basal = [sum(1 << r for r in set(row)) for row in base.neighbors]
+    short = [sum(1 << v for v, mask in enumerate(basal)
+                 if mask.bit_count() < need) for need in range(top + 1)]
+
+    def certified(requested: int, used: int, need: int) -> bool:
+        # whether each unrequested left vertex keeps `need` distinct base
+        # neighbours free in layer 0: one with `need` + u of them keeps
+        # enough whichever u layer-0 vertices are used (u <= depth, so
+        # need + u <= top), one with fewer than `need` cannot, and only rows
+        # between these that meet a used layer-0 vertex are recounted
+        used &= full
+        doubt = short[need + used.bit_count()] & ~requested
+        if doubt & short[need]:
+            return False
+        doubt &= _served(used, tables)
+        while doubt:
+            v = doubt.bit_length() - 1
+            if (basal[v] & ~used).bit_count() < need:
+                return False
+            doubt ^= 1 << v
+        return True
+
+    if budget <= 0:                     # as the walk would, at once
+        raise _sweep_refusal(budget, 0, 0, 0, 0)
+    if top > 1 and certified(0, 0, top):    # every sequence passes
+        return SequenceSweep(below[0], None, None, certified=1)
     passed: set[tuple[int, int]] = set()
-    visited = sequences = hits = 0
+    visited = sequences = hits = certificates = 0
     failure = None                      # the first failing sequence
     # the walk is at a node of depth `depth`, reached by the requests
     # path[:depth]; state[depth] holds its (requested, used) bitmasks,
@@ -411,7 +463,8 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
             if count > budget - visited:  # the budget runs out among them
                 spare = max(budget - visited, 0)
                 raise _sweep_refusal(budget, visited + spare,
-                                     sequences + spare, len(passed))
+                                     sequences + spare, len(passed),
+                                     certificates)
             visited += count
             sequences += count
             if failing:
@@ -421,7 +474,8 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
             if requested >> v & 1:
                 continue
             if visited >= budget:
-                raise _sweep_refusal(budget, visited, sequences, len(passed))
+                raise _sweep_refusal(budget, visited, sequences, len(passed),
+                                     certificates)
             visited += 1
             sequences += 1
             if not served >> v & 1:     # the first failure ends the walk
@@ -431,6 +485,10 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
             child = (requested | 1 << v, used | 1 << reply)
             if child in passed:
                 hits += 1
+                sequences += below[depth + 1]
+                continue
+            if depth + 2 < top and certified(*child, top - depth - 1):
+                certificates += 1
                 sequences += below[depth + 1]
                 continue
             path[depth] = v             # enter the child
@@ -448,7 +506,7 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
             continue
         if failure is not None:
             break
-    sweep = SequenceSweep(sequences, None, None, visited, hits)
+    sweep = SequenceSweep(sequences, None, None, visited, hits, certificates)
     if failure is not None:
         session = MatchingSession(lg, capacity)
         for v in failure:

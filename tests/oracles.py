@@ -219,13 +219,27 @@ def undo(session) -> None:
         session.used ^= 1 << r
 
 
+def layer0_certified(session, need: int) -> bool:
+    """The sweep's certificate, from its definition: each left vertex the
+    session has not requested has at least `need` distinct base neighbours
+    whose layer-0 copies, which keep the base index, it has not used."""
+    base = session.graph.base
+    return all(len({r for r in base.neighbors_of(v)
+                    if not session.used >> r & 1}) >= need
+               for v in range(base.left_size)
+               if not session.requested >> v & 1)
+
+
 def stepwise_online_check(lg, capacity: int) -> SequenceSweep:
     """The sequence sweep stepping the engine at every node, leaves
     included: each node is stepped, audited with `half_rejection_audit` and
-    undone, and a child whose `(requested, used)` state already headed a
-    passing subtree is counted in closed form. The reference for
-    `exhaustive_online_check`'s `visited` and `memo_hits` counters and its
-    `LimitExceeded` message, as well as for its result."""
+    undone. A child is counted in closed form when its `(requested, used)`
+    state already headed a passing subtree, or, if its children are not
+    leaves, when every unrequested left vertex has as many distinct base
+    neighbours with an unused layer-0 copy as requests are left below it;
+    the root is tested so too, once the budget allows a node. The reference for `exhaustive_online_check`'s
+    `visited`, `memo_hits` and `certified` counters and its `LimitExceeded`
+    message, as well as for its result."""
     budget = default_limits().subset_nodes
     nleft = lg.graph.left_size
     session = MatchingSession(lg, capacity)
@@ -235,7 +249,10 @@ def stepwise_online_check(lg, capacity: int) -> SequenceSweep:
              for j in range(top + 1)]
     passed: set[tuple[int, int]] = set()
     sweep = SequenceSweep(0, None, None)
-    visited = sequences = hits = 0
+    visited = sequences = hits = certificates = 0
+    if top > 1 and budget > 0 and layer0_certified(session, top):
+        sweep.sequences, sweep.certified = below[0], 1
+        return sweep
     # the walk is at a node of depth `depth`, the session holding its
     # prefix; todo[depth] holds the left vertices not yet tried below it,
     # and keys[depth] its state, cached once every child has passed
@@ -251,7 +268,8 @@ def stepwise_online_check(lg, capacity: int) -> SequenceSweep:
                 raise LimitExceeded(
                     f"sequence tree exceeds {budget} nodes: visited "
                     f"{visited} nodes, counted {sequences} sequences, "
-                    f"cached {len(passed)} passing states")
+                    f"cached {len(passed)} passing states, certified "
+                    f"{certificates} subtrees")
             r = session._step(v)
             visited += 1
             sequences += 1
@@ -264,11 +282,15 @@ def stepwise_online_check(lg, capacity: int) -> SequenceSweep:
                 break                   # the first failure ends the walk
             if depth + 1 < top:
                 key = (session.requested, session.used)
-                if key not in passed:   # enter the child
+                if key in passed:
+                    hits += 1
+                elif depth + 2 < top and layer0_certified(session,
+                                                          top - depth - 1):
+                    certificates += 1
+                else:                   # enter the child
                     depth += 1
                     todo[depth], keys[depth] = iter(range(nleft)), key
                     break
-                hits += 1
                 sequences += below[depth + 1]
             undo(session)
         else:                           # every child passed
@@ -280,7 +302,8 @@ def stepwise_online_check(lg, capacity: int) -> SequenceSweep:
             continue
         if r is None or violation is not None:
             break
-    sweep.sequences, sweep.visited, sweep.memo_hits = sequences, visited, hits
+    sweep.sequences, sweep.visited = sequences, visited
+    sweep.memo_hits, sweep.certified = hits, certificates
     return sweep
 
 

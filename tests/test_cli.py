@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from omex import (counterexample_graph, optimal_degree_pow2,
+from omex import (OfflineParams, construct_verified_offline_graph,
+                  counterexample_graph, optimal_degree_pow2,
                   random_extractor_search, save, uniform_view)
 from omex.cli import main
 
@@ -384,6 +385,23 @@ def test_online_layered_refuses_bad_base(capsys, tmp_path, cx_path):
     assert "hall_check" in report["outcome"]["error"]
 
 
+def test_online_sweep_reports_counters(capsys, tmp_path, cx_path):
+    path = tmp_path / "base.json"
+    save(construct_verified_offline_graph(OfflineParams(3, 2, 1), 7)[0], path)
+    code, report = run_json(capsys, "online", "sweep", "--graph", str(path),
+                            "--k", "2")
+    assert code == 0
+    assert report["outcome"] == {
+        "ok": True, "sequences": 2080, "visited": 509, "memo_hits": 71,
+        "certified": 20, "first_rejection": None,
+        "first_audit_violation": None}
+    # the base is checked as by `online layered`
+    code, report = run_json(capsys, "online", "sweep", "--graph", cx_path,
+                            "--k", "2")
+    assert code == 1
+    assert "hall_check" in report["outcome"]["error"]
+
+
 def test_online_layered_negative_k_is_failure(capsys, cx_path):
     code, report = run_json(capsys, "online", "layered", "--graph", cx_path,
                             "--k", "-1")
@@ -742,16 +760,16 @@ def test_demo_om_small(capsys):
     assert code == 0
     assert report["outcome"]["series_bound"] == "9/64"
     assert report["outcome"]["all_sequences_served"] is True
-    # (sequences, visited, memo_hits) per (n, k); visited and memo_hits
+    # (sequences, visited, memo_hits, certified) per (n, k); the counters
     # are pinned so that a faster sweep keeps the report byte for byte
     rows = {(row["n"], row["k"]): (row["sequences"], row["visited"],
-                                   row["memo_hits"])
+                                   row["memo_hits"], row["certified"])
             for row in report["outcome"]["rows"]}
-    assert rows == {(2, 1): (16, 16, 0), (2, 2): (64, 32, 14),
-                    (3, 1): (64, 64, 0), (3, 2): (2080, 512, 140),
-                    (3, 3): (109_600, 1024, 762),
-                    (4, 3): (582_913_216, 262_144, 132_852),
-                    (5, 2): (893_824, 163_431, 10_409)}
+    assert rows == {(2, 1): (16, 0, 0, 1), (2, 2): (64, 4, 0, 4),
+                    (3, 1): (64, 0, 0, 1), (3, 2): (2080, 0, 0, 1),
+                    (3, 3): (109_600, 8, 0, 8),
+                    (4, 3): (582_913_216, 0, 0, 1),
+                    (5, 2): (893_824, 0, 0, 1)}
 
 
 def test_demo_muchnik(capsys):

@@ -666,6 +666,27 @@ def test_log_binomial_past_the_exact_size_matches_exact_log():
         exact, rel=1e-12)
 
 
+@pytest.mark.parametrize("n, k", [(60, 11), (40, 11), (30, 12)])
+def test_log_binomial_far_below_n_matches_exact_log(n, k):
+    # lgamma(N + 1) - lgamma(N - k + 1) cancels to nothing when N >> k:
+    # it gave 65536.0 at (2^60, 2^11), where the log is 71601.97
+    exact = math.log(math.comb(2 ** n, 2 ** k))
+    assert _log_comb(2 ** n, 2 ** k, n) == pytest.approx(exact, rel=1e-12)
+
+
+def test_prefix_failure_bound_far_below_n_matches_exact_logs():
+    # every level's log binomial past 2^16 bits is far below N = 2^64; with
+    # the lgamma form the sum read inf
+    n, k, m, d, eps = 64, 13, 12, 6, Fraction(609, 1000)
+    exact = sum(math.exp(math.log(math.comb(2 ** n, 2 ** s))
+                         + 2 ** (m - k + s) * math.log(2)
+                         - 2 * float(eps) ** 2 * 2 ** (s + d))
+                for s in range(k + 1))
+    assert prefix_failure_bound(n, k, m, d, eps) == pytest.approx(exact,
+                                                                 rel=1e-9)
+    assert exact < 1
+
+
 def test_prefix_failure_bound_domain():
     with pytest.raises(ValueError):
         prefix_failure_bound(2, 3, 2, 2, Fraction(1, 2))  # K > N

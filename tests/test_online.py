@@ -17,7 +17,7 @@ from omex import online as online_module
 from omex.rng import SplitMix64
 
 from conftest import NoPower, small_graphs
-from oracles import (naive_layer_counts, naive_online_check,
+from oracles import (layer0_certified, naive_layer_counts, naive_online_check,
                      naive_online_strategy_exists, stepwise_online_check,
                      undo)
 
@@ -45,10 +45,16 @@ AUDIT_AMONG_LEAVES = BipartiteGraph(
 # x sees both right vertices and y only the first: after x takes the
 # first, the last move loses, so a strategy must answer x with the second
 LAST_MOVE_LOSES = BipartiteGraph(1, 2, 2, ((0, 1), (0,)))
+# one copy, capacity 3: after request 0 takes right vertex 0, two requests
+# are left and vertex 2 keeps one free neighbor, so request 1 taking right
+# vertex 1 rejects it; with one more neighbor (2), the subtree below
+# request 0 is certified and the walk fails further on
+ONE_SHORT = BipartiteGraph(2, 3, 2, ((0,), (1, 2), (0, 1)))
+ENOUGH = BipartiteGraph(2, 3, 3, ((0,), (1, 2), (0, 1, 2)))
 
 
-def verified_base(n, k, seed=7):
-    g, _ = construct_verified_offline_graph(OfflineParams(n, k, 2), seed)
+def verified_base(n, k, seed=7, c=2):
+    g, _ = construct_verified_offline_graph(OfflineParams(n, k, c), seed)
     return g
 
 
@@ -275,6 +281,9 @@ def test_sweep_reports_audit_violation_without_rejection():
 @example(verified_base(3, 2), 3, 4)
 @example(REJECT_AMONG_LEAVES, 2, 3)
 @example(AUDIT_AMONG_LEAVES, 4, 4)
+@example(ONE_SHORT, 1, 3)
+@example(ENOUGH, 1, 3)
+@example(verified_base(2, 2, c=1), 3, 4)
 def test_sweep_matches_naive_replay(base, copies, capacity):
     # LayeredGraph.build skips the Hall check, so rejections and audit
     # violations occur as well as clean sweeps
@@ -302,7 +311,7 @@ def sweep_outcome(lg, capacity, check):
         sweep = check(lg, capacity)
     except LimitExceeded as refusal:
         return str(refusal)
-    return (sweep.sequences, sweep.visited, sweep.memo_hits,
+    return (sweep.sequences, sweep.visited, sweep.memo_hits, sweep.certified,
             sweep.first_rejection, sweep.first_audit_violation)
 
 
@@ -339,8 +348,50 @@ def test_exhaustive_sweep_n2_k1():
     assert sweep.sequences == 4 + 4 * 3
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(max_n=2, max_right=3, max_degree=3),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=4))
+@example(ONE_SHORT, 1, 3)
+@example(ENOUGH, 1, 3)
+@example(verified_base(2, 2, c=1), 3, 4)
+def test_certified_subtrees_pass_in_naive_replay(base, copies, capacity):
+    # every passing node the certificate holds at, reached by the walk or
+    # not: each sequence below it passes when replayed from scratch
+    lg = LayeredGraph.build(base, copies)
+    nleft = base.left_size
+    top = min(capacity, nleft)
+    for depth in range(top):
+        for prefix in itertools.permutations(range(nleft), depth):
+            session = MatchingSession(lg, capacity)
+            for v in prefix:
+                session.request(v)
+            if (session.rejections or half_rejection_audit(session)
+                    or not layer0_certified(session, top - depth)):
+                continue
+            rest = [v for v in range(nleft) if v not in prefix]
+            for more in range(1, top - depth + 1):
+                for suffix in itertools.permutations(rest, more):
+                    _, rejected, _, _, violation = naive_layer_counts(
+                        lg, prefix + suffix)
+                    assert rejected == [] and violation is None
+
+
+@pytest.mark.parametrize("base, certified, rejected", [
+    (ONE_SHORT, 0, [0, 1, 2]), (ENOUGH, 1, [1, 2, 0])])
+def test_certificate_needs_one_free_neighbor_per_request_left(
+        base, certified, rejected):
+    lg = LayeredGraph.build(base, 1)
+    session = MatchingSession(lg, 3)
+    session.request(0)
+    assert layer0_certified(session, 2) == bool(certified)
+    assert layer0_certified(session, 1)
+    sweep = exhaustive_online_check(lg, 3)
+    assert (sweep.certified, sweep.first_rejection) == (certified, rejected)
+
+
 def test_sweep_node_budget(monkeypatch):
-    lg = layered(verified_base(2, 1), 1)
+    lg = layered(verified_base(2, 1, c=1), 1)
     monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=16")
     assert exhaustive_online_check(lg, 2).ok
     monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=15")
@@ -387,24 +438,39 @@ def test_guards_refuse_a_negative_budget(monkeypatch):
 
 
 def test_exhaustive_limit_message_reports_progress(monkeypatch):
-    lg = layered(verified_base(3, 2), 2)
+    lg = layered(verified_base(3, 2, c=1), 2)
     sweep = exhaustive_online_check(lg, 4)
-    assert (sweep.sequences, sweep.visited, sweep.memo_hits) == (2080, 512, 140)
-    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=200")
+    assert (sweep.sequences, sweep.visited, sweep.memo_hits,
+            sweep.certified) == (2080, 509, 71, 20)
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=100")
     with pytest.raises(LimitExceeded) as raised:
         exhaustive_online_check(lg, 4)
     assert str(raised.value) == (
-        "sequence tree exceeds 200 nodes: visited 200 nodes, counted 356 "
-        "sequences, cached 36 passing states")
+        "sequence tree exceeds 100 nodes: visited 100 nodes, counted 218 "
+        "sequences, cached 17 passing states, certified 3 subtrees")
 
 
 def test_sweep_frontier_n4_k3():
-    # 582,913,216 sequences under the default 5M-node budget: the walk
-    # steps through far fewer nodes and counts cached subtrees in closed form
+    # 582,913,216 sequences in no node: every left vertex of this c=2 base
+    # has at least 8 distinct neighbors, so the root is certified
     sweep = exhaustive_online_check(layered(verified_base(4, 3), 3), 8)
     assert sweep.ok
     assert sweep.sequences == 582_913_216   # sum of P(16, j) for j = 1..8
-    assert sweep.visited < Limits().subset_nodes
+    assert (sweep.visited, sweep.memo_hits, sweep.certified) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("n, k, counts", [
+    (4, 3, (582_913_216, 123_538, 32_003, 47_092)),
+    (5, 2, (893_824, 23_147, 54, 490)),
+])
+def test_sweep_frontier_sparse_bases(n, k, counts):
+    # c=1 bases (degree 4 at n=4, k=3) certify no root, so the walk runs;
+    # (sequences, visited, memo_hits, certified)
+    sweep = exhaustive_online_check(layered(verified_base(n, k, c=1), k),
+                                    2 ** k)
+    assert sweep.ok
+    assert (sweep.sequences, sweep.visited, sweep.memo_hits,
+            sweep.certified) == counts
 
 
 def test_layered_refuses_negative_k():
