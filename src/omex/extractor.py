@@ -91,10 +91,6 @@ class ExtractorView:
     def m(self) -> int:
         return self.M.bit_length() - 1
 
-    @property
-    def d(self) -> int:
-        return self.D.bit_length() - 1
-
     @cached_property
     def counts(self) -> tuple[tuple[int, ...], ...]:
         """counts[v][y]: how many of left vertex v's D edges land on right

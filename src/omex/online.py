@@ -212,7 +212,8 @@ def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
             return memo[key]
         nodes += 1
         if nodes > budget:
-            raise LimitExceeded(f"game tree exceeds {budget} nodes")
+            raise LimitExceeded(f"game tree exceeds {budget} nodes: "
+                                f"decided {len(memo)} positions")
         if depth == last:   # any unused neighbor serves the last move
             result = not everyone & ~requested & ~_served(~used, tables)
         else:

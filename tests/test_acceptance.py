@@ -2,22 +2,19 @@
 PASS/FAIL line (run with `pytest -s tests/test_acceptance.py` to see them)
 and enforcing its runtime budget."""
 
+import contextlib
+import io
 import itertools
+import json
 import math
 import time
 from fractions import Fraction
 
 import pytest
 
-from omex import (EnumeratedSet, OfflineParams, construct_verified_offline_graph,
-                  counterexample_graph, decode_extractor, decode_matching,
-                  decode_two_conditions, deviation, encode_extractor,
-                  encode_matching, encode_two_conditions, exhaustive_online_check,
-                  hall_check, hazard_report, is_extractor, is_prefix_extractor,
-                  layer_sets, layered, online_strategy_exists,
-                  prefix_failure_bound, random_extractor_search,
-                  random_offline_graph, series_bound, truncate)
-from omex.fingerprint import bits_for
+from omex import (deviation, hazard_report, is_extractor,
+                  random_extractor_search)
+from omex.cli import main
 from omex.rng import SplitMix64
 from omex.trevisan import (CodeTable, greedy_weak_design, list_decode,
                            verify_weak_design)
@@ -32,6 +29,16 @@ def report(number: int, description: str, ok: bool, elapsed: float, budget: floa
           f"- {description}")
     assert ok, f"criterion {number} failed: {description}"
     assert elapsed < budget, f"criterion {number} exceeded {budget}s ({elapsed:.2f}s)"
+
+
+def demo(*argv) -> tuple[bool, dict]:
+    """Whether `omex demo ARGV` exited 0, and its outcome. The report is
+    read by redirecting stdout, not by capsys, so that `pytest -s` still
+    shows the PASS lines."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["demo", *argv])
+    return code == 0, json.loads(buf.getvalue())["outcome"]
 
 
 @pytest.fixture(scope="module")
@@ -52,40 +59,40 @@ def verified_view_pool():
 
 def test_criterion_1_hall_vs_online_separation():
     started = time.monotonic()
-    cx = counterexample_graph()
-    hall_ok = hall_check(cx, 2) is None
-    game = online_strategy_exists(cx, 2)
-    ok = hall_ok and game.exists is False
+    ok, outcome = demo("counterexample")
+    # the separation verdict also pins the size-3 Hall witness and the
+    # size-1 strategy
+    ok = (ok and outcome["hall_s2_ok"] and not outcome["online_s2_exists"]
+          and outcome["separation"])
     report(1, "off-line matchable up to 2 but no on-line strategy",
            ok, time.monotonic() - started, 1.0)
 
 
 def test_criterion_2_union_bound_series():
     started = time.monotonic()
-    exact = series_bound(2, 1, 2)
-    exact_ok = exact == Fraction(9, 64)
-    trials = 200
-    p = OfflineParams(2, 1, 2)
-    failures = sum(1 for seed in range(trials)
-                   if hall_check(random_offline_graph(p, seed), 2) is not None)
-    bound = float(exact)
-    sigma = math.sqrt(bound * (1 - bound) / trials)
-    mc_ok = failures / trials <= bound + 3 * sigma
-    report(2, f"series = 9/64 exactly; {failures}/{trials} failures within bound",
-           exact_ok and mc_ok, time.monotonic() - started, 10.0)
+    # the graphs of seeds 0-199, each Hall-checked up to size 2
+    ok, outcome = demo("om", "--seed", "0", "--trials", "200")
+    ok = (ok and outcome["series_bound"] == "9/64"
+          and outcome["series_bound_exact_ok"]
+          and outcome["monte_carlo_ok"])
+    report(2, f"series = 9/64 exactly; {outcome['failures']}/200 failures "
+              "within bound", ok, time.monotonic() - started, 10.0)
 
 
 def test_criterion_3_layered_engine_serves_everything():
     started = time.monotonic()
     ok = True
     total_sequences = 0
-    sizes = [(n, k) for n in (2, 3) for k in range(1, n + 1)] + [(4, 3), (5, 2)]
+    sizes = [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 3), (5, 2)]
+    # seed 70 + 10n + k for each size; every run sweeps all seven sizes on
+    # bases drawn at its seed
     for n, k in sizes:
-        base, _ = construct_verified_offline_graph(
-            OfflineParams(n, k, 2), seed=70 + 10 * n + k)
-        sweep = exhaustive_online_check(layered(base, k), 2 ** k)
-        total_sequences += sweep.sequences
-        ok = ok and sweep.ok
+        exited_ok, outcome = demo("om", "--seed", str(70 + 10 * n + k))
+        rows = outcome["rows"]
+        total_sequences += sum(row["sequences"] for row in rows)
+        ok = (ok and exited_ok and outcome["all_sequences_served"]
+              and [(row["n"], row["k"]) for row in rows] == sizes
+              and all(row["ok"] for row in rows))
     report(3, f"all {total_sequences} request sequences served, audits clean",
            ok, time.monotonic() - started, 60.0)
 
@@ -131,16 +138,13 @@ def test_criterion_5_hazard_count_bounds(verified_view_pool):
 
 def test_criterion_6_prefix_extractor_search():
     started = time.monotonic()
-    n, k, m, d, eps = 6, 3, 3, 4, Fraction(1, 2)
-    view, _ = random_extractor_search(n, k, m, eps, d, seed=606, prefix=True)
-    levels_ok = is_prefix_extractor(view, k).ok
-    independent_ok = all(
-        truncate(view, i).K == 2 ** (k - i) and is_extractor(truncate(view, i)).ok
-        for i in range(k + 1))
-    bounds = [prefix_failure_bound(n, k, m, dd, eps) for dd in (d, d + 1, d + 2)]
-    finite = all(math.isfinite(b) for b in bounds)
-    monotone = bounds[0] > bounds[1] > bounds[2]
-    ok = levels_ok and independent_ok and finite and monotone
+    # n = 6, k = m = 3, d = 4, eps = 1/2 by default
+    ok, outcome = demo("prefix", "--seed", "606")
+    levels = [(lv["K"], lv["verdict"]) for lv in outcome["levels"]]
+    bounds = [outcome["failure_bounds"][d] for d in ("4", "5", "6")]
+    ok = (ok and levels == [(8, "ok"), (4, "ok"), (2, "ok"), (1, "ok")]
+          and all(math.isfinite(b) for b in bounds)
+          and bounds[0] > bounds[1] > bounds[2])
     report(6, f"every truncation level verifies; bounds {bounds[0]:.3g} > "
               f"{bounds[1]:.3g} > {bounds[2]:.3g}",
            ok, time.monotonic() - started, 60.0)
@@ -181,72 +185,24 @@ def test_criterion_7_trevisan_ingredients():
 def test_criterion_8_fingerprint_roundtrips():
     started = time.monotonic()
     ok = True
-
-    # matching flavor, fully exhaustive at (n=2, k=1)
-    base, _ = construct_verified_offline_graph(OfflineParams(2, 1, 2), seed=808)
-    lg = layered(base, 1)
-    degree = base.degree_of(0)
-    for size in (1, 2):
-        for elements in itertools.permutations(range(4), size):
-            eset = EnumeratedSet("b", 1, elements)
-            for a in elements:
-                fp = encode_matching(lg, eset, a)
-                ok = ok and decode_matching(lg, eset, fp) == a
-                ok = ok and fp.payload_bits <= 1 + bits_for(2) + bits_for(degree)
-
-    # matching flavor, randomized at (n=3, k=2)
-    base3, _ = construct_verified_offline_graph(OfflineParams(3, 2, 2), seed=808)
-    lg3 = layered(base3, 2)
-    degree3 = base3.degree_of(0)
-    rng = SplitMix64(808)
-    for _ in range(100):
-        size = 1 + rng.below(4)
-        elements = tuple(rng.sample(8, size))
-        eset = EnumeratedSet("b", 2, elements)
-        for a in elements:
-            fp = encode_matching(lg3, eset, a)
-            ok = ok and decode_matching(lg3, eset, fp) == a
-            ok = ok and fp.payload_bits <= 2 + bits_for(3) + bits_for(degree3)
-
-    # extractor flavor over a verified stack with halving K
-    eps = Fraction(1, 4)
-    stack = []
-    for layer, k_layer in enumerate((2, 1, 0)):
-        view, _ = random_extractor_search(3, k_layer, 2, eps, 6,
-                                          seed=818 + layer)
-        stack.append(view)
-    for _ in range(50):
-        size = 1 + rng.below(4)
-        elements = tuple(rng.sample(8, size))
-        eset = EnumeratedSet("b", 2, elements)
-        chain = layer_sets(stack, elements)
-        for t in range(len(chain) - 1):
-            ok = ok and len(chain[t + 1]) < 2 * eps * stack[t].K
-        for a in elements:
-            fp = encode_extractor(stack, eset, a)
-            ok = ok and decode_extractor(stack, eset, fp) == a
-            ok = ok and fp.ordinal < fp.ordinal_bound
-            ok = ok and fp.total_bits <= (stack[fp.layer].m
-                                          + bits_for(len(stack))
-                                          + bits_for(fp.ordinal_bound))
-
-    # two-condition flavor on a prefix-verified view
-    pview, _ = random_extractor_search(4, 2, 2, Fraction(1, 2), 4, seed=828,
-                                       prefix=True)
-    two_checked = 0
-    for _ in range(25):
-        b_elems = tuple(rng.sample(16, 4))
-        s_b = EnumeratedSet("b", 2, b_elems)
-        s_c = EnumeratedSet("c", 1, b_elems[:2])
-        for a in b_elems[:2]:
-            try:
-                fp = encode_two_conditions(pview, s_b, s_c, a)
-            except ValueError:
-                continue   # weakly dangerous target: precondition reported
-            ok = ok and fp.q == fp.p >> (fp.bound - fp.second_bound)
-            ok = ok and decode_two_conditions(pview, s_b, fp, "b") == a
-            ok = ok and decode_two_conditions(pview, s_c, fp, "c") == a
-            two_checked += 1
+    matching = certified = extractor = two_checked = 0
+    for seed in ("808", "818", "828"):
+        # matching flavor: every (set, element) pair at (n=2, k=1), and the
+        # sweep certificate over every ordered set at (n=3, k=2); extractor
+        # flavor over a verified stack with halving K
+        exited_ok, outcome = demo("muchnik", "--seed", seed)
+        ok = (ok and exited_ok and outcome["matching_ok"]
+              and outcome["extractor_ok"] and outcome["layer_shrinkage_ok"])
+        matching += outcome["matching_roundtrips"]
+        certified += outcome["matching_certified_sequences"]
+        extractor += outcome["extractor_roundtrips"]
+        # two-condition flavor on a prefix-verified view
+        exited_ok, outcome = demo("two-cond", "--seed", seed)
+        ok = ok and exited_ok and outcome["all_ok"]
+        two_checked += outcome["roundtrips"]
+    ok = ok and matching == 3 * 28 and certified == 3 * 2080
     ok = ok and two_checked >= 40
-    report(8, f"all three flavors decode to identity ({two_checked} two-condition runs)",
+    report(8, f"all three flavors decode to identity ({matching} matching "
+              f"runs, {certified} certified sequences, {extractor} extractor "
+              f"runs, {two_checked} two-condition runs)",
            ok, time.monotonic() - started, 120.0)

@@ -1,3 +1,5 @@
+import csv
+import io
 import itertools
 import json
 import math
@@ -6,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from omex import (OfflineParams, construct_verified_offline_graph,
-                  counterexample_graph, optimal_degree_pow2,
-                  random_extractor_search, save, uniform_view)
+from omex import (BipartiteGraph, OfflineParams,
+                  construct_verified_offline_graph, counterexample_graph,
+                  layered, load, optimal_degree_pow2, random_extractor_search,
+                  save, uniform_view)
 from omex.cli import main
 
 from oracles import naive_hazard_report
@@ -100,6 +103,10 @@ def test_fp_flavor_flag_combinations_are_usage_errors(capsys, tmp_path):
                  "--target", "0"]) == 2
     assert main(["fp", "encode", "--flavor", "two", "--views", "a", "b",
                  "--set", str(set_path), "--target", "0"]) == 2
+    capsys.readouterr()
+    assert main(["fp", "encode", "--flavor", "two", "--views", "a",
+                 "--set", str(set_path), "--target", "0"]) == 2
+    assert "needs --set2" in capsys.readouterr().err
 
 
 def test_missing_file_is_failure_not_crash(capsys):
@@ -121,19 +128,30 @@ def test_timing_flag_adds_field(capsys):
     assert "timing_s" in report
 
 
+def csv_rows(out):
+    return list(csv.reader(io.StringIO(out)))
+
+
 def test_csv_output(capsys, cx_path):
     code, out = run(capsys, "--csv", "offline", "hall", "--graph", cx_path,
                     "--s", "2")
     assert code == 0
     assert "outcome.ok,True" in out
+    # a list becomes one field of ;-separated items
+    code, out = run(capsys, "--csv", "offline", "hall", "--graph", cx_path,
+                    "--s", "3")
+    assert code == 1
+    assert csv_rows(out) == [["outcome.ok", "False"],
+                             ["outcome.witness", "0;1;2"]]
 
 
 def test_csv_rows_become_table(capsys):
     code, out = run(capsys, "--csv", "demo", "lemma1", "--n", "3", "--k", "1",
                     "--eps", "1/2", "--seed", "7")
     assert code == 0
-    header = out.splitlines()[0].split(",")
+    header, *rows = csv_rows(out)
     assert "dangerous" in header and "S" in header
+    assert rows and all(len(row) == len(header) for row in rows)
 
 
 def test_gen_then_hall_pipeline(capsys, tmp_path):
@@ -195,6 +213,21 @@ def test_online_run_stream(capsys, tmp_path, cx_path):
     assert code == 0
     assert report["outcome"]["rejections"] == []
     assert len(report["outcome"]["matched"]) == 2
+
+
+def test_online_run_reads_stdin_and_reports_an_audit_violation(
+        capsys, tmp_path, monkeypatch):
+    # four copies of one right vertex serve four requests, one each, yet
+    # layer 0 forwarded 3 of the 4 it saw
+    path = tmp_path / "funnel.json"
+    save(BipartiteGraph(2, 1, 1, ((0,), (0,), (0,), (0,))), path)
+    monkeypatch.setattr("sys.stdin", io.StringIO("0\n1\n2\n3\n"))
+    code, report = run_json(capsys, "online", "run", "--graph", str(path),
+                            "--layers", "4", "--requests", "-")
+    assert code == 1
+    assert report["outcome"]["rejections"] == []
+    assert report["outcome"]["audit"] == (
+        "layer 0: 3 forwarded past it, more than half of the 4 that reached it")
 
 
 def test_online_run_reports_rejection(capsys, tmp_path, cx_path):
@@ -284,8 +317,6 @@ def test_unrenderable_or_oversized_is_one_error_report(capsys, cx_path, argv,
     ["ext", "check", "--graph", "g.json", "--K", "2", "--eps", "1/0"],
     ["ext", "hazards", "--graph", "g.json", "--K", "2", "--eps", "1/0",
      "--set", "s.json"],
-    ["trev", "eval", "--u", "01", "--y", "0001", "--design", "d.json",
-     "--delta", "1/0"],
     ["trev", "decode", "--word", "0110", "--delta", "1/0"],
     ["trev", "decode", "--word", "0110", "--delta", "half"],
     ["demo", "lemma1", "--n", "3", "--k", "1", "--eps", "1/0", "--seed", "1"],
@@ -386,8 +417,9 @@ def test_online_layered_refuses_bad_base(capsys, tmp_path, cx_path):
 
 
 def test_online_sweep_reports_counters(capsys, tmp_path, cx_path):
-    path = tmp_path / "base.json"
-    save(construct_verified_offline_graph(OfflineParams(3, 2, 1), 7)[0], path)
+    path, out_path = tmp_path / "base.json", tmp_path / "stack.json"
+    base = construct_verified_offline_graph(OfflineParams(3, 2, 1), 7)[0]
+    save(base, path)
     code, report = run_json(capsys, "online", "sweep", "--graph", str(path),
                             "--k", "2")
     assert code == 0
@@ -395,6 +427,14 @@ def test_online_sweep_reports_counters(capsys, tmp_path, cx_path):
         "ok": True, "sequences": 2080, "visited": 509, "memo_hits": 71,
         "certified": 20, "first_rejection": None,
         "first_audit_violation": None}
+    # the stack it swept, as `online layered` writes it
+    code, report = run_json(capsys, "online", "layered", "--graph", str(path),
+                            "--k", "2", "--out", str(out_path))
+    assert code == 0
+    assert report["outcome"] == {
+        "ok": True, "copies": 3, "right_size": 3 * base.right_size,
+        "max_degree": 3 * base.max_degree, "out": str(out_path)}
+    assert load(out_path) == layered(base, 2).graph
     # the base is checked as by `online layered`
     code, report = run_json(capsys, "online", "sweep", "--graph", cx_path,
                             "--k", "2")
@@ -467,6 +507,32 @@ def test_ext_check_prefix_mode(capsys, tmp_path):
                             "--prefix", "2")
     assert code == 0
     assert [lv["K"] for lv in report["outcome"]["levels"]] == [4, 2, 1]
+    # the levels' field holds commas, so CSV quotes it
+    code, out = run(capsys, "--csv", "ext", "check", "--graph", view_path,
+                    "--prefix", "2")
+    (verdict, levels) = csv_rows(out)
+    assert verdict == ["outcome.verdict", "ok"]
+    assert levels[0] == "outcome.levels" and len(levels) == 2
+    assert levels[1].startswith("{'i': 0, 'K': 4, 'verdict': 'ok'")
+
+
+def test_ext_check_renders_witnesses(capsys, tmp_path):
+    # vertex 0 sends both edges to right vertex 0: a witness at K = 1, and
+    # at the 1-bit level of the prefix check
+    path = tmp_path / "g.json"
+    save(BipartiteGraph(2, 4, 2, ((0, 0), (1, 2), (1, 3), (2, 3))), path)
+    code, report = run_json(capsys, "ext", "check", "--graph", str(path),
+                            "--K", "1", "--eps", "3/8")
+    assert code == 1
+    assert report["outcome"]["verdict"] == "witness"
+    assert report["outcome"]["witness"] == {"S": [0], "deviation": "3/4"}
+    code, report = run_json(capsys, "ext", "check", "--graph", str(path),
+                            "--K", "2", "--eps", "3/8", "--prefix", "1")
+    assert code == 1
+    assert [lv["verdict"] for lv in report["outcome"]["levels"]] == [
+        "ok", "witness"]
+    assert report["outcome"]["witness"] == {"level": 1, "S": [0],
+                                            "deviation": "1/2"}
 
 
 def test_ext_degree_and_pbound(capsys):
@@ -651,6 +717,13 @@ def test_fp_two_roundtrip_via_files(capsys, tmp_path):
                                 "--fingerprint", fp_path, "--side", side)
         assert code == 0
         assert report["outcome"]["element"] == 2
+    # --side c reads the second set from --set2 when it is given
+    code, report = run_json(capsys, "fp", "decode", "--flavor", "two",
+                            "--views", view_path, "--set", str(set_b),
+                            "--set2", str(set_c), "--fingerprint", fp_path,
+                            "--side", "c")
+    assert code == 0
+    assert report["outcome"]["element"] == 2
 
 
 def test_fp_ext_decode_rejects_negative_ordinal(capsys, tmp_path):
@@ -770,27 +843,6 @@ def test_demo_om_small(capsys):
                     (3, 3): (109_600, 8, 0, 8),
                     (4, 3): (582_913_216, 0, 0, 1),
                     (5, 2): (893_824, 0, 0, 1)}
-
-
-def test_demo_muchnik(capsys):
-    code, report = run_json(capsys, "demo", "muchnik", "--seed", "11")
-    assert code == 0
-    assert report["outcome"]["matching_ok"] is True
-    assert report["outcome"]["extractor_ok"] is True
-    assert report["outcome"]["layer_shrinkage_ok"] is True
-
-
-def test_demo_two_cond(capsys):
-    code, report = run_json(capsys, "demo", "two-cond", "--seed", "5")
-    assert code == 0
-    assert report["outcome"]["all_ok"] is True
-
-
-def test_demo_prefix(capsys):
-    code, report = run_json(capsys, "demo", "prefix", "--seed", "9")
-    assert code == 0
-    assert report["outcome"]["monotone_decreasing"] is True
-    assert [lv["K"] for lv in report["outcome"]["levels"]] == [8, 4, 2, 1]
 
 
 def test_demo_trevisan_small(capsys):

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from omex import (BipartiteGraph, EnumeratedSet, ExtractorView, OfflineParams,
-                  bits_for, construct_verified_offline_graph, decode_extractor,
-                  decode_matching, decode_two_conditions, encode_extractor,
-                  encode_matching, encode_two_conditions, layer_sets, layered,
+from omex import (BipartiteGraph, EnumeratedSet, ExtractorView, LayeredGraph,
+                  OfflineParams, bits_for, construct_verified_offline_graph,
+                  decode_extractor, decode_matching, decode_two_conditions,
+                  encode_extractor, encode_matching, encode_two_conditions,
+                  exhaustive_online_check, layer_sets, layered,
                   random_extractor_search, uniform_view)
 from omex.fingerprint import fingerprint_from_doc
 from omex.graph import from_json, to_json
@@ -17,9 +18,13 @@ from omex.rng import SplitMix64
 from conftest import NoPower
 
 
-def matching_setup(n, k, seed=7):
-    base, _ = construct_verified_offline_graph(OfflineParams(n, k, 2), seed)
+def matching_setup(n, k, seed=7, c=2):
+    base, _ = construct_verified_offline_graph(OfflineParams(n, k, c), seed)
     return base, layered(base, k)
+
+
+# four left vertices on one right vertex: fails Hall at size 2
+FUNNEL = BipartiteGraph(2, 1, 1, ((0,), (0,), (0,), (0,)))
 
 
 def dangerous_layer_stack():
@@ -83,25 +88,33 @@ def test_singleton_set_takes_first_neighbor():
     assert decode_matching(lg, s, fp) == 2
 
 
-def test_matching_roundtrip_exhaustive_n2_k1():
-    _, lg = matching_setup(2, 1)
-    for size in (1, 2):
-        for elements in itertools.permutations(range(4), size):
-            s = EnumeratedSet("b", 1, elements)
+@pytest.mark.parametrize("n, k, c, rejected", [
+    (2, 1, 1, None), (2, 1, 2, None), (3, 2, 1, None), (3, 2, 2, None),
+    (2, 2, None, [0, 1, 2, 3])])
+def test_sweep_certifies_matching_roundtrips(n, k, c, rejected):
+    """Encoding runs greedy over the set in order and decoding replays that
+    run, so the on-line sweep over every request sequence of at most 2^k
+    is a certificate for the matching flavor. Where it passes, every element
+    of every ordered set of at most 2^k elements encodes and decodes to
+    itself; where it names a first rejection, encoding that set raises.
+    c=None stacks k+1 copies of FUNNEL, which fails Hall, unverified."""
+    if c is None:
+        base, lg = FUNNEL, LayeredGraph.build(FUNNEL, k + 1)
+    else:
+        base, lg = matching_setup(n, k, c=c)
+    sweep = exhaustive_online_check(lg, 2 ** k)
+    assert sweep.first_rejection == rejected
+    if rejected is not None:
+        s = EnumeratedSet("b", k, tuple(rejected))
+        with pytest.raises(AssertionError, match=f"engine rejected {rejected[-1]}"):
+            encode_matching(lg, s, rejected[0])
+        return
+    assert sweep.ok
+    for size in range(1, 2 ** k + 1):
+        for elements in itertools.permutations(range(base.left_size), size):
+            s = EnumeratedSet("b", k, elements)
             for a in elements:
-                fp = encode_matching(lg, s, a)
-                assert decode_matching(lg, s, fp) == a
-
-
-def test_matching_roundtrip_random_n3_k2():
-    base, lg = matching_setup(3, 2)
-    rng = SplitMix64(15)
-    for _ in range(80):
-        size = 1 + rng.below(4)
-        elements = tuple(rng.sample(8, size))
-        s = EnumeratedSet("b", 2, elements)
-        for a in elements:
-            assert decode_matching(lg, s, encode_matching(lg, s, a)) == a
+                assert decode_matching(lg, s, encode_matching(lg, s, a)) == a
 
 
 def test_matching_fingerprints_injective_per_session():

@@ -448,6 +448,10 @@ def test_exhaustive_limit_message_reports_progress(monkeypatch):
     assert str(raised.value) == (
         "sequence tree exceeds 100 nodes: visited 100 nodes, counted 218 "
         "sequences, cached 17 passing states, certified 3 subtrees")
+    monkeypatch.setenv("OMEX_LIMITS", "game_nodes=10")
+    with pytest.raises(LimitExceeded) as raised:
+        online_strategy_exists(lg.graph, 3)
+    assert str(raised.value) == "game tree exceeds 10 nodes: decided 8 positions"
 
 
 def test_sweep_frontier_n4_k3():
