@@ -3,12 +3,11 @@ over explicitly enumerated sets, at sizes where every claim can be checked
 exhaustively."""
 
 from .graph import (BipartiteGraph, GraphError, GraphFormatError,
-                    GraphInvariantError, Violation, complete_graph, load,
-                    save, validate)
+                    GraphInvariantError, Violation, load, save, validate)
 from .limits import Limits, LimitExceeded, default_limits
 from .offline import (OfflineParams, construct_verified_offline_graph,
-                      hall_check, max_matching, random_offline_graph,
-                      series_base, series_bound)
+                      hall_check, random_offline_graph, series_base,
+                      series_bound)
 from .online import (AuditViolation, GameResult, LayeredGraph,
                      MatchingSession, SequenceSweep, counterexample_graph,
                      exhaustive_online_check, half_rejection_audit, layered,
@@ -16,10 +15,9 @@ from .online import (AuditViolation, GameResult, LayeredGraph,
 from .extractor import (ExtractorCheck, ExtractorView, HazardReport,
                         PrefixCheck, deviation, hazard_report, hazard_walk,
                         is_extractor, is_prefix_extractor, load_view,
-                        next_pow2,
                         optimal_degree, optimal_degree_pow2,
                         prefix_failure_bound, random_extractor_search,
-                        save_view, truncate, uniform_view)
+                        save_view, truncate)
 from .trevisan import (CodeTable, DesignViolation, WeakDesign,
                        as_extractor_view, encode, greedy_weak_design,
                        list_decode, restrict, trevisan_eval,

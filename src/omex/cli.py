@@ -11,6 +11,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -680,7 +681,9 @@ COMMANDS = {
         "hall": (cmd_offline_hall, "smallest violating subset, if any", [
             GRAPH, *_ints("--s"),
             ("--mode", {"choices": ("exhaustive", "matching"),
-                        "default": "exhaustive"}),
+                        "default": "exhaustive",
+                        "help": "both run the same test, which by Hall's "
+                                "theorem finds the same witness"}),
             *_ints("--jobs", required=False, default=1,
                    help="has no effect; the check runs in one thread")]),
         "bound": (cmd_offline_bound, "exact union-bound series",
@@ -811,7 +814,14 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, RuntimeError, GraphError, OSError, OverflowError) as e:
         ok, text = False, _render(args, argv, {"error": str(e)}, started)
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early; send the rest, and the flush at
+        # exit, to the null device instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if ok else 1
 
 

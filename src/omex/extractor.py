@@ -631,18 +631,6 @@ def _log_comb(N: int, k: int, n: int) -> float:
     return math.lgamma(N + 1) - math.lgamma(k + 1) - math.lgamma(N - k + 1)
 
 
-def uniform_view(n: int, m: int, repeat: int = 1, K: int = 1,
-                 eps=Fraction(1, 2)) -> ExtractorView:
-    """Exactly-uniform view: every left vertex hits every right vertex
-    `repeat` times (D = repeat * 2^m), so every deviation is zero."""
-    if not _is_pow2(repeat):
-        raise ValueError("repeat must be a power of 2 to keep D a power of 2")
-    M = 2 ** m
-    row = tuple(range(M)) * repeat
-    rows = tuple(row for _ in range(2 ** n))
-    return ExtractorView(BipartiteGraph(n, M, len(row), rows), K, eps)
-
-
 view_to_json = to_json
 save_view = save
 load_view = partial(load, kind=ExtractorView)

@@ -82,9 +82,6 @@ class BipartiteGraph:
             raise IndexError(f"left index {left_index} out of range")
         return self.neighbors[left_index]
 
-    def degree_of(self, left_index: int) -> int:
-        return len(self.neighbors_of(left_index))
-
 
 def validate(g: BipartiteGraph) -> Violation | None:
     """First violated invariant with the offending vertex, or None if valid."""
@@ -166,8 +163,3 @@ def load(path, kind=BipartiteGraph):
     with open(path, "r", encoding="utf-8") as fh:
         return from_json(fh.read(), kind)
 
-
-def complete_graph(n: int, right_size: int) -> BipartiteGraph:
-    """Every left vertex adjacent to every right vertex, in right-index order."""
-    row = tuple(range(right_size))
-    return BipartiteGraph(n, right_size, right_size, tuple(row for _ in range(2 ** n)))

@@ -90,6 +90,8 @@ class MatchingSession:
     _order: list[int] = field(init=False, default_factory=list, repr=False)
 
     def __post_init__(self):
+        if self.capacity < 0:
+            raise ValueError(f"need capacity >= 0, got {self.capacity}")
         lg = self.graph
         if not isinstance(lg, LayeredGraph):  # a plain graph is one layer
             lg = LayeredGraph(lg, 1, lg)
@@ -278,6 +280,14 @@ def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
     # each calls itself: free the cycles and memos now, on a refusal too
     try:
         strategy = build_tree(0, 0, 0) if wins(0, 0, 0) else None
+    except RecursionError as e:     # one frame per move: the stack ran out
+        tb, frames = e.__traceback__, 0
+        while tb is not None:
+            frames += tb.tb_frame.f_code.co_name in ("wins", "build_tree")
+            tb = tb.tb_next
+        raise LimitExceeded(
+            f"game search exceeds the interpreter's recursion limit at depth "
+            f"{frames - 1}: decided {len(memo)} positions") from None
     finally:
         del wins, build_tree
     return GameResult(strategy is not None, strategy, nodes)

@@ -21,6 +21,23 @@ def small_graphs(draw, max_n=4, max_right=6, max_degree=4):
     return BipartiteGraph(n, right, max_degree, rows)
 
 
+def complete_graph(n: int, right_size: int) -> BipartiteGraph:
+    """Every left vertex adjacent to every right vertex, in right-index order."""
+    row = tuple(range(right_size))
+    return BipartiteGraph(n, right_size, right_size,
+                          tuple(row for _ in range(2 ** n)))
+
+
+def uniform_view(n: int, m: int, repeat: int = 1, K: int = 1,
+                 eps=Fraction(1, 2)) -> ExtractorView:
+    """Exactly-uniform view: every left vertex hits every right vertex
+    `repeat` times (D = repeat * 2^m), so every deviation is zero."""
+    row = tuple(range(2 ** m)) * repeat
+    return ExtractorView(BipartiteGraph(n, 2 ** m, len(row),
+                                        tuple(row for _ in range(2 ** n))),
+                         K, eps)
+
+
 class NoPower(int):
     """An exponent that refuses to be raised to: `2 ** k` calls its
     `__rpow__` first, since it is a subclass of int. Input checks take it to

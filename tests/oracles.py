@@ -8,7 +8,7 @@ from fractions import Fraction
 from omex import (AuditViolation, BipartiteGraph, ExtractorCheck,
                   ExtractorView, GameResult, HazardReport, LimitExceeded,
                   MatchingSession, PrefixCheck, SequenceSweep, default_limits,
-                  deviation, half_rejection_audit, max_matching, truncate)
+                  deviation, half_rejection_audit, truncate)
 from omex.trevisan import (CodeTable, WeakDesign, _check_block_size, _masks,
                            _parities, encode)
 
@@ -400,13 +400,13 @@ def naive_hall_check(g, s_max: int,
                      mode: str = "exhaustive") -> list[int] | None:
     """`hall_check` as a plain scan: `itertools.combinations` per size in
     increasing order, each subset's distinct neighbors collected in a set
-    (or, in matching mode, its `max_matching` size); no budget."""
+    (or, in matching mode, the size of `naive_max_matching`); no budget."""
     for size in range(1, min(s_max, g.left_size) + 1):
         for combo in itertools.combinations(range(g.left_size), size):
             if mode == "exhaustive":
                 ok = _count_distinct_neighbors(g, combo, size)
             else:
-                ok = len(max_matching(g, list(combo))) == size
+                ok = len(naive_max_matching(g, combo)) == size
             if not ok:
                 return list(combo)
     return None

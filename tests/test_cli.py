@@ -3,16 +3,22 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from omex import (BipartiteGraph, OfflineParams,
                   construct_verified_offline_graph, counterexample_graph,
                   layered, load, optimal_degree_pow2, random_extractor_search,
-                  save, uniform_view)
+                  save)
 from omex.cli import main
+
+from conftest import uniform_view
 
 from oracles import naive_hazard_report
 
@@ -78,6 +84,16 @@ def test_game_tree_included_on_request(capsys, cx_path):
     assert set(report["outcome"]["strategy"]) == {"0", "1", "2"}
 
 
+def test_game_deeper_than_the_stack_is_an_error_report(capsys, tmp_path):
+    path = tmp_path / "perfect.json"
+    save(BipartiteGraph(11, 2048, 1, tuple((v,) for v in range(2048))), path)
+    code, report = run_json(capsys, "online", "game", "--graph", str(path),
+                            "--s", "2048")
+    assert code == 1
+    assert report["outcome"]["error"].startswith(
+        "game search exceeds the interpreter's recursion limit at depth ")
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["offline", "hall", "--nope"]) == 2
     assert main(["bogus"]) == 2
@@ -114,6 +130,28 @@ def test_missing_file_is_failure_not_crash(capsys):
                             "/nonexistent.json", "--s", "2")
     assert code == 1
     assert "error" in report["outcome"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["offline", "bound", "--n", "3", "--k", "1"],     # flushed at exit
+    ["--csv", "demo", "lemma1", "--n", "4", "--k", "2", "--eps", "1/2",
+     "--seed", "7"],                                  # more than one buffer
+])
+def test_a_closed_pipe_ends_without_a_traceback(argv):
+    # the reader is gone before the report is written, as after `| head`
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "omex.cli", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+            timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert b"Exception ignored" not in proc.stderr
 
 
 def test_report_bytes_deterministic(capsys):
@@ -237,6 +275,17 @@ def test_online_run_reports_rejection(capsys, tmp_path, cx_path):
                             "--layers", "1", "--requests", str(req))
     assert code == 1
     assert report["outcome"]["rejections"] == [1]
+
+
+@pytest.mark.parametrize("requests", ["", "0\n"])
+def test_online_run_negative_capacity_is_failure(capsys, tmp_path, cx_path,
+                                                 requests):
+    req = tmp_path / "req.txt"
+    req.write_text(requests)
+    code, report = run_json(capsys, "online", "run", "--graph", cx_path,
+                            "--requests", str(req), "--capacity", "-1")
+    assert code == 1
+    assert report["outcome"] == {"error": "need capacity >= 0, got -1"}
 
 
 @pytest.mark.parametrize("bad", ["99", "-1", "3"])

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omex import (EnumeratedSet, OfflineParams, complete_graph,
+from omex import (EnumeratedSet, OfflineParams,
                   construct_verified_offline_graph, counterexample_graph,
                   encode_extractor, encode_matching, encode_two_conditions,
-                  greedy_weak_design, layered, random_extractor_search, save,
-                  uniform_view)
+                  greedy_weak_design, layered, random_extractor_search, save)
 from omex.cli import COMMANDS, _fraction, main
+
+from conftest import complete_graph, uniform_view
 
 SMALL_LIMITS = "subset_nodes=20000,game_nodes=20000,gen_edges=20000"
 INTS = st.integers(min_value=-1, max_value=5)

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from omex import (BipartiteGraph, ExtractorView, GraphFormatError,
                   LimitExceeded, deviation, hazard_report, hazard_walk,
-                  is_extractor, is_prefix_extractor, next_pow2, optimal_degree,
+                  is_extractor, is_prefix_extractor, optimal_degree,
                   optimal_degree_pow2, prefix_failure_bound,
-                  random_extractor_search, truncate, uniform_view)
-from omex.extractor import _log_comb, load_view, save_view, view_to_json
+                  random_extractor_search, truncate)
+from omex.extractor import (_log_comb, load_view, next_pow2, save_view,
+                            view_to_json)
 from omex.graph import from_json
 from omex.rng import SplitMix64
 
-from conftest import random_view
+from conftest import random_view, uniform_view
 from oracles import (exhaustive_subset_deviation, naive_hazard_report,
                      naive_hazard_scan, naive_is_extractor,
                      naive_is_prefix_extractor)

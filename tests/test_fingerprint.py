@@ -9,13 +9,13 @@ from omex import (BipartiteGraph, EnumeratedSet, ExtractorView, LayeredGraph,
                   decode_extractor, decode_matching, decode_two_conditions,
                   encode_extractor, encode_matching, encode_two_conditions,
                   exhaustive_online_check, layer_sets, layered,
-                  random_extractor_search, uniform_view)
+                  random_extractor_search)
 from omex.fingerprint import fingerprint_from_doc
 from omex.graph import from_json, to_json
 from omex.online import counterexample_graph
 from omex.rng import SplitMix64
 
-from conftest import NoPower
+from conftest import NoPower, uniform_view
 
 
 def matching_setup(n, k, seed=7, c=2):
@@ -134,12 +134,12 @@ def test_matching_payload_bits_within_bound():
     for n, k in ((2, 1), (3, 2), (3, 3)):
         base, lg = matching_setup(n, k)
         s = EnumeratedSet("b", k, tuple(range(min(2 ** k, base.left_size))))
-        degree = base.degree_of(0)
+        degree = len(base.neighbors_of(0))
         for a in s.elements:
             fp = encode_matching(lg, s, a)
             assert fp.payload_bits <= k + bits_for(k + 1) + bits_for(degree)
             assert fp.right_index < lg.graph.right_size
-            assert fp.neighbor_ordinal < lg.graph.degree_of(a)
+            assert fp.neighbor_ordinal < len(lg.graph.neighbors_of(a))
 
 
 def test_matching_target_must_be_in_set():

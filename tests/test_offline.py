@@ -7,50 +7,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omex import (BipartiteGraph, LimitExceeded, OfflineParams,
-                  complete_graph, construct_verified_offline_graph,
-                  hall_check, max_matching, random_offline_graph, series_base,
-                  series_bound)
+                  construct_verified_offline_graph, hall_check,
+                  random_offline_graph, series_base, series_bound)
 from omex.online import counterexample_graph
 from omex.rng import SplitMix64
 
-from conftest import NoPower, small_graphs
+from conftest import NoPower, complete_graph, small_graphs
 from oracles import naive_hall_check, naive_max_matching, naive_series_bound
 
 
-# --- max_matching -----------------------------------------------------------
+# --- the reference matching the matching-mode checks compare against ----
 
 def test_complete_graph_saturates():
     g = complete_graph(2, 4)
-    assert len(max_matching(g, [0, 1, 2, 3])) == 4
+    assert len(naive_max_matching(g, [0, 1, 2, 3])) == 4
 
 
 def test_empty_subset_empty_matching():
-    assert max_matching(complete_graph(2, 4), []) == []
+    assert naive_max_matching(complete_graph(2, 4), []) == []
 
 
 def test_counterexample_pair_is_matchable():
     # by hand: 0 takes right 0, then 1 augments 0 over to right 1
-    assert max_matching(counterexample_graph(), [0, 1]) == [(0, 1), (1, 0)]
-
-
-def test_max_matching_rejects_duplicates():
-    with pytest.raises(ValueError, match="repeats"):
-        max_matching(complete_graph(1, 2), [0, 0])
-
-
-def test_max_matching_deterministic():
-    g = BipartiteGraph(2, 3, 3, ((0, 1), (0,), (0, 2), (1,)))
-    assert max_matching(g, [0, 1, 2, 3]) == max_matching(g, [0, 1, 2, 3])
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_max_matching_matches_recursive_kuhn(data):
-    # the same pairs in the same order, on orders that force long
-    # augmenting paths as well as dead ends
-    g = data.draw(small_graphs(max_right=5))
-    subset = data.draw(st.permutations(range(g.left_size)))
-    assert max_matching(g, subset) == naive_max_matching(g, subset)
+    assert naive_max_matching(counterexample_graph(), [0, 1]) == [(0, 1),
+                                                                  (1, 0)]
 
 
 def test_max_matching_follows_a_long_augmenting_path():
@@ -58,8 +38,8 @@ def test_max_matching_follows_a_long_augmenting_path():
     # three move one step along
     rows = ((0, 1), (1, 2), (2, 3), (0,))
     g = BipartiteGraph(2, 4, 2, rows)
-    assert max_matching(g, [0, 1, 2, 3]) == [(0, 1), (1, 2), (2, 3), (3, 0)]
-    assert max_matching(g, [0, 1, 2, 3]) == naive_max_matching(g, [0, 1, 2, 3])
+    assert naive_max_matching(g, [0, 1, 2, 3]) == [(0, 1), (1, 2), (2, 3),
+                                                    (3, 0)]
 
 
 # --- hall_check -------------------------------------------------------------
@@ -154,6 +134,7 @@ def test_hall_check_matches_naive_scan_on_bench_shaped_graphs():
         witnesses.append(witness)
         if witness is not None and len(witness) <= 5:
             assert hall_check(g, s, mode="matching") == witness
+            assert naive_hall_check(g, s, "matching") == witness
     assert witnesses[:3] == [None] * 3
     assert sum(w is not None for w in witnesses) >= 6
 
@@ -161,8 +142,11 @@ def test_hall_check_matches_naive_scan_on_bench_shaped_graphs():
 @settings(max_examples=60, deadline=None)
 @given(small_graphs(max_n=4, max_right=4, max_degree=3))
 def test_exhaustive_and_matching_modes_agree(g):
+    # by Hall's theorem, the smallest subset short of neighbors is the
+    # smallest one a maximum matching fails to saturate
     for s in range(1, g.left_size + 1):
-        assert hall_check(g, s) == hall_check(g, s, mode="matching")
+        witness = naive_hall_check(g, s, "matching")
+        assert hall_check(g, s) == hall_check(g, s, mode="matching") == witness
 
 
 @settings(max_examples=40, deadline=None)
@@ -227,7 +211,7 @@ def test_generated_shape_n2k1c2():
     g = random_offline_graph(OfflineParams(2, 1, 2), 5)
     assert g.right_size == 8
     assert g.left_size == 4
-    assert all(g.degree_of(v) == 4 for v in range(4))
+    assert all(len(g.neighbors_of(v)) == 4 for v in range(4))
 
 
 def test_generation_limit_guard(monkeypatch):

@@ -9,14 +9,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from omex import (AuditViolation, BipartiteGraph, LayeredGraph,
                   LimitExceeded, Limits, MatchingSession, OfflineParams,
-                  complete_graph, construct_verified_offline_graph,
+                  construct_verified_offline_graph,
                   counterexample_graph, default_limits,
                   exhaustive_online_check, half_rejection_audit, hall_check,
                   layered, online_strategy_exists, random_offline_graph)
 from omex import online as online_module
 from omex.rng import SplitMix64
 
-from conftest import NoPower, small_graphs
+from conftest import NoPower, complete_graph, small_graphs
 from oracles import (layer0_certified, naive_layer_counts, naive_online_check,
                      naive_online_strategy_exists, stepwise_online_check,
                      undo)
@@ -86,6 +86,12 @@ def test_capacity_enforced():
     session.request(0)
     with pytest.raises(ValueError, match="capacity"):
         session.request(1)
+
+
+def test_negative_capacity_is_refused():
+    with pytest.raises(ValueError, match="need capacity >= 0, got -1"):
+        MatchingSession(complete_graph(1, 2), capacity=-1)
+    assert MatchingSession(complete_graph(1, 2), capacity=0).matched == {}
 
 
 def session_state(session):
@@ -191,7 +197,7 @@ def test_layered_multiplies_sizes():
     lg = layered(base, 1)
     assert lg.copies == 2
     assert lg.graph.right_size == base.right_size * 2
-    assert lg.graph.degree_of(0) == base.degree_of(0) * 2
+    assert len(lg.graph.neighbors_of(0)) == len(base.neighbors_of(0)) * 2
 
 
 def test_zero_extra_layers_is_identity():
@@ -496,22 +502,37 @@ def test_counterexample_no_online_strategy_at_2():
     assert res.strategy is None
 
 
-def test_refused_game_leaves_no_cycle_to_the_collector(monkeypatch):
-    g = random_offline_graph(OfflineParams(4, 2, 1), 3)
-    monkeypatch.setenv("OMEX_LIMITS", "game_nodes=50")
+def refused_game_garbage(g, s, match) -> set[str]:
+    """Names of the functions a refused game leaves to the cyclic collector."""
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        with pytest.raises(LimitExceeded, match="exceeds 50 nodes") as raised:
-            online_strategy_exists(g, 5)
+        with pytest.raises(LimitExceeded, match=match) as raised:
+            online_strategy_exists(g, s)
         del raised  # its traceback would keep the game's frames alive
         gc.collect()
-        names = {obj.__name__ for obj in gc.garbage
-                 if isinstance(obj, types.FunctionType)}
+        return {obj.__name__ for obj in gc.garbage
+                if isinstance(obj, types.FunctionType)}
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
-    assert names.isdisjoint({"wins", "build_tree"})
+
+
+def test_refused_game_leaves_no_cycle_to_the_collector(monkeypatch):
+    g = random_offline_graph(OfflineParams(4, 2, 1), 3)
+    monkeypatch.setenv("OMEX_LIMITS", "game_nodes=50")
+    garbage = refused_game_garbage(g, 5, "exceeds 50 nodes")
+    assert garbage.isdisjoint({"wins", "build_tree"})
+
+
+def test_game_deeper_than_the_stack_is_refused_by_name():
+    # a perfect matching plainly has a strategy, but each move is one
+    # Python frame, and 2,048 moves are more than the stack holds; the
+    # first line of play runs out long before the node budget does
+    g = BipartiteGraph(11, 2048, 1, tuple((v,) for v in range(2048)))
+    garbage = refused_game_garbage(
+        g, 2048, r"recursion limit at depth \d+: decided 0 positions")
+    assert garbage.isdisjoint({"wins", "build_tree"})
 
 
 def test_counterexample_strategy_at_1():

@@ -1,10 +1,12 @@
 """Source checks on `src/omex`: the library is stdlib-only (pyproject.toml
 declares no dependencies), leaves no self-recursive closure behind, keeps
 per-object caches in `cached_property`s, not in `__dict__`, and still has
-every name the benchmark in `bench/` patches or calls."""
+every name the benchmark in `bench/` patches or calls, and exports only
+names that something outside the tests uses."""
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -139,3 +141,30 @@ def test_every_omex_name_the_workloads_call_exists():
     names.update(aliases.values())
     assert len(names) > 20
     assert sorted(name for name in names if not _resolves(name)) == []
+
+
+def test_every_public_name_has_a_use_outside_the_tests():
+    # a name `omex` exports is used by the library beyond its own
+    # definition, by the benchmark, or promised by the README; one that
+    # only the tests use belongs in tests/conftest.py
+    exported = {alias.asname or alias.name
+                for node in ast.parse((SRC / "__init__.py").read_text(
+                    encoding="utf-8")).body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    used.update(alias.name for alias in node.names)
+    text = "\n".join(path.read_text(encoding="utf-8")
+                     for path in [*sorted(BENCH.glob("*.py")),
+                                  ROOT / "README.md"])
+    words = set(re.findall(r"\w+", text))
+    assert len(exported) > 40
+    assert sorted(exported - used - words) == []
