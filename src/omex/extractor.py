@@ -178,11 +178,15 @@ def deviation(view: ExtractorView, S) -> Fraction:
     max_Y |e(S,Y)/(D|S|) - |Y|/M| equals the total-variation distance
     between the edge-endpoint distribution of S and uniform, i.e. the sum
     of the positive parts, because the signed deviations cancel and the
-    negative direction is the positive one on the complement of Y.
+    negative direction is the positive one on the complement of Y. It
+    counts S's own |S| * D edges and leaves the view's `counts` unbuilt.
     """
     S = _validate_subset(view, S)
     M, D, s = view.M, view.D, len(S)
-    e = map(sum, zip(*map(view.counts.__getitem__, S)))
+    e = [0] * M
+    for v in S:
+        for r in view.graph.neighbors[v]:
+            e[r] += 1
     positive = sum(c * M - D * s for c in e if c * M > D * s)
     return Fraction(positive, D * s * M)
 
@@ -320,10 +324,9 @@ def _exhaustive_walk(view: ExtractorView) -> ExtractorCheck:
         if certified:
             checked += math.comb(N - 1 - v, K - 1 - j)
             v += 1
-        elif j == K - 1:
-            witness = tuple(combo)
-            return ExtractorCheck("exhaustive", witness,
-                                  deviation(view, witness), checked + 1, tests)
+        elif j == K - 1:    # a leaf's missing mass is its deviation
+            return ExtractorCheck("exhaustive", tuple(combo), Fraction(
+                sum(filter(_positive, g)), D * K * M), checked + 1, tests)
         else:
             j += 1
             deficits[j] = g

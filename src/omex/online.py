@@ -310,11 +310,11 @@ class SequenceSweep:
         return self.first_rejection is None and self.first_audit_violation is None
 
 
-def _serving_mask(used: int, served: int, width: int, copies: int) -> int:
+def _serving_mask(used: int, width: int, copies: int) -> int:
     """The base right vertices free in some layer where one more request
     can be served with the audit still passing, for a session over `copies`
-    layers of `width` right vertices that has served `served` requests,
-    taken the right vertices in `used`, rejected none and passes
+    layers of `width` right vertices that has taken the right vertices in
+    `used`, one per request, rejected none and passes
     `half_rejection_audit`. One more request is then served and passes the
     audit iff its base row meets this mask.
 
@@ -328,7 +328,7 @@ def _serving_mask(used: int, served: int, width: int, copies: int) -> int:
     """
     full = (1 << width) - 1
     mask = ~used & full
-    reached = served                    # reached layer 0
+    reached = used.bit_count()          # reached layer 0
     for layer in range(1, copies):
         forwarded = (used >> layer * width).bit_count()  # past layer - 1
         if forwarded + 1 > (reached + 2) // 2:
@@ -387,9 +387,11 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     child's reply is the greedy rule `_first_free`. Byte tables of the
     base graph's right-to-left adjacency turn each node's `_serving_mask`
     into the set of left vertices it serves, and a child passes iff it is
-    in that set. So the leaves below a node one request from the end are
-    settled together: one popcount counts them and the lowest unserved one
-    is the first failure. Only the first failing sequence is replayed in a
+    in that set. On a walked path every request was served, so that set
+    depends on `used` alone and is cached by it. A node one request from
+    the end is settled in its parent's loop, without being entered: one
+    popcount counts its leaves and the lowest unserved one is the first
+    failure. Only the first failing sequence is replayed in a
     `MatchingSession` and audited by `half_rejection_audit`, for the report.
 
     Two rules count a passing node's subtree in closed form instead of
@@ -401,13 +403,18 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     top - j requests below in layer 0, each takes one layer-0 vertex and
     leaves every later one enough, and a request served in layer 0 is
     forwarded past no layer, so no rejection and no audit violation can
-    occur below. It is tested on the nodes whose children are not leaves,
-    the root included: below the others, one popcount settles the leaves
-    for less than the test costs, which keeps a visited node cheap. Both
-    rules skip only passing subtrees, so the first failing node, its
-    prefix and `sequences` are those of the full walk. The `subset_nodes`
-    budget bounds the nodes visited; a budget of 0 or below refuses before
-    the first node.
+    occur below. Every node that is not a leaf is tested, the root only
+    when its children are not leaves. A parent tests its children with two
+    masks of its unrequested left vertices, computed once from counts it
+    keeps bit-sliced: `low`, those with fewer such neighbours than a child
+    needs, and `tight`, those with exactly as many. A reply at base vertex
+    r of layer 0 takes one from the vertices whose rows meet r, and a
+    higher reply none, so a child is certified iff no vertex it has not
+    requested is in `low`, or in `tight` with a row meeting r. Both rules
+    skip only passing subtrees, so the first failing node, its prefix and
+    `sequences` are those of the full walk. The `subset_nodes` budget
+    bounds the nodes visited; a budget of 0 or below refuses before the
+    first node.
     """
     if capacity < 1:
         raise ValueError(f"need capacity >= 1, got {capacity}")
@@ -419,68 +426,52 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     below = [sum(math.perm(nleft - j, i) for i in range(1, top - j + 1))
              for j in range(top + 1)]
     tables = _column_tables(base.neighbors, width)
+    # at right vertex r, the left vertices whose rows meet r in layer 0
+    cols = [tables[r >> 3][1][1 << (r & 7)] for r in range(width)]
+    cols += [0] * (width * copies - width)
     everyone = (1 << nleft) - 1
-    full = (1 << width) - 1
-    # each left vertex's distinct base neighbours, and short[need] the left
-    # vertices with fewer than `need` of them, which no node certifies
-    basal = [sum(1 << r for r in set(row)) for row in base.neighbors]
-    short = [sum(1 << v for v, mask in enumerate(basal)
-                 if mask.bit_count() < need) for need in range(top + 1)]
+    # the left vertices' counts of distinct base neighbours free in layer
+    # 0, bit-sliced: plane b holds those whose count has bit b set
+    sizes = [len(set(row)) for row in base.neighbors]
+    bits = max(sizes + [top]).bit_length()
+    root = [sum(1 << v for v, c in enumerate(sizes) if c >> b & 1)
+            for b in range(bits)]
 
-    def certified(requested: int, used: int, need: int) -> bool:
-        # whether each unrequested left vertex keeps `need` distinct base
-        # neighbours free in layer 0: one with `need` + u of them keeps
-        # enough whichever u layer-0 vertices are used (u <= depth, so
-        # need + u <= top), one with fewer than `need` cannot, and only rows
-        # between these that meet a used layer-0 vertex are recounted
-        used &= full
-        doubt = short[need + used.bit_count()] & ~requested
-        if doubt & short[need]:
-            return False
-        doubt &= _served(used, tables)
-        while doubt:
-            v = doubt.bit_length() - 1
-            if (basal[v] & ~used).bit_count() < need:
-                return False
-            doubt ^= 1 << v
-        return True
+    def layer0(planes, requested: int, need: int) -> tuple[int, int]:
+        # `low` and `tight` for `need`, comparing counts from the top bit
+        low, tight = 0, everyone & ~requested
+        for b in range(bits - 1, -1, -1):
+            if need >> b & 1:
+                low |= tight & ~planes[b]
+                tight &= planes[b]
+            else:
+                tight &= ~planes[b]
+        return low, tight
 
+    if top == 0:                        # no left vertex: no sequence
+        return SequenceSweep(0, None, None)
     if budget <= 0:                     # as the walk would, at once
         raise _sweep_refusal(budget, 0, 0, 0, 0)
-    if top > 1 and certified(0, 0, top):    # every sequence passes
+    if top > 1 and not layer0(root, 0, top)[0]:    # every sequence passes
         return SequenceSweep(below[0], None, None, certified=1)
+    serving = {0: _served(_serving_mask(0, width, copies), tables)}
     passed: set[tuple[int, int]] = set()
     visited = sequences = hits = certificates = 0
     failure = None                      # the first failing sequence
     # the walk is at a node of depth `depth`, reached by the requests
     # path[:depth]; state[depth] holds its (requested, used) bitmasks,
-    # serving[depth] the left vertices it serves and todo[depth] those not
-    # yet tried below it, none for a node whose children are leaves
+    # free[depth] its count planes, masks[depth] its `layer0` masks once
+    # computed and todo[depth] the left vertices not yet tried below it
     path = [0] * top
     state = [(0, 0)] * top
-    serving = [_served(_serving_mask(0, 0, width, copies), tables)] * top
-    todo = [iter(range(nleft)) if top > 1 else ()] + [()] * (top - 1)
+    free = [root] * top
+    masks = [None] * top
+    todo = [iter(range(nleft))] + [()] * (top - 1)
     depth = 0
     while True:
         requested, used = state[depth]
-        served = serving[depth]
-        if depth + 1 == top:            # settle the leaves at once
-            leaves = everyone & ~requested
-            failing = leaves & ~served
-            if failing:                 # the walk ends at the lowest one
-                failing &= -failing
-                leaves &= 2 * failing - 1
-            count = leaves.bit_count()
-            if count > budget - visited:  # the budget runs out among them
-                spare = max(budget - visited, 0)
-                raise _sweep_refusal(budget, visited + spare,
-                                     sequences + spare, len(passed),
-                                     certificates)
-            visited += count
-            sequences += count
-            if failing:
-                failure = path[:depth] + [failing.bit_length() - 1]
-                break
+        served = serving[used]
+        cert = masks[depth]
         for v in todo[depth]:
             if requested >> v & 1:
                 continue
@@ -492,22 +483,52 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
             if not served >> v & 1:     # the first failure ends the walk
                 failure = path[:depth] + [v]
                 break
+            if depth + 1 == top:        # a leaf: top is 1
+                continue
             reply = _first_free(rows[v], used)
             child = (requested | 1 << v, used | 1 << reply)
             if child in passed:
                 hits += 1
                 sequences += below[depth + 1]
                 continue
-            if depth + 2 < top and certified(*child, top - depth - 1):
+            if cert is None:
+                cert = masks[depth] = layer0(free[depth], requested,
+                                             top - depth - 1)
+            if not (cert[0] | cert[1] & cols[reply]) & ~child[0]:
                 certificates += 1
                 sequences += below[depth + 1]
+                continue
+            if child[1] not in serving:
+                serving[child[1]] = _served(
+                    _serving_mask(child[1], width, copies), tables)
+            if depth + 2 == top:        # settle its leaves here
+                leaves = everyone & ~child[0]
+                failing = leaves & ~serving[child[1]]
+                if failing:             # the walk ends at the lowest one
+                    failing &= -failing
+                    leaves &= 2 * failing - 1
+                count = leaves.bit_count()
+                if count > budget - visited:  # the budget runs out among them
+                    raise _sweep_refusal(budget, budget,
+                                         sequences + budget - visited,
+                                         len(passed), certificates)
+                visited += count
+                sequences += count
+                if failing:
+                    failure = path[:depth] + [v, failing.bit_length() - 1]
+                    break
+                passed.add(child)
                 continue
             path[depth] = v             # enter the child
             depth += 1
             state[depth] = child
-            serving[depth] = _served(
-                _serving_mask(child[1], depth, width, copies), tables)
-            todo[depth] = iter(range(nleft)) if depth + 1 < top else ()
+            fresh, borrow = [], cols[reply]
+            for plane in free[depth - 1]:   # one less at the reply's column
+                fresh.append(plane ^ borrow)
+                borrow &= ~plane
+            free[depth] = fresh
+            masks[depth] = None
+            todo[depth] = iter(range(nleft))
             break
         else:                           # every child passed
             if depth == 0:

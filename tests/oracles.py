@@ -234,12 +234,13 @@ def stepwise_online_check(lg, capacity: int) -> SequenceSweep:
     """The sequence sweep stepping the engine at every node, leaves
     included: each node is stepped, audited with `half_rejection_audit` and
     undone. A child is counted in closed form when its `(requested, used)`
-    state already headed a passing subtree, or, if its children are not
-    leaves, when every unrequested left vertex has as many distinct base
-    neighbours with an unused layer-0 copy as requests are left below it;
-    the root is tested so too, once the budget allows a node. The reference for `exhaustive_online_check`'s
-    `visited`, `memo_hits` and `certified` counters and its `LimitExceeded`
-    message, as well as for its result."""
+    state already headed a passing subtree, or, if it is not a leaf, when
+    every unrequested left vertex has as many distinct base neighbours with
+    an unused layer-0 copy as requests are left below it; the root is
+    tested so too if its children are not leaves, once the budget allows a
+    node. The reference for `exhaustive_online_check`'s `visited`,
+    `memo_hits` and `certified` counters and its `LimitExceeded` message,
+    as well as for its result."""
     budget = default_limits().subset_nodes
     nleft = lg.graph.left_size
     session = MatchingSession(lg, capacity)
@@ -284,8 +285,7 @@ def stepwise_online_check(lg, capacity: int) -> SequenceSweep:
                 key = (session.requested, session.used)
                 if key in passed:
                     hits += 1
-                elif depth + 2 < top and layer0_certified(session,
-                                                          top - depth - 1):
+                elif layer0_certified(session, top - depth - 1):
                     certificates += 1
                 else:                   # enter the child
                     depth += 1

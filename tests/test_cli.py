@@ -473,8 +473,8 @@ def test_online_sweep_reports_counters(capsys, tmp_path, cx_path):
                             "--k", "2")
     assert code == 0
     assert report["outcome"] == {
-        "ok": True, "sequences": 2080, "visited": 509, "memo_hits": 71,
-        "certified": 20, "first_rejection": None,
+        "ok": True, "sequences": 2080, "visited": 214, "memo_hits": 23,
+        "certified": 127, "first_rejection": None,
         "first_audit_violation": None}
     # the stack it swept, as `online layered` writes it
     code, report = run_json(capsys, "online", "layered", "--graph", str(path),
@@ -489,6 +489,15 @@ def test_online_sweep_reports_counters(capsys, tmp_path, cx_path):
                             "--k", "2")
     assert code == 1
     assert "hall_check" in report["outcome"]["error"]
+
+
+def test_online_sweep_of_a_graph_with_no_left_vertex(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    save(BipartiteGraph(0, 1, 1, ()), path)
+    code, report = run_json(capsys, "online", "sweep", "--graph", str(path),
+                            "--k", "0")
+    assert code == 0
+    assert report["outcome"]["sequences"] == 0
 
 
 def test_online_layered_negative_k_is_failure(capsys, cx_path):

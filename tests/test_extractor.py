@@ -95,6 +95,17 @@ def test_deviation_matches_brute_force_oracle():
     assert checked >= 200
 
 
+def test_deviation_counts_repeated_edges_at_every_subset_size():
+    # degree 8 over M in {2, 4}, so rows repeat right vertices; every
+    # nonempty subset, on fresh views
+    for seed in range(6):
+        view = random_view(2000 + seed, n=3, m=1 + seed % 2, d=3, K=2)
+        for size in range(1, view.N + 1):
+            for S in itertools.combinations(range(view.N), size):
+                assert deviation(view, S) == \
+                    exhaustive_subset_deviation(view, S)
+
+
 def test_deviation_of_superset_bounded_by_worst_size_k_subset():
     # uniform mix over size-K subsets can only average deviations down
     for seed in range(8):
@@ -329,6 +340,15 @@ def test_sampled_mode_reports_samples():
     assert res.verdict == "no-counterexample-found"
     assert not res.ok          # sampled mode never claims "ok"
     assert res.checked == 50
+
+
+def test_sampled_mode_leaves_the_count_table_unbuilt():
+    # each sample counts its own |S| * D edges; the view's N * D are never
+    # tabulated
+    view = random_view(7, n=10, m=4, d=4, K=16)
+    res = is_extractor(view, samples=10, seed=3)
+    assert res.checked == 10
+    assert not {"counts", "_table"} & set(vars(view))
 
 
 def test_sampled_mode_needs_seed():

@@ -27,7 +27,7 @@ FUNNEL = BipartiteGraph(2, 1, 1, ((0,), (0,), (0,), (0,)))
 # sweeps whose cache of passing states is hit before the walk fails: with
 # 2 copies and capacity 3 a request is rejected, with 4 copies and
 # capacity 4 an audit fails with no rejection
-HIT_THEN_REJECT = BipartiteGraph(2, 2, 2, ((1,), (1,), (1, 0)))
+HIT_THEN_REJECT = BipartiteGraph(2, 2, 2, ((0,), (0,), (1,), (0, 1)))
 HIT_THEN_AUDIT = BipartiteGraph(2, 2, 2, ((0,), (0,), (0,), (0, 1)))
 # sweeps that fail where a state cache keyed without the requested set
 # (one copy, capacity 2), or without the used set (two copies, capacity 4),
@@ -51,6 +51,13 @@ LAST_MOVE_LOSES = BipartiteGraph(1, 2, 2, ((0, 1), (0,)))
 # request 0 is certified and the walk fails further on
 ONE_SHORT = BipartiteGraph(2, 3, 2, ((0,), (1, 2), (0, 1)))
 ENOUGH = BipartiteGraph(2, 3, 3, ((0,), (1, 2), (0, 1, 2)))
+# one copy, capacity 3: below request 0, vertex 1 keeps one free neighbor
+# for two requests, so that node is entered. Its child [0, 1] is one
+# request from the end, and request 1 takes vertex 2's only free neighbor
+# (1), so [0, 1] is not certified and its leaf 2 is rejected; with one more
+# neighbor (2), [0, 1] is certified and the walk fails at [0, 2, 1]
+LEAF_SHORT = BipartiteGraph(2, 3, 1, ((0,), (1,), (1,)))
+LEAF_ENOUGH = BipartiteGraph(2, 3, 2, ((0,), (1,), (1, 2)))
 
 
 def verified_base(n, k, seed=7, c=2):
@@ -289,6 +296,8 @@ def test_sweep_reports_audit_violation_without_rejection():
 @example(AUDIT_AMONG_LEAVES, 4, 4)
 @example(ONE_SHORT, 1, 3)
 @example(ENOUGH, 1, 3)
+@example(LEAF_SHORT, 1, 3)
+@example(LEAF_ENOUGH, 1, 3)
 @example(verified_base(2, 2, c=1), 3, 4)
 def test_sweep_matches_naive_replay(base, copies, capacity):
     # LayeredGraph.build skips the Hall check, so rejections and audit
@@ -328,7 +337,7 @@ def test_sweep_refuses_capacity_below_one(capacity):
 
 
 @pytest.mark.parametrize("base, copies, capacity, rejected, audited", [
-    (HIT_THEN_REJECT, 2, 3, [2, 0, 1], None),
+    (HIT_THEN_REJECT, 2, 3, [3, 0, 1], None),
     (HIT_THEN_AUDIT, 4, 4, None, ([3, 0, 1, 2], AuditViolation(0, 4, 3))),
 ])
 def test_sweep_cache_hits_precede_failure(base, copies, capacity, rejected,
@@ -346,6 +355,28 @@ def test_sweep_matches_naive_replay_on_verified_bases(n, k):
     sweep = exhaustive_online_check(lg, 2 ** k)
     assert sweep.ok
     assert sweep == naive_online_check(lg, 2 ** k)
+
+
+def test_sweep_matches_naive_replay_on_seeded_graphs():
+    # 400 unverified stacks: n 2-4, left side 2 to min(2^n, 8) so that a
+    # passing graph replays under 10^4 sequences, right side 2-16, degree
+    # 1-4, copies 1-3 and capacity 1-5
+    rng = SplitMix64(22)
+    for _ in range(400):
+        n, right = 2 + rng.below(3), 2 + rng.below(15)
+        degree, copies = 1 + rng.below(4), 1 + rng.below(3)
+        capacity, left = 1 + rng.below(5), 2 + rng.below(min(2 ** n, 8) - 1)
+        rows = rng.rows(left, degree, right)
+        lg = LayeredGraph.build(BipartiteGraph(n, right, degree, rows), copies)
+        assert exhaustive_online_check(lg, capacity) == \
+            naive_online_check(lg, capacity), (rows, copies, capacity)
+
+
+def test_sweep_of_no_left_vertex_counts_no_sequence():
+    lg = LayeredGraph.build(BipartiteGraph(0, 1, 1, ()), 1)
+    sweep = exhaustive_online_check(lg, 3)
+    assert sweep == naive_online_check(lg, 3)
+    assert (sweep.ok, sweep.sequences, sweep.visited) == (True, 0, 0)
 
 
 def test_exhaustive_sweep_n2_k1():
@@ -383,8 +414,9 @@ def test_certified_subtrees_pass_in_naive_replay(base, copies, capacity):
                     assert rejected == [] and violation is None
 
 
+# ENOUGH certifies [0] and the node [1, 0], one request from the end
 @pytest.mark.parametrize("base, certified, rejected", [
-    (ONE_SHORT, 0, [0, 1, 2]), (ENOUGH, 1, [1, 2, 0])])
+    (ONE_SHORT, 0, [0, 1, 2]), (ENOUGH, 2, [1, 2, 0])])
 def test_certificate_needs_one_free_neighbor_per_request_left(
         base, certified, rejected):
     lg = LayeredGraph.build(base, 1)
@@ -396,12 +428,29 @@ def test_certificate_needs_one_free_neighbor_per_request_left(
     assert (sweep.certified, sweep.first_rejection) == (certified, rejected)
 
 
+@pytest.mark.parametrize("base, certified, rejected", [
+    (LEAF_SHORT, 0, [0, 1, 2]), (LEAF_ENOUGH, 1, [0, 2, 1])])
+def test_leaf_parent_certificate_needs_one_free_neighbor(
+        base, certified, rejected):
+    lg = LayeredGraph.build(base, 1)
+    session = MatchingSession(lg, 3)
+    session.request(0)
+    assert not layer0_certified(session, 2)
+    session.request(1)
+    assert layer0_certified(session, 1) == bool(certified)
+    sweep = exhaustive_online_check(lg, 3)
+    # [0] and [0, 1] are visited, then the failing leaf [0, 1, 2], or [0, 2]
+    # and its failing leaf [0, 2, 1]
+    assert (sweep.visited, sweep.certified, sweep.first_rejection) == \
+        (3 + certified, certified, rejected)
+
+
 def test_sweep_node_budget(monkeypatch):
     lg = layered(verified_base(2, 1, c=1), 1)
-    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=16")
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=10")
     assert exhaustive_online_check(lg, 2).ok
-    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=15")
-    with pytest.raises(LimitExceeded, match="exceeds 15 nodes"):
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=9")
+    with pytest.raises(LimitExceeded, match="exceeds 9 nodes"):
         exhaustive_online_check(lg, 2)
 
 
@@ -447,13 +496,13 @@ def test_exhaustive_limit_message_reports_progress(monkeypatch):
     lg = layered(verified_base(3, 2, c=1), 2)
     sweep = exhaustive_online_check(lg, 4)
     assert (sweep.sequences, sweep.visited, sweep.memo_hits,
-            sweep.certified) == (2080, 509, 71, 20)
+            sweep.certified) == (2080, 214, 23, 127)
     monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=100")
     with pytest.raises(LimitExceeded) as raised:
         exhaustive_online_check(lg, 4)
     assert str(raised.value) == (
-        "sequence tree exceeds 100 nodes: visited 100 nodes, counted 218 "
-        "sequences, cached 17 passing states, certified 3 subtrees")
+        "sequence tree exceeds 100 nodes: visited 100 nodes, counted 818 "
+        "sequences, cached 16 passing states, certified 60 subtrees")
     monkeypatch.setenv("OMEX_LIMITS", "game_nodes=10")
     with pytest.raises(LimitExceeded) as raised:
         online_strategy_exists(lg.graph, 3)
@@ -470,8 +519,8 @@ def test_sweep_frontier_n4_k3():
 
 
 @pytest.mark.parametrize("n, k, counts", [
-    (4, 3, (582_913_216, 123_538, 32_003, 47_092)),
-    (5, 2, (893_824, 23_147, 54, 490)),
+    (4, 3, (582_913_216, 90_751, 25_623, 57_115)),
+    (5, 2, (893_824, 1_687, 50, 1_234)),
 ])
 def test_sweep_frontier_sparse_bases(n, k, counts):
     # c=1 bases (degree 4 at n=4, k=3) certify no root, so the walk runs;
