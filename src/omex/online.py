@@ -299,7 +299,8 @@ class SequenceSweep:
     first_rejection: list[int] | None
     first_audit_violation: tuple[list[int], AuditViolation] | None
     # nodes the walk visited, and subtrees counted in closed form instead,
-    # from the cache of passing states or the layer-0 certificate; none
+    # from the cache of passing states or the certificate that every
+    # request below is served in layer 0 or 1 with the audit passing; none
     # takes part in equality
     visited: int = field(default=0, compare=False)
     memo_hits: int = field(default=0, compare=False)
@@ -396,25 +397,33 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
 
     Two rules count a passing node's subtree in closed form instead of
     descending into it. A node whose state already headed a subtree that
-    passed throughout is a cache hit. A node at depth j is certified when
-    every unrequested left vertex still has at least top - j distinct base
-    neighbours whose layer-0 copies are unused, top being the longest
-    sequence: rows are layer-major, so greedy serves each of the at most
-    top - j requests below in layer 0, each takes one layer-0 vertex and
-    leaves every later one enough, and a request served in layer 0 is
-    forwarded past no layer, so no rejection and no audit violation can
-    occur below. Every node that is not a leaf is tested, the root only
-    when its children are not leaves. A parent tests its children with two
-    masks of its unrequested left vertices, computed once from counts it
-    keeps bit-sliced: `low`, those with fewer such neighbours than a child
-    needs, and `tight`, those with exactly as many. A reply at base vertex
-    r of layer 0 takes one from the vertices whose rows meet r, and a
-    higher reply none, so a child is certified iff no vertex it has not
-    requested is in `low`, or in `tight` with a row meeting r. Both rules
-    skip only passing subtrees, so the first failing node, its prefix and
-    `sequences` are those of the full walk. The `subset_nodes` budget
-    bounds the nodes visited; a budget of 0 or below refuses before the
-    first node.
+    passed throughout is a cache hit. The other is a certificate. At a
+    node at depth j, an unrequested left vertex is weak when fewer than
+    need = top - j of its distinct base neighbours have an unused layer-0
+    copy, top being the longest sequence. Rows are layer-major, so greedy
+    serves a vertex that is not weak in layer 0: at most need - 1 requests
+    come before it below, each taking one layer-0 vertex. Let t =
+    min(#weak, need) and f the requests served above layer 0. The node is
+    certified when no vertex is weak, or, over two copies or more, when
+    (a) each weak vertex has at least t distinct base neighbours with an
+    unused layer-1 copy and (b) 2 (f + t) <= j + t + 1. By (a), each weak
+    vertex is served in layer 0 or 1, since at most t - 1 weak ones come
+    before it; so no request is rejected, and no layer from 1 up forwards
+    more than before while reaching at least as many. Layer 0 forwards at
+    most t more: after i more requests at most min(i, t), and its slack
+    ceil((j + i) / 2) - f - i never grows with i, so (b), the audit at
+    i = t, covers every node below. Every node that is not a leaf is
+    tested, the root only when its children are not leaves. A parent
+    tests its children with two masks of its unrequested left vertices,
+    computed once from counts it keeps bit-sliced: `low`, those with fewer
+    free layer-0 neighbours than a child needs, and `tight`, those with
+    exactly as many. A reply at base vertex r of layer 0 takes one from
+    the vertices whose rows meet r, and a higher reply none, so a child's
+    weak vertices are those it has not requested in `low`, or in `tight`
+    with a row meeting r. Both rules skip only passing subtrees, so the
+    first failing node, its prefix and `sequences` are those of the full
+    walk. The `subset_nodes` budget bounds the nodes visited; a budget of
+    0 or below refuses before the first node.
     """
     if capacity < 1:
         raise ValueError(f"need capacity >= 1, got {capacity}")
@@ -430,9 +439,11 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     cols = [tables[r >> 3][1][1 << (r & 7)] for r in range(width)]
     cols += [0] * (width * copies - width)
     everyone = (1 << nleft) - 1
+    # each left vertex's distinct base neighbours, as a mask
+    reach = [sum(1 << r for r in set(row)) for row in base.neighbors]
     # the left vertices' counts of distinct base neighbours free in layer
     # 0, bit-sliced: plane b holds those whose count has bit b set
-    sizes = [len(set(row)) for row in base.neighbors]
+    sizes = [mask.bit_count() for mask in reach]
     bits = max(sizes + [top]).bit_length()
     root = [sum(1 << v for v, c in enumerate(sizes) if c >> b & 1)
             for b in range(bits)]
@@ -448,11 +459,25 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
                 tight &= ~planes[b]
         return low, tight
 
+    def spills(weak: int, used: int, depth: int) -> bool:
+        # the layer-1 clause, at a node whose weak vertices are `weak`
+        above = used >> width           # right vertices taken above layer 0
+        t = min(weak.bit_count(), top - depth)
+        if copies < 2 or 2 * (above.bit_count() + t) > depth + t + 1:
+            return False
+        while weak:                     # each needs t free in layer 1
+            bit = weak & -weak
+            if (reach[bit.bit_length() - 1] & ~above).bit_count() < t:
+                return False
+            weak ^= bit
+        return True
+
     if top == 0:                        # no left vertex: no sequence
         return SequenceSweep(0, None, None)
     if budget <= 0:                     # as the walk would, at once
         raise _sweep_refusal(budget, 0, 0, 0, 0)
-    if top > 1 and not layer0(root, 0, top)[0]:    # every sequence passes
+    weak = layer0(root, 0, top)[0]
+    if top > 1 and (not weak or spills(weak, 0, 0)):   # every sequence passes
         return SequenceSweep(below[0], None, None, certified=1)
     serving = {0: _served(_serving_mask(0, width, copies), tables)}
     passed: set[tuple[int, int]] = set()
@@ -494,7 +519,8 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
             if cert is None:
                 cert = masks[depth] = layer0(free[depth], requested,
                                              top - depth - 1)
-            if not (cert[0] | cert[1] & cols[reply]) & ~child[0]:
+            weak = (cert[0] | cert[1] & cols[reply]) & ~child[0]
+            if not weak or spills(weak, child[1], depth + 1):
                 certificates += 1
                 sequences += below[depth + 1]
                 continue

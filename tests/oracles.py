@@ -219,15 +219,37 @@ def undo(session) -> None:
         session.used ^= 1 << r
 
 
-def layer0_certified(session, need: int) -> bool:
-    """The sweep's certificate, from its definition: each left vertex the
-    session has not requested has at least `need` distinct base neighbours
-    whose layer-0 copies, which keep the base index, it has not used."""
-    base = session.graph.base
-    return all(len({r for r in base.neighbors_of(v)
-                    if not session.used >> r & 1}) >= need
-               for v in range(base.left_size)
-               if not session.requested >> v & 1)
+def free_neighbours(session, v: int, layer: int) -> int:
+    """The distinct base neighbours of left vertex `v` whose copies in
+    `layer` the session has not used."""
+    width = session.graph.base.right_size
+    return len({r for r in session.graph.base.neighbors_of(v)
+                if not session.used >> layer * width + r & 1})
+
+
+def weak_vertices(session, need: int) -> list[int]:
+    """The left vertices the session has not requested that have fewer
+    than `need` distinct base neighbours with an unused layer-0 copy,
+    which keeps the base index."""
+    return [v for v in range(session.graph.base.left_size)
+            if not session.requested >> v & 1
+            and free_neighbours(session, v, 0) < need]
+
+
+def sweep_certified(session, need: int) -> bool:
+    """The sweep's certificate, from its definition, for a session that
+    rejected none and passes the audit, with at most `need` requests left:
+    no vertex is weak, or, over two copies or more, for t = min(#weak,
+    need), each weak vertex has at least t distinct base neighbours with
+    an unused layer-1 copy and layer 0 passes the audit with t more
+    requests reaching it and t more forwarded past it."""
+    weak = weak_vertices(session, need)
+    if not weak:
+        return True
+    t = min(len(weak), need)
+    return (session.graph.copies >= 2
+            and session.forwarded[0] + t <= (session.reached[0] + t + 1) // 2
+            and all(free_neighbours(session, v, 1) >= t for v in weak))
 
 
 def stepwise_online_check(lg, capacity: int) -> SequenceSweep:
@@ -235,10 +257,9 @@ def stepwise_online_check(lg, capacity: int) -> SequenceSweep:
     included: each node is stepped, audited with `half_rejection_audit` and
     undone. A child is counted in closed form when its `(requested, used)`
     state already headed a passing subtree, or, if it is not a leaf, when
-    every unrequested left vertex has as many distinct base neighbours with
-    an unused layer-0 copy as requests are left below it; the root is
-    tested so too if its children are not leaves, once the budget allows a
-    node. The reference for `exhaustive_online_check`'s `visited`,
+    `sweep_certified` holds with as many requests left as below it; the
+    root is tested so too if its children are not leaves, once the budget
+    allows a node. The reference for `exhaustive_online_check`'s `visited`,
     `memo_hits` and `certified` counters and its `LimitExceeded` message,
     as well as for its result."""
     budget = default_limits().subset_nodes
@@ -251,7 +272,7 @@ def stepwise_online_check(lg, capacity: int) -> SequenceSweep:
     passed: set[tuple[int, int]] = set()
     sweep = SequenceSweep(0, None, None)
     visited = sequences = hits = certificates = 0
-    if top > 1 and budget > 0 and layer0_certified(session, top):
+    if top > 1 and budget > 0 and sweep_certified(session, top):
         sweep.sequences, sweep.certified = below[0], 1
         return sweep
     # the walk is at a node of depth `depth`, the session holding its
@@ -285,7 +306,7 @@ def stepwise_online_check(lg, capacity: int) -> SequenceSweep:
                 key = (session.requested, session.used)
                 if key in passed:
                     hits += 1
-                elif layer0_certified(session, top - depth - 1):
+                elif sweep_certified(session, top - depth - 1):
                     certificates += 1
                 else:                   # enter the child
                     depth += 1

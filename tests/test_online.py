@@ -17,17 +17,17 @@ from omex import online as online_module
 from omex.rng import SplitMix64
 
 from conftest import NoPower, complete_graph, small_graphs
-from oracles import (layer0_certified, naive_layer_counts, naive_online_check,
+from oracles import (naive_layer_counts, naive_online_check,
                      naive_online_strategy_exists, stepwise_online_check,
-                     undo)
+                     sweep_certified, undo, weak_vertices)
 
 
 # four left vertices funneled into one right vertex: fails Hall at size 2
 FUNNEL = BipartiteGraph(2, 1, 1, ((0,), (0,), (0,), (0,)))
 # sweeps whose cache of passing states is hit before the walk fails: with
-# 2 copies and capacity 3 a request is rejected, with 4 copies and
+# 2 copies and capacity 4 a request is rejected, with 4 copies and
 # capacity 4 an audit fails with no rejection
-HIT_THEN_REJECT = BipartiteGraph(2, 2, 2, ((0,), (0,), (1,), (0, 1)))
+HIT_THEN_REJECT = BipartiteGraph(2, 2, 2, ((0, 1), (1,), (0,), (1,)))
 HIT_THEN_AUDIT = BipartiteGraph(2, 2, 2, ((0,), (0,), (0,), (0, 1)))
 # sweeps that fail where a state cache keyed without the requested set
 # (one copy, capacity 2), or without the used set (two copies, capacity 4),
@@ -58,6 +58,24 @@ ENOUGH = BipartiteGraph(2, 3, 3, ((0,), (1, 2), (0, 1, 2)))
 # neighbor (2), [0, 1] is certified and the walk fails at [0, 2, 1]
 LEAF_SHORT = BipartiteGraph(2, 3, 1, ((0,), (1,), (1,)))
 LEAF_ENOUGH = BipartiteGraph(2, 3, 2, ((0,), (1,), (1, 2)))
+# capacity 2: at the root, vertex 0 sees one right vertex, fewer than the
+# two requests left, so it is weak; after [1, 0] it is served in layer 1.
+# Over two copies the root is certified, over one [1, 0] is rejected
+SPILL_AT_ROOT = BipartiteGraph(1, 2, 2, ((1,), (1, 0)))
+# right vertices a, b, c = 0, 1, 2. Below [0, 1, 2, 3, 4], vertices 0-2
+# took a, b and c in layer 0, and 3 and 4 took a in layers 1 and 2
+# (f = 2 at j = 5); the weak 5 and 6 see b and c, both free in layer 1.
+# Capacity 7 over three copies leaves two requests, t = 2, and (b) holds
+# with equality: the node is certified. With one more vertex on a in a
+# fourth layer, capacity 8, f = 3 at j = 6 and (b) fails by one: 5 and 6
+# then take b and c in layer 1, and layer 0 forwards 5 of 8
+SPILL = BipartiteGraph(3, 3, 2, ((0,), (1,), (2,), (0,), (0,), (1, 2),
+                                 (1, 2)))
+SPILL_ONE_OVER = BipartiteGraph(3, 3, 2, ((0,), (1,), (2,), (0,), (0,), (0,),
+                                          (1, 2), (1, 2)))
+# two copies, capacity 3: below [0], the weak 1 and 2 need t = 2 free
+# layer-1 neighbours and have one, and [0, 1, 2] is rejected
+FUNNEL3 = BipartiteGraph(2, 1, 1, ((0,),) * 3)
 
 
 def verified_base(n, k, seed=7, c=2):
@@ -287,7 +305,7 @@ def test_sweep_reports_audit_violation_without_rejection():
        st.integers(min_value=1, max_value=4))
 @example(FUNNEL, 4, 4)
 @example(FUNNEL, 1, 4)
-@example(HIT_THEN_REJECT, 2, 3)
+@example(HIT_THEN_REJECT, 2, 4)
 @example(HIT_THEN_AUDIT, 4, 4)
 @example(SAME_USED_OTHER_REQUESTED, 1, 2)
 @example(SAME_REQUESTED_OTHER_USED, 2, 4)
@@ -299,6 +317,11 @@ def test_sweep_reports_audit_violation_without_rejection():
 @example(LEAF_SHORT, 1, 3)
 @example(LEAF_ENOUGH, 1, 3)
 @example(verified_base(2, 2, c=1), 3, 4)
+@example(SPILL_AT_ROOT, 2, 2)
+@example(SPILL_AT_ROOT, 1, 2)
+@example(SPILL, 3, 7)
+@example(SPILL_ONE_OVER, 4, 8)
+@example(FUNNEL3, 2, 3)
 def test_sweep_matches_naive_replay(base, copies, capacity):
     # LayeredGraph.build skips the Hall check, so rejections and audit
     # violations occur as well as clean sweeps
@@ -337,7 +360,7 @@ def test_sweep_refuses_capacity_below_one(capacity):
 
 
 @pytest.mark.parametrize("base, copies, capacity, rejected, audited", [
-    (HIT_THEN_REJECT, 2, 3, [3, 0, 1], None),
+    (HIT_THEN_REJECT, 2, 4, [2, 0, 1, 3], None),
     (HIT_THEN_AUDIT, 4, 4, None, ([3, 0, 1, 2], AuditViolation(0, 4, 3))),
 ])
 def test_sweep_cache_hits_precede_failure(base, copies, capacity, rejected,
@@ -385,13 +408,17 @@ def test_exhaustive_sweep_n2_k1():
     assert sweep.sequences == 4 + 4 * 3
 
 
-@settings(max_examples=60, deadline=None)
+# two copies or more, so that the layer-1 clause can hold; one copy, the
+# layer-0 rule alone, is run in the examples
+@settings(max_examples=150, deadline=None)
 @given(small_graphs(max_n=2, max_right=3, max_degree=3),
-       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=2, max_value=3),
        st.integers(min_value=1, max_value=4))
 @example(ONE_SHORT, 1, 3)
 @example(ENOUGH, 1, 3)
 @example(verified_base(2, 2, c=1), 3, 4)
+@example(SPILL_AT_ROOT, 2, 2)
+@example(SPILL, 3, 7)
 def test_certified_subtrees_pass_in_naive_replay(base, copies, capacity):
     # every passing node the certificate holds at, reached by the walk or
     # not: each sequence below it passes when replayed from scratch
@@ -404,7 +431,7 @@ def test_certified_subtrees_pass_in_naive_replay(base, copies, capacity):
             for v in prefix:
                 session.request(v)
             if (session.rejections or half_rejection_audit(session)
-                    or not layer0_certified(session, top - depth)):
+                    or not sweep_certified(session, top - depth)):
                 continue
             rest = [v for v in range(nleft) if v not in prefix]
             for more in range(1, top - depth + 1):
@@ -422,8 +449,8 @@ def test_certificate_needs_one_free_neighbor_per_request_left(
     lg = LayeredGraph.build(base, 1)
     session = MatchingSession(lg, 3)
     session.request(0)
-    assert layer0_certified(session, 2) == bool(certified)
-    assert layer0_certified(session, 1)
+    assert sweep_certified(session, 2) == bool(certified)
+    assert sweep_certified(session, 1)
     sweep = exhaustive_online_check(lg, 3)
     assert (sweep.certified, sweep.first_rejection) == (certified, rejected)
 
@@ -435,9 +462,9 @@ def test_leaf_parent_certificate_needs_one_free_neighbor(
     lg = LayeredGraph.build(base, 1)
     session = MatchingSession(lg, 3)
     session.request(0)
-    assert not layer0_certified(session, 2)
+    assert not sweep_certified(session, 2)
     session.request(1)
-    assert layer0_certified(session, 1) == bool(certified)
+    assert sweep_certified(session, 1) == bool(certified)
     sweep = exhaustive_online_check(lg, 3)
     # [0] and [0, 1] are visited, then the failing leaf [0, 1, 2], or [0, 2]
     # and its failing leaf [0, 2, 1]
@@ -445,13 +472,36 @@ def test_leaf_parent_certificate_needs_one_free_neighbor(
         (3 + certified, certified, rejected)
 
 
+@pytest.mark.parametrize(
+    "base, copies, capacity, prefix, certified, failure", [
+        (SPILL_AT_ROOT, 2, 2, [], True, (None, None)),
+        (SPILL_AT_ROOT, 1, 2, [], False, ([1, 0], None)),
+        (SPILL, 3, 7, [0, 1, 2, 3, 4], True, (None, None)),
+        (SPILL_ONE_OVER, 4, 8, [0, 1, 2, 3, 4, 5], False,
+         (None, ([0, 1, 2, 3, 4, 5, 6, 7], AuditViolation(0, 8, 5)))),
+        (FUNNEL3, 2, 3, [0], False, ([0, 1, 2], None)),
+    ])
+def test_layer1_certificate(base, copies, capacity, prefix, certified,
+                            failure):
+    # each node has a weak vertex, so only the layer-1 clause can certify it
+    lg = LayeredGraph.build(base, copies)
+    session = MatchingSession(lg, capacity)
+    for v in prefix:
+        session.request(v)
+    need = min(capacity, base.left_size) - len(prefix)
+    assert weak_vertices(session, need)
+    assert sweep_certified(session, need) == certified
+    sweep = exhaustive_online_check(lg, capacity)
+    assert (sweep.first_rejection, sweep.first_audit_violation) == failure
+
+
 def test_sweep_node_budget(monkeypatch):
-    lg = layered(verified_base(2, 1, c=1), 1)
-    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=10")
-    assert exhaustive_online_check(lg, 2).ok
-    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=9")
-    with pytest.raises(LimitExceeded, match="exceeds 9 nodes"):
-        exhaustive_online_check(lg, 2)
+    lg = layered(verified_base(2, 2, c=1), 2)
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=20")
+    assert exhaustive_online_check(lg, 4).ok
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=19")
+    with pytest.raises(LimitExceeded, match="exceeds 19 nodes"):
+        exhaustive_online_check(lg, 4)
 
 
 @pytest.mark.parametrize("key", ["subset_nodes", "game_nodes", "gen_edges"])
@@ -496,13 +546,13 @@ def test_exhaustive_limit_message_reports_progress(monkeypatch):
     lg = layered(verified_base(3, 2, c=1), 2)
     sweep = exhaustive_online_check(lg, 4)
     assert (sweep.sequences, sweep.visited, sweep.memo_hits,
-            sweep.certified) == (2080, 214, 23, 127)
-    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=100")
+            sweep.certified) == (2080, 64, 0, 56)
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=30")
     with pytest.raises(LimitExceeded) as raised:
         exhaustive_online_check(lg, 4)
     assert str(raised.value) == (
-        "sequence tree exceeds 100 nodes: visited 100 nodes, counted 818 "
-        "sequences, cached 16 passing states, certified 60 subtrees")
+        "sequence tree exceeds 30 nodes: visited 30 nodes, counted 966 "
+        "sequences, cached 3 passing states, certified 26 subtrees")
     monkeypatch.setenv("OMEX_LIMITS", "game_nodes=10")
     with pytest.raises(LimitExceeded) as raised:
         online_strategy_exists(lg.graph, 3)
@@ -519,8 +569,8 @@ def test_sweep_frontier_n4_k3():
 
 
 @pytest.mark.parametrize("n, k, counts", [
-    (4, 3, (582_913_216, 90_751, 25_623, 57_115)),
-    (5, 2, (893_824, 1_687, 50, 1_234)),
+    (4, 3, (582_913_216, 9_856, 1_233, 7_878)),
+    (5, 2, (893_824, 32, 0, 32)),
 ])
 def test_sweep_frontier_sparse_bases(n, k, counts):
     # c=1 bases (degree 4 at n=4, k=3) certify no root, so the walk runs;
@@ -530,6 +580,17 @@ def test_sweep_frontier_sparse_bases(n, k, counts):
     assert sweep.ok
     assert (sweep.sequences, sweep.visited, sweep.memo_hits,
             sweep.certified) == counts
+
+
+def test_sweep_frontier_c1_n5_k3():
+    # the (5, 3) c=1 sweep counts all sum of P(32, j), j = 1..8, sequences;
+    # hall_check at s = 8 is refused at default limits, so the four copies
+    # are stacked without it
+    base = random_offline_graph(OfflineParams(5, 3, 1), 1)
+    sweep = exhaustive_online_check(LayeredGraph.build(base, 4), 8)
+    assert sweep.ok
+    assert (sweep.sequences, sweep.visited, sweep.memo_hits,
+            sweep.certified) == (441_739_287_424, 170_021, 10_392, 153_787)
 
 
 def test_layered_refuses_negative_k():
