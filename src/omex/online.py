@@ -82,7 +82,7 @@ class MatchingSession:
     and the request order `_order`; the per-layer counts derive from them.
     """
 
-    graph: BipartiteGraph | LayeredGraph
+    graph: LayeredGraph
     capacity: int
     matched: dict[int, int] = field(default_factory=dict)
     requested: int = 0
@@ -92,11 +92,9 @@ class MatchingSession:
     def __post_init__(self):
         if self.capacity < 0:
             raise ValueError(f"need capacity >= 0, got {self.capacity}")
-        lg = self.graph
-        if not isinstance(lg, LayeredGraph):  # a plain graph is one layer
-            lg = LayeredGraph(lg, 1, lg)
-        self._rows = lg.graph.neighbors
-        self._width, self._copies = lg.base.right_size, lg.copies
+        self._rows = self.graph.graph.neighbors
+        self._width = self.graph.base.right_size
+        self._copies = self.graph.copies
 
     @property
     def rejections(self) -> list[int]:
@@ -131,10 +129,6 @@ class MatchingSession:
             raise ValueError(f"left vertex {left_index} already requested")
         if len(self._order) >= self.capacity:
             raise ValueError(f"capacity {self.capacity} exhausted")
-        return self._step(left_index)
-
-    def _step(self, left_index: int) -> int | None:
-        """The greedy walk of `request`, for a vertex known to be valid."""
         self.requested |= 1 << left_index
         self._order.append(left_index)
         r = _first_free(self._rows[left_index], self.used)
@@ -341,10 +335,10 @@ def _serving_mask(used: int, width: int, copies: int) -> int:
 
 def _column_tables(rows, width: int) -> list[tuple[int, list[int]]]:
     """Byte tables of the right-to-left adjacency of left `rows` over
-    `width` right vertices, for `_served`: the table for the byte from bit
-    `low` holds at b the left vertices whose rows meet right vertex low + j
-    for a bit j of b. Padded to whole bytes, so that any mask, a negative
-    one too, can be looked up."""
+    `width` right vertices, for `_served` in the game's last-move test:
+    the table for the byte from bit `low` holds at b the left vertices
+    whose rows meet right vertex low + j for a bit j of b. Padded to whole
+    bytes, so that any mask, a negative one too, can be looked up."""
     cols = [0] * (width + -width % 8)
     for v, row in enumerate(rows):
         for r in row:
@@ -360,19 +354,12 @@ def _column_tables(rows, width: int) -> list[tuple[int, list[int]]]:
 
 def _served(mask: int, tables) -> int:
     """The left vertices whose rows meet `mask`, a bitmask of right
-    vertices, looked up one byte of it at a time in `_column_tables`."""
+    vertices, looked up one byte of it at a time in `_column_tables`; the
+    game's last-move test."""
     served = 0
     for low, table in tables:
         served |= table[mask >> low & 255]
     return served
-
-
-def _sweep_refusal(budget: int, visited: int, sequences: int,
-                   cached: int, certified: int) -> LimitExceeded:
-    return LimitExceeded(
-        f"sequence tree exceeds {budget} nodes: visited {visited} nodes, "
-        f"counted {sequences} sequences, cached {cached} passing states, "
-        f"certified {certified} subtrees")
 
 
 def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
@@ -385,15 +372,12 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
 
     The walk keeps each node's `(requested, used)` bitmasks, which fix the
     engine's future and its per-layer counts, and steps no session: a
-    child's reply is the greedy rule `_first_free`. Byte tables of the
-    base graph's right-to-left adjacency turn each node's `_serving_mask`
-    into the set of left vertices it serves, and a child passes iff it is
-    in that set. On a walked path every request was served, so that set
-    depends on `used` alone and is cached by it. A node one request from
-    the end is settled in its parent's loop, without being entered: one
-    popcount counts its leaves and the lowest unserved one is the first
-    failure. Only the first failing sequence is replayed in a
-    `MatchingSession` and audited by `half_rejection_audit`, for the report.
+    child's reply is the greedy rule `_first_free`. A child v passes iff
+    `reach[v] & served`: its distinct base neighbours meet `served`, the
+    node's `_serving_mask`. On a walked path every request was served, so
+    that mask depends on `used` alone and is cached by it. Only the first
+    failing sequence is replayed in a `MatchingSession` and audited by
+    `half_rejection_audit`, for the report.
 
     Two rules count a passing node's subtree in closed form instead of
     descending into it. A node whose state already headed a subtree that
@@ -413,17 +397,17 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     most t more: after i more requests at most min(i, t), and its slack
     ceil((j + i) / 2) - f - i never grows with i, so (b), the audit at
     i = t, covers every node below. Every node that is not a leaf is
-    tested, the root only when its children are not leaves. A parent
-    tests its children with two masks of its unrequested left vertices,
-    computed once from counts it keeps bit-sliced: `low`, those with fewer
-    free layer-0 neighbours than a child needs, and `tight`, those with
-    exactly as many. A reply at base vertex r of layer 0 takes one from
+    tested, the root only when its children are not leaves and the
+    budget allows a node. A parent tests its children with two masks of
+    its unrequested left vertices, computed once from counts it keeps
+    bit-sliced: `low`, those with fewer free layer-0 neighbours than a
+    child needs, and `tight`, those with exactly as many. A reply at base vertex r of layer 0 takes one from
     the vertices whose rows meet r, and a higher reply none, so a child's
     weak vertices are those it has not requested in `low`, or in `tight`
     with a row meeting r. Both rules skip only passing subtrees, so the
     first failing node, its prefix and `sequences` are those of the full
     walk. The `subset_nodes` budget bounds the nodes visited; a budget of
-    0 or below refuses before the first node.
+    0 or below refuses at the first child.
     """
     if capacity < 1:
         raise ValueError(f"need capacity >= 1, got {capacity}")
@@ -434,13 +418,12 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     # below[j]: sequences strictly below a node at depth j
     below = [sum(math.perm(nleft - j, i) for i in range(1, top - j + 1))
              for j in range(top + 1)]
-    tables = _column_tables(base.neighbors, width)
-    # at right vertex r, the left vertices whose rows meet r in layer 0
-    cols = [tables[r >> 3][1][1 << (r & 7)] for r in range(width)]
-    cols += [0] * (width * copies - width)
     everyone = (1 << nleft) - 1
     # each left vertex's distinct base neighbours, as a mask
     reach = [sum(1 << r for r in set(row)) for row in base.neighbors]
+    # at right vertex r, the left vertices whose rows meet r in layer 0
+    cols = [sum(1 << v for v, mask in enumerate(reach) if mask >> r & 1)
+            for r in range(width)] + [0] * (width * copies - width)
     # the left vertices' counts of distinct base neighbours free in layer
     # 0, bit-sliced: plane b holds those whose count has bit b set
     sizes = [mask.bit_count() for mask in reach]
@@ -474,12 +457,10 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
 
     if top == 0:                        # no left vertex: no sequence
         return SequenceSweep(0, None, None)
-    if budget <= 0:                     # as the walk would, at once
-        raise _sweep_refusal(budget, 0, 0, 0, 0)
     weak = layer0(root, 0, top)[0]
-    if top > 1 and (not weak or spills(weak, 0, 0)):   # every sequence passes
-        return SequenceSweep(below[0], None, None, certified=1)
-    serving = {0: _served(_serving_mask(0, width, copies), tables)}
+    if budget > 0 and top > 1 and (not weak or spills(weak, 0, 0)):
+        return SequenceSweep(below[0], None, None, certified=1)  # all pass
+    serving = {0: _serving_mask(0, width, copies)}
     passed: set[tuple[int, int]] = set()
     visited = sequences = hits = certificates = 0
     failure = None                      # the first failing sequence
@@ -501,14 +482,17 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
             if requested >> v & 1:
                 continue
             if visited >= budget:
-                raise _sweep_refusal(budget, visited, sequences, len(passed),
-                                     certificates)
+                raise LimitExceeded(
+                    f"sequence tree exceeds {budget} nodes: visited {visited} "
+                    f"nodes, counted {sequences} sequences, cached "
+                    f"{len(passed)} passing states, certified {certificates} "
+                    f"subtrees")
             visited += 1
             sequences += 1
-            if not served >> v & 1:     # the first failure ends the walk
+            if not reach[v] & served:   # the first failure ends the walk
                 failure = path[:depth] + [v]
                 break
-            if depth + 1 == top:        # a leaf: top is 1
+            if depth + 1 == top:        # a leaf
                 continue
             reply = _first_free(rows[v], used)
             child = (requested | 1 << v, used | 1 << reply)
@@ -525,26 +509,7 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
                 sequences += below[depth + 1]
                 continue
             if child[1] not in serving:
-                serving[child[1]] = _served(
-                    _serving_mask(child[1], width, copies), tables)
-            if depth + 2 == top:        # settle its leaves here
-                leaves = everyone & ~child[0]
-                failing = leaves & ~serving[child[1]]
-                if failing:             # the walk ends at the lowest one
-                    failing &= -failing
-                    leaves &= 2 * failing - 1
-                count = leaves.bit_count()
-                if count > budget - visited:  # the budget runs out among them
-                    raise _sweep_refusal(budget, budget,
-                                         sequences + budget - visited,
-                                         len(passed), certificates)
-                visited += count
-                sequences += count
-                if failing:
-                    failure = path[:depth] + [v, failing.bit_length() - 1]
-                    break
-                passed.add(child)
-                continue
+                serving[child[1]] = _serving_mask(child[1], width, copies)
             path[depth] = v             # enter the child
             depth += 1
             state[depth] = child

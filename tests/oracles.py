@@ -292,7 +292,7 @@ def stepwise_online_check(lg, capacity: int) -> SequenceSweep:
                     f"{visited} nodes, counted {sequences} sequences, "
                     f"cached {len(passed)} passing states, certified "
                     f"{certificates} subtrees")
-            r = session._step(v)
+            r = session.request(v)
             visited += 1
             sequences += 1
             if r is None:

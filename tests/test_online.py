@@ -34,8 +34,8 @@ HIT_THEN_AUDIT = BipartiteGraph(2, 2, 2, ((0,), (0,), (0,), (0, 1)))
 # would count a failing subtree as passed
 SAME_USED_OTHER_REQUESTED = BipartiteGraph(1, 2, 2, ((1,), (1, 0)))
 SAME_REQUESTED_OTHER_USED = BipartiteGraph(2, 2, 3, ((0, 0), (0, 1, 1), (0,)))
-# sweeps whose first failure lies among the leaves of one node, settled
-# together: below [0, 4], leaves 1-3 pass and 5 and 6 are rejected (two
+# sweeps whose first failure lies among the leaves of one node, after
+# some that pass: below [0, 4], leaves 1-3 pass and 5 and 6 are rejected (two
 # copies, capacity 3); below [0, 4, 5], leaves 1-3 pass and 6 and 7 fail
 # the audit (four copies, capacity 4)
 REJECT_AMONG_LEAVES = BipartiteGraph(
@@ -86,37 +86,42 @@ def verified_base(n, k, seed=7, c=2):
 # --- greedy engine ----------------------------------------------------------
 
 def test_complete_graph_requests_in_order():
-    session = MatchingSession(complete_graph(1, 2), capacity=2)
+    session = MatchingSession(LayeredGraph.build(complete_graph(1, 2), 1),
+                              capacity=2)
     assert session.request(0) == 0
     assert session.request(1) == 1
     assert session.rejections == []
 
 
 def test_counterexample_blocks_second_request():
-    session = MatchingSession(counterexample_graph(), capacity=2)
+    session = MatchingSession(LayeredGraph.build(counterexample_graph(), 1),
+                              capacity=2)
     assert session.request(0) == 0   # greedy takes x's first neighbor
     assert session.request(1) is None
     assert session.rejections == [1]
 
 
 def test_duplicate_request_rejected():
-    session = MatchingSession(complete_graph(1, 2), capacity=2)
+    session = MatchingSession(LayeredGraph.build(complete_graph(1, 2), 1),
+                              capacity=2)
     session.request(0)
     with pytest.raises(ValueError, match="already requested"):
         session.request(0)
 
 
 def test_capacity_enforced():
-    session = MatchingSession(complete_graph(1, 2), capacity=1)
+    session = MatchingSession(LayeredGraph.build(complete_graph(1, 2), 1),
+                              capacity=1)
     session.request(0)
     with pytest.raises(ValueError, match="capacity"):
         session.request(1)
 
 
 def test_negative_capacity_is_refused():
+    lg = LayeredGraph.build(complete_graph(1, 2), 1)
     with pytest.raises(ValueError, match="need capacity >= 0, got -1"):
-        MatchingSession(complete_graph(1, 2), capacity=-1)
-    assert MatchingSession(complete_graph(1, 2), capacity=0).matched == {}
+        MatchingSession(lg, capacity=-1)
+    assert MatchingSession(lg, capacity=0).matched == {}
 
 
 def session_state(session):
@@ -260,7 +265,8 @@ def test_two_layers_over_counterexample_serve_any_pair():
 # --- audit ------------------------------------------------------------------
 
 def test_complete_graph_audit_clean():
-    session = MatchingSession(complete_graph(2, 4), capacity=4)
+    session = MatchingSession(LayeredGraph.build(complete_graph(2, 4), 1),
+                              capacity=4)
     for v in range(4):
         session.request(v)
     assert half_rejection_audit(session) is None

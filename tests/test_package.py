@@ -1,8 +1,9 @@
 """Source checks on `src/omex`: the library is stdlib-only (pyproject.toml
 declares no dependencies), leaves no self-recursive closure behind, keeps
 per-object caches in `cached_property`s, not in `__dict__`, and still has
-every name the benchmark in `bench/` patches or calls, and exports only
-names that something outside the tests uses."""
+every name the benchmark in `bench/` patches or calls, exports only names
+that something outside the tests uses, and uses every private helper it
+defines."""
 
 import ast
 import importlib
@@ -168,3 +169,36 @@ def test_every_public_name_has_a_use_outside_the_tests():
     words = set(re.findall(r"\w+", text))
     assert len(exported) > 40
     assert sorted(exported - used - words) == []
+
+
+def test_every_private_helper_has_a_use_in_the_library():
+    # a module-level `_name` is referenced in `src/omex` beyond its own
+    # definition; a helper that only the tests use belongs in tests/
+    defined, used = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [sub.id for target in node.targets
+                         for sub in ast.walk(target)
+                         if isinstance(sub, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [node.target.id]
+            else:
+                continue
+            defined.update(f"{path.name}: {name}" for name in names
+                           if name.startswith("_")
+                           and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert len(defined) > 10
+    assert sorted(entry for entry in defined
+                  if entry.partition(": ")[2] not in used) == []
