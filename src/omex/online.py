@@ -11,6 +11,8 @@ survive every adversary order.
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import and_
 
 from .graph import BipartiteGraph
 from .limits import LimitExceeded, default_limits
@@ -184,107 +186,114 @@ def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
     commit an unused neighbor. `exists` is True iff the algorithm can serve
     every adversary sequence of length <= s; the returned strategy maps each
     adversary move to the first winning reply in stored neighbor order.
-    Positions are memoized on (requested, used), both int bitmasks. A
-    position one move from the end is decided without trying its replies:
-    it wins iff every unrequested left vertex still has an unused neighbor.
-    The strategy shares the subtree of equal positions, and the last moves
-    of its lines share one `{"pick": r, "next": {}}` per reply r.
+    Positions are memoized on (requested, used), both int bitmasks, and
+    searched depth first on an explicit stack, so `game_nodes` alone bounds
+    the game. A position one move from the end wins iff every unrequested
+    left vertex still has an unused neighbor. The strategy, read from the
+    memo, shares the subtree of equal positions, and the last moves of its
+    lines share one `{"pick": r, "next": {}}` per reply r.
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     budget = default_limits().game_nodes
-    nleft = g.left_size
-    rows = g.neighbors
-    tables = _column_tables(rows, g.right_size)
-    everyone = (1 << nleft) - 1
+    nleft, width, rows = g.left_size, g.right_size, g.neighbors
     last = min(s, nleft) - 1            # the depth of the last move
+    # `last` right vertices are used at the last move, so only a left
+    # vertex with at most `last` distinct neighbors can lack an unused one:
+    # its neighbors as a mask, and its own bit above them, set if requested
+    reach = [sum(1 << r for r in set(row)) for row in rows]
+    few = [mask | 1 << width + v for v, mask in enumerate(reach)
+           if mask.bit_count() <= last]
+    full = (1 << width) - 1
     memo: dict[tuple[int, int], bool] = {}
     nodes = 0
-
-    def wins(requested: int, used: int, depth: int) -> bool:
-        nonlocal nodes
-        key = (requested, used)
-        if key in memo:
-            return memo[key]
-        nodes += 1
-        if nodes > budget:
-            raise LimitExceeded(f"game tree exceeds {budget} nodes: "
-                                f"decided {len(memo)} positions")
-        if depth == last:   # any unused neighbor serves the last move
-            result = not everyone & ~requested & ~_served(~used, tables)
-        else:
-            result = True
-            for v in range(nleft):
-                bit = 1 << v
-                if requested & bit:
+    # The search is at the position state[depth], trying its move
+    # move[depth]; replies[depth] iterates the move's remaining replies and
+    # tried[depth] holds the right vertices used or already tried for it.
+    # `child` is the position to decide next, `won` an outcome to pass up.
+    state = [(0, 0)] * (last + 1)
+    move, tried = [0] * (last + 1), [0] * (last + 1)
+    replies = [None] * (last + 1)
+    child, depth = (0, 0), -1           # the root, as a child of depth -1
+    while (0, 0) not in memo:           # until the root is decided
+        won = memo.get(child)
+        if won is None:
+            nodes += 1
+            if nodes > budget:
+                raise LimitExceeded(f"game tree exceeds {budget} nodes: "
+                                    f"decided {len(memo)} positions")
+            if depth + 1 == last:   # any unused neighbor serves the last move
+                won = memo[child] = all(map(and_, few, repeat(
+                    ~child[1] & full | child[0] << width)))
+            else:
+                depth += 1
+                state[depth] = child
+                move[depth] = -1
+                won = True          # no move is open yet
+        while depth >= 0:
+            requested, used = state[depth]
+            v = move[depth]
+            if won:                 # v is answered: present the next move
+                v += 1
+                while v < nleft and requested >> v & 1:
+                    v += 1
+                if v == nleft:      # every move is answered
+                    memo[state[depth]] = True
+                    depth -= 1
                     continue
-                tried = used  # a reply already tried is a repeat
-                for r in rows[v]:
-                    rbit = 1 << r
-                    if tried & rbit:
-                        continue
-                    tried |= rbit
-                    if wins(requested | bit, used | rbit, depth + 1):
-                        break
-                else:
-                    result = False
+                move[depth] = v
+                replies[depth] = iter(rows[v])
+                tried[depth] = used
+            seen = tried[depth]
+            for r in replies[depth]:
+                if not seen >> r & 1:
                     break
-        memo[key] = result
-        return result
+            else:                   # no reply wins v
+                memo[state[depth]] = won = False
+                depth -= 1
+                continue
+            tried[depth] = seen | 1 << r
+            child = (requested | 1 << v, used | 1 << r)
+            break
+    if not memo[0, 0]:
+        return GameResult(False, None, nodes)
 
-    trees: dict[tuple[int, int], dict] = {}
+    # Read from the memo of plain bools: in a winning position each move's
+    # pick is its first reply whose child is memo-True, and the search
+    # decided every reply up to that one. Memoizing subtrees in the search
+    # halves the time of small winning games, but a losing game then builds
+    # one per winning position: 8.4 s for 1.65 s and 597 MB for 17.6 MB
+    # traced peak on a random (5,1,1) graph at s=5 (113,459 nodes, 2 vCPUs).
+    strategy: dict = {}
+    trees = {(0, 0): strategy}          # equal positions share one subtree
     last_moves: dict[int, dict] = {}
-
-    # A second walk, because `wins` memoizes plain bools and so a losing
-    # game keeps no trees. Memoizing subtrees instead halves the time of
-    # small winning games, but a losing game then builds one per winning
-    # position: a random (5,1,1) graph at s=5 (113,459 nodes) went from
-    # 1.65 s to 8.4 s and from 17.6 MB to 597 MB traced peak (2 vCPUs).
-    def build_tree(requested: int, used: int, depth: int) -> dict:
-        # equal positions share one subtree, as in `wins`
-        key = (requested, used)
-        if key in trees:
-            return trees[key]
-        tree = trees[key] = {}
-        if depth == last:   # the first unused reply wins each last move
-            for v in range(nleft):
-                if not requested >> v & 1:
-                    row = rows[v]
-                    r = row[0]
-                    if used >> r & 1:
-                        r = _first_free(row, used)
-                    if r not in last_moves:   # most moves are last ones
-                        last_moves[r] = {"pick": r, "next": {}}
-                    tree[v] = last_moves[r]
-            return tree
+    work = [(0, 0, 0)]                  # positions whose subtree is unfilled
+    while work:
+        requested, used, depth = work.pop()
+        tree = trees[requested, used]
         for v in range(nleft):
-            bit = 1 << v
-            if requested & bit:
+            if requested >> v & 1:
+                continue
+            if depth == last:       # the first unused reply wins a last move
+                row = rows[v]
+                r = row[0]
+                if used >> r & 1:
+                    r = _first_free(row, used)
+                if r not in last_moves:   # most moves are last ones
+                    last_moves[r] = {"pick": r, "next": {}}
+                tree[v] = last_moves[r]
                 continue
             for r in rows[v]:
-                rbit = 1 << r
-                if used & rbit:
+                if used >> r & 1:
                     continue
-                if wins(requested | bit, used | rbit, depth + 1):
-                    tree[v] = {"pick": r, "next": build_tree(
-                        requested | bit, used | rbit, depth + 1)}
+                key = (requested | 1 << v, used | 1 << r)
+                if memo.get(key):
                     break
-        return tree
-
-    # each calls itself: free the cycles and memos now, on a refusal too
-    try:
-        strategy = build_tree(0, 0, 0) if wins(0, 0, 0) else None
-    except RecursionError as e:     # one frame per move: the stack ran out
-        tb, frames = e.__traceback__, 0
-        while tb is not None:
-            frames += tb.tb_frame.f_code.co_name in ("wins", "build_tree")
-            tb = tb.tb_next
-        raise LimitExceeded(
-            f"game search exceeds the interpreter's recursion limit at depth "
-            f"{frames - 1}: decided {len(memo)} positions") from None
-    finally:
-        del wins, build_tree
-    return GameResult(strategy is not None, strategy, nodes)
+            if key not in trees:
+                trees[key] = {}
+                work.append((*key, depth + 1))
+            tree[v] = {"pick": r, "next": trees[key]}
+    return GameResult(True, strategy, nodes)
 
 
 @dataclass
@@ -331,35 +340,6 @@ def _serving_mask(used: int, width: int, copies: int) -> int:
         mask |= ~(used >> layer * width) & full
         reached = forwarded
     return mask
-
-
-def _column_tables(rows, width: int) -> list[tuple[int, list[int]]]:
-    """Byte tables of the right-to-left adjacency of left `rows` over
-    `width` right vertices, for `_served` in the game's last-move test:
-    the table for the byte from bit `low` holds at b the left vertices
-    whose rows meet right vertex low + j for a bit j of b. Padded to whole
-    bytes, so that any mask, a negative one too, can be looked up."""
-    cols = [0] * (width + -width % 8)
-    for v, row in enumerate(rows):
-        for r in row:
-            cols[r] |= 1 << v
-    tables = []
-    for low in range(0, width, 8):
-        table = [0]
-        for col in cols[low:low + 8]:
-            table += [left | col for left in table]
-        tables.append((low, table))
-    return tables
-
-
-def _served(mask: int, tables) -> int:
-    """The left vertices whose rows meet `mask`, a bitmask of right
-    vertices, looked up one byte of it at a time in `_column_tables`; the
-    game's last-move test."""
-    served = 0
-    for low, table in tables:
-        served |= table[mask >> low & 255]
-    return served
 
 
 def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:

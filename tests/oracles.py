@@ -330,7 +330,7 @@ def stepwise_online_check(lg, capacity: int) -> SequenceSweep:
 
 def naive_online_strategy_exists(g, s: int) -> GameResult:
     """The adversary-vs-algorithm game on frozensets: positions keyed by
-    (requested, used), the same recursion, node count and strategy tree as
+    (requested, used), the same search order, node count and strategy tree as
     `online_strategy_exists`, with no node limit."""
     nleft = g.left_size
     memo: dict[tuple[frozenset, frozenset], bool] = {}

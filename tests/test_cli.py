@@ -84,14 +84,15 @@ def test_game_tree_included_on_request(capsys, cx_path):
     assert set(report["outcome"]["strategy"]) == {"0", "1", "2"}
 
 
-def test_game_deeper_than_the_stack_is_an_error_report(capsys, tmp_path):
-    path = tmp_path / "perfect.json"
-    save(BipartiteGraph(11, 2048, 1, tuple((v,) for v in range(2048))), path)
+def test_game_deeper_than_the_interpreter_stack_is_decided(capsys, tmp_path):
+    # a chain of 2,049 moves whose last request finds its one neighbor used
+    path = tmp_path / "chain.json"
+    save(BipartiteGraph(12, 2048, 1,
+                        tuple((v,) for v in range(2048)) + ((0,),)), path)
     code, report = run_json(capsys, "online", "game", "--graph", str(path),
-                            "--s", "2048")
+                            "--s", "2049")
     assert code == 1
-    assert report["outcome"]["error"].startswith(
-        "game search exceeds the interpreter's recursion limit at depth ")
+    assert report["outcome"] == {"exists": False, "nodes": 2049}
 
 
 def test_usage_error_exit_2(capsys):

@@ -2,7 +2,6 @@ import copy
 import dataclasses
 import gc
 import itertools
-import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -618,37 +617,49 @@ def test_counterexample_no_online_strategy_at_2():
     assert res.strategy is None
 
 
-def refused_game_garbage(g, s, match) -> set[str]:
-    """Names of the functions a refused game leaves to the cyclic collector."""
-    gc.collect()
-    gc.set_debug(gc.DEBUG_SAVEALL)
-    try:
-        with pytest.raises(LimitExceeded, match=match) as raised:
-            online_strategy_exists(g, s)
-        del raised  # its traceback would keep the game's frames alive
-        gc.collect()
-        return {obj.__name__ for obj in gc.garbage
-                if isinstance(obj, types.FunctionType)}
-    finally:
-        gc.set_debug(0)
-        gc.garbage.clear()
-
-
 def test_refused_game_leaves_no_cycle_to_the_collector(monkeypatch):
     g = random_offline_graph(OfflineParams(4, 2, 1), 3)
     monkeypatch.setenv("OMEX_LIMITS", "game_nodes=50")
-    garbage = refused_game_garbage(g, 5, "exceeds 50 nodes")
-    assert garbage.isdisjoint({"wins", "build_tree"})
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with pytest.raises(LimitExceeded, match="exceeds 50 nodes") as raised:
+            online_strategy_exists(g, 5)
+        del raised  # its traceback would keep the game's frames alive
+        gc.collect()
+        garbage = {type(obj).__name__ for obj in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == set()
 
 
-def test_game_deeper_than_the_stack_is_refused_by_name():
-    # a perfect matching plainly has a strategy, but each move is one
-    # Python frame, and 2,048 moves are more than the stack holds; the
-    # first line of play runs out long before the node budget does
+# left vertex v < 2,048 sees right vertex v, and vertex 2,048 sees right
+# vertex 0 alone, which vertex 0 takes: the 2,049th move of a line loses
+CHAIN = BipartiteGraph(12, 2048, 1,
+                       tuple((v,) for v in range(2048)) + ((0,),))
+
+
+def test_game_deeper_than_the_interpreter_stack_is_decided():
+    # the first line of play is 2,049 moves long, its last one lost
+    res = online_strategy_exists(CHAIN, 2049)
+    assert (res.exists, res.strategy, res.nodes) == (False, None, 2049)
+
+
+def test_deep_game_is_refused_by_the_node_budget(monkeypatch):
     g = BipartiteGraph(11, 2048, 1, tuple((v,) for v in range(2048)))
-    garbage = refused_game_garbage(
-        g, 2048, r"recursion limit at depth \d+: decided 0 positions")
-    assert garbage.isdisjoint({"wins", "build_tree"})
+    monkeypatch.setenv("OMEX_LIMITS", "game_nodes=3000")
+    with pytest.raises(LimitExceeded) as raised:
+        online_strategy_exists(g, 2048)
+    assert str(raised.value) == \
+        "game tree exceeds 3000 nodes: decided 959 positions"
+
+
+def test_game_frontier_random_4_2_1_at_7():
+    # node counts at a size the frozenset oracle cannot reach
+    res = online_strategy_exists(
+        random_offline_graph(OfflineParams(4, 2, 1), 1), 7)
+    assert (res.exists, res.nodes) == (True, 40_806)
 
 
 def test_counterexample_strategy_at_1():
@@ -705,6 +716,8 @@ def test_online_strategy_implies_hall(g):
 @example(layered(verified_base(2, 1), 1).graph, 4)
 @example(layered(verified_base(3, 1), 1).graph, 3)
 @example(LAST_MOVE_LOSES, 2)
+# a repeated neighbor: one distinct reply, so the last move can fail
+@example(BipartiteGraph(1, 2, 2, ((0, 0), (0, 1))), 2)
 def test_game_matches_frozenset_oracle(g, s):
     res = online_strategy_exists(g, s)
     naive = naive_online_strategy_exists(g, s)
