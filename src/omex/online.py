@@ -211,9 +211,9 @@ def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
     # move[depth]; replies[depth] iterates the move's remaining replies and
     # tried[depth] holds the right vertices used or already tried for it.
     # `child` is the position to decide next, `won` an outcome to pass up.
-    state = [(0, 0)] * (last + 1)
-    move, tried = [0] * (last + 1), [0] * (last + 1)
-    replies = [None] * (last + 1)
+    slots = max(last, 0) + 1            # the root's slot even at last = -1
+    state = [(0, 0)] * slots
+    move, tried, replies = [0] * slots, [0] * slots, [None] * slots
     child, depth = (0, 0), -1           # the root, as a child of depth -1
     while (0, 0) not in memo:           # until the root is decided
         won = memo.get(child)

@@ -501,6 +501,15 @@ def test_online_sweep_of_a_graph_with_no_left_vertex(capsys, tmp_path):
     assert report["outcome"]["sequences"] == 0
 
 
+def test_online_game_of_a_graph_with_no_left_vertex(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    save(BipartiteGraph(0, 1, 1, ()), path)
+    code, report = run_json(capsys, "online", "game", "--graph", str(path),
+                            "--s", "1", "--tree")
+    assert code == 0
+    assert report["outcome"] == {"exists": True, "nodes": 1, "strategy": {}}
+
+
 def test_online_layered_negative_k_is_failure(capsys, cx_path):
     code, report = run_json(capsys, "online", "layered", "--graph", cx_path,
                             "--k", "-1")

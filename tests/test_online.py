@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from omex import (AuditViolation, BipartiteGraph, LayeredGraph,
+from omex import (AuditViolation, BipartiteGraph, GameResult, LayeredGraph,
                   LimitExceeded, Limits, MatchingSession, OfflineParams,
                   construct_verified_offline_graph,
                   counterexample_graph, default_limits,
@@ -405,6 +405,11 @@ def test_sweep_of_no_left_vertex_counts_no_sequence():
     sweep = exhaustive_online_check(lg, 3)
     assert sweep == naive_online_check(lg, 3)
     assert (sweep.ok, sweep.sequences, sweep.visited) == (True, 0, 0)
+
+
+def test_game_of_no_left_vertex_is_won_at_the_root():
+    assert online_strategy_exists(BipartiteGraph(0, 1, 1, ()), 1) == \
+        GameResult(True, {}, 1)
 
 
 def test_exhaustive_sweep_n2_k1():
