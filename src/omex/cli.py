@@ -26,6 +26,7 @@ from .fingerprint import (EnumeratedSet, Fingerprint, bits_for,
                           decode_two_conditions, encode_extractor,
                           encode_matching, encode_two_conditions, layer_sets)
 from .graph import BipartiteGraph, GraphError, load, save
+from .limits import LimitExceeded, default_limits
 from .offline import (OfflineParams, construct_verified_offline_graph,
                       hall_check, random_offline_graph, series_base,
                       series_bound)
@@ -49,16 +50,11 @@ class UsageError(Exception):
     """Flag combinations argparse cannot express statically."""
 
 
-def _plain(x):
-    """Make a value JSON-ready: fractions as 'p/q' strings, tuples as lists,
-    dict keys as strings."""
+def _fraction_text(x):
+    """`json.dumps` hook: a Fraction, a report's one non-JSON type, as p/q."""
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, dict):
-        return {str(k): _plain(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_plain(v) for v in x]
-    return x
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _fraction(text: str) -> Fraction:
@@ -74,9 +70,9 @@ def _render(args, argv, outcome, started) -> str:
     report = {
         "command": "omex " + " ".join(argv),
         "seed": getattr(args, "seed", None),
-        "params": {k: _plain(v) for k, v in vars(args).items()
+        "params": {k: v for k, v in vars(args).items()
                    if k not in ("func", "csv", "timing") and v is not None},
-        "outcome": _plain(outcome),
+        "outcome": outcome,
     }
     if args.timing:
         report["timing_s"] = round(time.monotonic() - started, 6)
@@ -86,7 +82,7 @@ def _render(args, argv, outcome, started) -> str:
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows(_csv_rows(report))
         return buf.getvalue().removesuffix("\n")
-    return json.dumps(report, sort_keys=True)
+    return json.dumps(report, sort_keys=True, default=_fraction_text)
 
 
 def _csv_rows(report):
@@ -228,6 +224,14 @@ def cmd_online_game(args):
     res = online_strategy_exists(g, args.s)
     outcome = {"exists": res.exists, "nodes": res.nodes}
     if args.tree and res.strategy is not None:
+        # printed expanded, one entry per answered move: charged to game_nodes
+        budget, entries, work = default_limits().game_nodes, 0, [res.strategy]
+        while work:
+            tree = work.pop()
+            entries += len(tree)
+            if entries > budget:
+                raise LimitExceeded(f"strategy tree exceeds {budget} entries")
+            work += (entry["next"] for entry in tree.values())
         outcome["strategy"] = res.strategy
     return outcome, res.exists
 

@@ -28,8 +28,8 @@ from functools import cached_property, lru_cache, partial
 
 from .graph import (INT, STR, BipartiteGraph, GraphFormatError, load,
                     read_fields, save, to_json)
-from .limits import LimitExceeded, default_limits
-from .rng import SplitMix64, check_draw_bits
+from .limits import LimitExceeded, check_draw_bits, default_limits
+from .rng import SplitMix64
 
 
 def _is_pow2(x: int) -> bool:
@@ -652,8 +652,7 @@ def random_extractor_search(n: int, k: int, m: int, eps, d: int, seed: int,
         raise ValueError("max_attempts must be at least 1")
     if min(n, k, m, d) < 0:
         raise ValueError("parameters must be nonnegative")
-    if n + d >= 64:                     # refused before 2^(n+d) is built
-        check_draw_bits(n + d)
+    check_draw_bits(n + d, "edge draws")  # before 2^(n+d) is built
     eps = Fraction(eps)
     N, M, D, K = 2 ** n, 2 ** m, 2 ** d, 2 ** k
     rng = SplitMix64(seed)

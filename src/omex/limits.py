@@ -1,10 +1,10 @@
 """Resource guards for the exhaustive searches.
 
 Every exhaustive enumeration (Hall subsets, extractor subsets, game trees)
-and every draw of random rows (`SplitMix64.rows`) is bounded by a ceiling
-from this module. Defaults suit desk-scale inputs; the only way to change
-them is the OMEX_LIMITS environment variable, a comma-separated list such
-as ``OMEX_LIMITS=subset_nodes=2000000,game_nodes=500000``, which each
+and every generated graph, charged by `charge_edges`, is bounded by a
+ceiling from this module. Defaults suit desk-scale inputs; the only way to
+change them is the OMEX_LIMITS environment variable, a comma-separated list
+such as ``OMEX_LIMITS=subset_nodes=2000000,game_nodes=500000``, which each
 guard reads where it fires.
 """
 
@@ -56,3 +56,22 @@ def default_limits() -> Limits:
     if env:
         lim.override(env)
     return lim
+
+
+def charge_edges(edges: int, what: str) -> None:
+    """Refuse `edges` generated edges past `gen_edges`; a count of more
+    than 64 bits is named by its size, not formatted."""
+    limit = default_limits().gen_edges
+    if edges > limit:
+        if edges.bit_length() > 64:
+            edges = f"at least 2^{edges.bit_length() - 1}"
+        raise LimitExceeded(f"{edges} {what} exceed limit {limit}")
+
+
+def check_draw_bits(bits: int, what: str) -> None:
+    """Refuse 2^bits edges, from 2^64 up, past `gen_edges` from the
+    exponent, before the caller builds the power."""
+    if bits >= 64:
+        limit = default_limits().gen_edges
+        if bits >= limit.bit_length():      # 2^bits > limit
+            raise LimitExceeded(f"at least 2^{bits} {what} exceed limit {limit}")

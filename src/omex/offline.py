@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import BipartiteGraph
-from .limits import LimitExceeded, default_limits
-from .rng import SplitMix64, check_draw_bits
+from .limits import LimitExceeded, check_draw_bits, default_limits
+from .rng import SplitMix64
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,7 @@ class OfflineParams:
 
     @property
     def left_size(self) -> int:
-        if self.n >= 64:                # refused before 2^n is built
-            check_draw_bits(self.n)
+        check_draw_bits(self.n, "edge draws")   # before 2^n is built
         return 2 ** self.n
 
     @property

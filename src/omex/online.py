@@ -15,7 +15,7 @@ from itertools import repeat
 from operator import and_
 
 from .graph import BipartiteGraph
-from .limits import LimitExceeded, default_limits
+from .limits import LimitExceeded, charge_edges, default_limits
 from .offline import hall_check
 
 
@@ -46,10 +46,8 @@ class LayeredGraph:
         entries to the `gen_edges` budget first."""
         if copies < 1:
             raise ValueError("need at least one copy")
-        edges = base.left_size * base.max_degree * copies
-        limit = default_limits().gen_edges
-        if edges > limit:
-            raise LimitExceeded(f"{edges} layered edges exceed limit {limit}")
+        charge_edges(base.left_size * base.max_degree * copies,
+                     "layered edges")
         width = base.right_size
         rows = tuple(
             tuple(layer * width + r for layer in range(copies) for r in row)

@@ -6,21 +6,13 @@ The update is the standard one: the state advances by the golden-gamma
 constant and the output is the finalized mix of the new state.
 """
 
-from .limits import LimitExceeded, default_limits
+from .limits import charge_edges
 
 MASK64 = (1 << 64) - 1
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-
-def check_draw_bits(bits: int) -> None:
-    """Refuse 2^bits edge draws or more past `gen_edges` from the exponent,
-    before the caller builds the power; callers ask from 2^64 draws up."""
-    limit = default_limits().gen_edges
-    if bits >= limit.bit_length():      # 2^bits > limit
-        raise LimitExceeded(f"at least 2^{bits} edge draws exceed limit {limit}")
 
 
 class SplitMix64:
@@ -63,10 +55,6 @@ class SplitMix64:
         """`count` rows of `degree` draws from range(bound), row after row:
         the neighbor lists of a random left-regular graph. Every randomized
         construction draws here, so the draws are charged to `gen_edges`."""
-        edges, limit = count * degree, default_limits().gen_edges
-        if edges > limit:
-            if edges.bit_length() > 64:     # named by size, as callers do
-                edges = f"at least 2^{edges.bit_length() - 1}"
-            raise LimitExceeded(f"{edges} edge draws exceed limit {limit}")
+        charge_edges(count * degree, "edge draws")
         return tuple(tuple(self.below(bound) for _ in range(degree))
                      for _ in range(count))

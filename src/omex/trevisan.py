@@ -18,7 +18,7 @@ from functools import partial
 from .extractor import ExtractorView
 from .graph import (INT, ROWS, BipartiteGraph, GraphInvariantError, load,
                     read_fields, save)
-from .limits import LimitExceeded, default_limits
+from .limits import charge_edges, check_draw_bits
 from .rng import SplitMix64
 
 
@@ -259,9 +259,8 @@ def as_extractor_view(code: CodeTable, design: WeakDesign, K: int, eps) -> Extra
     _check_block_size(code, design)
     n, d = code.n_msg, design.d
     masks = [_masks(s, d) for s in design.sets]
-    edges, limit = 2 ** (n + d), default_limits().gen_edges
-    if edges > limit:
-        raise LimitExceeded(f"{edges} view edges exceed limit {limit}")
+    check_draw_bits(n + d, "view edges")    # before 2^(n+d) is built
+    charge_edges(2 ** (n + d), "view edges")
     unit_positions = [[_parities(1 << j, m) for m in masks] for j in range(d)]
     rows = []
     for x in range(2 ** n):

@@ -14,8 +14,8 @@ import pytest
 
 from omex import (BipartiteGraph, OfflineParams,
                   construct_verified_offline_graph, counterexample_graph,
-                  layered, load, optimal_degree_pow2, random_extractor_search,
-                  save)
+                  layered, load, online_strategy_exists, optimal_degree_pow2,
+                  random_extractor_search, random_offline_graph, save)
 from omex.cli import main
 
 from conftest import uniform_view
@@ -82,6 +82,36 @@ def test_game_tree_included_on_request(capsys, cx_path):
                             "--s", "1", "--tree")
     assert code == 0
     assert set(report["outcome"]["strategy"]) == {"0", "1", "2"}
+
+
+@pytest.fixture
+def game_graph(tmp_path):
+    """A random (4, 2, 1) graph: 16 left vertices of degree 4."""
+    path = tmp_path / "game.json"
+    save(random_offline_graph(OfflineParams(4, 2, 1), 1), path)
+    return str(path)
+
+
+def test_game_tree_keys_sort_as_integers(capsys, game_graph):
+    # 16 left vertices: keys 0..15 sort as numbers, not as strings
+    code, out = run(capsys, "online", "game", "--graph", game_graph, "--s", "2",
+                    "--tree")
+    assert code == 0
+    strategy = online_strategy_exists(load(game_graph), 2).strategy
+    assert json.dumps(strategy, sort_keys=True) in out
+
+
+def test_game_tree_is_charged_to_game_nodes(capsys, game_graph, monkeypatch):
+    # at s = 3 the game takes 142 nodes; its printed tree has 3,616 entries
+    monkeypatch.setenv("OMEX_LIMITS", "game_nodes=1000")
+    argv = ("online", "game", "--graph", game_graph, "--s", "3")
+    code, report = run_json(capsys, *argv)
+    assert code == 0
+    assert report["outcome"] == {"exists": True, "nodes": 142}
+    code, report = run_json(capsys, *argv, "--tree")
+    assert code == 1
+    assert report["outcome"] == {
+        "error": "strategy tree exceeds 1000 entries"}
 
 
 def test_game_deeper_than_the_interpreter_stack_is_decided(capsys, tmp_path):
@@ -317,6 +347,10 @@ def test_online_run_layers_are_charged_to_gen_edges(capsys, tmp_path,
     code, report = run_json(capsys, *argv)
     assert code == 0
     assert report["outcome"]["rejections"] == []
+    # a count of over 4,300 digits is named by its size, not formatted
+    code, report = run_json(capsys, *argv[:-3], "1" * 4299, *argv[-2:])
+    assert code == 1
+    assert report["outcome"]["error"].startswith("at least 2^")
 
 
 @pytest.mark.parametrize("argv, error", [

@@ -1,7 +1,8 @@
 """Inputs whose exponents are too large to build their powers: random
-draws are refused from the exponent, and the failure bound and degree
-formula are worked out from it. Each case settles at once and never
-builds 2^n (`NoPower` stands for an exponent that refuses to be raised to).
+draws and exported views are refused from the exponent, and the failure
+bound and degree formula are worked out from it. Each case settles at once
+and never builds 2^n (`NoPower` stands for an exponent that refuses to be
+raised to).
 """
 
 import math
@@ -10,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from omex import (LimitExceeded, OfflineParams,
+from omex import (BipartiteGraph, CodeTable, LayeredGraph, LimitExceeded,
+                  OfflineParams, WeakDesign, as_extractor_view,
                   construct_verified_offline_graph, optimal_degree,
                   prefix_failure_bound, random_extractor_search,
                   random_offline_graph)
@@ -52,6 +54,18 @@ def test_a_count_past_the_digit_limit_is_named_by_its_size():
     with pytest.raises(LimitExceeded, match=(
             r"^at least 2\^20004 edge draws exceed limit 8000000$")):
         random_offline_graph(OfflineParams(4, 1, 10_000), 1)
+    with pytest.raises(LimitExceeded, match=(
+            r"^at least 2\^16609 layered edges exceed limit 8000000$")):
+        LayeredGraph.build(BipartiteGraph(1, 1, 1, ((0,),)), 10 ** 5000)
+
+
+def test_export_is_refused_from_the_exponent():
+    started = time.monotonic()
+    with pytest.raises(LimitExceeded, match=(
+            r"^at least 2\^1000002 view edges exceed limit 8000000$")):
+        as_extractor_view(CodeTable(2, Fraction(1, 4)),
+                          WeakDesign(10 ** 6, 2, ((1, 2),)), K=1, eps=HALF)
+    assert time.monotonic() - started < 0.5
 
 
 # --- prefix_failure_bound -----------------------------------------------------

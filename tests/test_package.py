@@ -1,9 +1,9 @@
 """Source checks on `src/omex`: the library is stdlib-only (pyproject.toml
 declares no dependencies), leaves no self-recursive closure behind, keeps
-per-object caches in `cached_property`s, not in `__dict__`, and still has
-every name the benchmark in `bench/` patches or calls, exports only names
-that something outside the tests uses, and uses every private helper it
-defines."""
+per-object caches in `cached_property`s, not in `__dict__`, reads the
+`gen_edges` budget only in `limits.py`, and still has every name the
+benchmark in `bench/` patches or calls, exports only names that something
+outside the tests uses, and uses every private helper it defines."""
 
 import ast
 import importlib
@@ -73,6 +73,16 @@ def test_no_code_reaches_into_an_instance_dict():
              for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr == "__dict__"]
+    assert found == []
+
+
+def test_only_the_limits_module_reads_the_edge_budget():
+    # `charge_edges` and `check_draw_bits` are the one charge to `gen_edges`,
+    # so every generated graph refuses and names its count the same way
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "limits.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "gen_edges"]
     assert found == []
 
 
