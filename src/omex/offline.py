@@ -52,11 +52,15 @@ def hall_check(g: BipartiteGraph, s_max: int, *,
     otherwise the smallest violating subset in (size, lexicographic) order.
 
     Per size t, a depth-first walk of the size-t subsets in lexicographic
-    order; a prefix carries the OR of its vertices' int neighbor masks. A
-    leaf fails with fewer than t mask bits. By Hall's theorem that is the
-    leaf a maximum matching fails to saturate, so mode="matching" gives the
-    same witness by the same test; the name is kept while the benchmark
-    passes it.
+    order; a prefix carries the OR of its vertices' int neighbor masks, and
+    a leaf batch ORs it with each tail after the prefix and fails with
+    fewer than t mask bits. Below size 3 a tail is one vertex, from size 3
+    on a pair a < b: the pair table holds the C(L, 2) masks masks[a] |
+    masks[b] in lexicographic order, one row per a, built only once the
+    budget has admitted the C(L, 3) subsets of size 3. By Hall's theorem a
+    failing leaf is one a maximum matching fails to saturate, so
+    mode="matching" gives the same witness; the name is kept while the
+    benchmark passes it.
     """
     if mode not in ("exhaustive", "matching"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -67,6 +71,7 @@ def hall_check(g: BipartiteGraph, s_max: int, *,
     if (s_max - 1).bit_length() > g.n:      # s_max > 2^n, without 2^n
         raise ValueError(f"s_max {s_max} exceeds left index space 2^{g.n}")
     masks = [sum(1 << r for r in set(row)) for row in g.neighbors]
+    rows, width = [[m] for m in masks], 1  # rows[a]: tails led by a
     examined = 0
     for size in range(1, min(s_max, nleft) + 1):
         checked, examined = examined, examined + math.comb(nleft, size)
@@ -75,16 +80,23 @@ def hall_check(g: BipartiteGraph, s_max: int, *,
             raise LimitExceeded(
                 f"subset enumeration would visit {examined} > {budget} nodes; "
                 f"{passed}{checked} subsets checked")
-        last = size - 1
+        if size == 3:           # from here on, the pairs (a, b), a < b
+            rows = [[m | n for n in masks[a + 1:]]
+                    for a, m in enumerate(masks)]
+            width = 2
+        last = size - width
         combo, acc = [0] * size, [0] * size  # acc[j]: OR of combo[:j]'s masks
         j = v = 0
         while True:
-            if j == last:       # the leaves combo[:last] + [w] for w >= v
+            if j == last:       # the leaves combo[:last] + tail, tail[0] >= v
                 prefix = acc[last]
-                for m in masks[v:]:
-                    if (prefix | m).bit_count() < size:
-                        # an equal mask before it would have failed first
-                        return combo[:last] + [masks.index(m, v)]
+                for row in rows[v:]:
+                    for m in row:
+                        if (prefix | m).bit_count() < size:
+                            # an equal row or mask before would have failed
+                            a = rows.index(row, v)
+                            tail = [a, a + 1 + row.index(m)]
+                            return combo[:last] + tail[:width]
                 v = nleft       # every leaf passed: back up
             if v > nleft - size + j:    # position j has no candidates left
                 if j == 0:

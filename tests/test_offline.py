@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,26 @@ def test_counterexample_passes_2_fails_3():
     assert hall_check(cx, 2) is None
     assert hall_check(cx, 3) == [0, 1, 2]
     assert hall_check(cx, 3, mode="matching") == [0, 1, 2]
+
+
+def test_pair_witness_is_found_from_its_smaller_member():
+    # the failing pair (2, 3) ORs to the same mask as (0, 2), so a witness
+    # read from the first equal mask of the pair table would be [0, 0, 2]
+    g = BipartiteGraph(2, 4, 2, ((0, 1), (2, 3), (0,), (1,)))
+    assert hall_check(g, 3) == [0, 2, 3]
+
+
+def test_hall_check_below_size_3_builds_no_pair_table():
+    # C(256, 2) masks of 4096 bits would take about 17 MB; size 2 needs none
+    rows = [(2 * v % 4096, (2 * v + 1) % 4096, 4095 - v) for v in range(256)]
+    g = BipartiteGraph(8, 4096, 3, rows)
+    tracemalloc.start()
+    try:
+        assert hall_check(g, 2) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_hall_bad_mode_rejected():
@@ -127,6 +148,12 @@ def test_hall_check_matches_naive_scan_on_bench_shaped_graphs():
             rows = [[rng.below(right) for _ in range(degree)]
                     for _ in range(16)]
             cases.append((BipartiteGraph.build(4, right, degree, rows), 16))
+    # pair tables past 16 left vertices: a (5, 3, 2) draw, and 32 left
+    # vertices of degree 2 on 16 right ones, which fail at [9, 22, 31]
+    cases.append((random_offline_graph(OfflineParams(5, 3, 2),
+                                       rng.next_u64()), 4))
+    rows = [[rng.below(16) for _ in range(2)] for _ in range(32)]
+    cases.append((BipartiteGraph.build(5, 16, 2, rows), 4))
     witnesses = []
     for g, s in cases:
         witness = hall_check(g, s)
@@ -136,6 +163,7 @@ def test_hall_check_matches_naive_scan_on_bench_shaped_graphs():
             assert hall_check(g, s, mode="matching") == witness
             assert naive_hall_check(g, s, "matching") == witness
     assert witnesses[:3] == [None] * 3
+    assert witnesses[-2:] == [None, [9, 22, 31]]
     assert sum(w is not None for w in witnesses) >= 6
 
 
