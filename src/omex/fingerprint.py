@@ -240,10 +240,10 @@ def decode_extractor(views: list[ExtractorView], S: EnumeratedSet,
                      fp: ExtractorFingerprint, bad_factor: int = 2) -> int:
     """Recompute the layer chain, filter the layer set down to neighbors of
     the named right vertex, and take the element at the ordinal."""
-    if fp.layer >= len(views):
+    if not 0 <= fp.layer < len(views):
         raise ValueError(
-            f"fingerprint names layer {fp.layer} but only {len(views)} "
-            "views were supplied")
+            f"fingerprint names layer {fp.layer}, outside the {len(views)} "
+            "views supplied")
     chain = layer_sets(views[:fp.layer], S.elements, bad_factor)
     if len(chain) <= fp.layer:
         raise ValueError("layer chain ended before the fingerprint's layer")

@@ -9,7 +9,6 @@ exhaustive game-tree search, whether any on-line algorithm at all can
 survive every adversary order.
 """
 
-import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import and_
@@ -177,6 +176,25 @@ class GameResult:
     nodes: int
 
 
+def _descend(search, *root):
+    """Run the recursion `search(*root)` and return its result. `search` is
+    a generator function whose recursive calls are written `result = yield
+    args` and whose result is its return value. The suspended frames wait
+    on one list, so memory, not the interpreter's recursion limit, bounds
+    the depth."""
+    stack, result = [search(*root)], None
+    while stack:
+        try:
+            args = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(search(*args))
+            result = None
+    return result
+
+
 def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
     """Exhaustive adversary-vs-algorithm search.
 
@@ -185,11 +203,12 @@ def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
     every adversary sequence of length <= s; the returned strategy maps each
     adversary move to the first winning reply in stored neighbor order.
     Positions are memoized on (requested, used), both int bitmasks, and
-    searched depth first on an explicit stack, so `game_nodes` alone bounds
-    the game. A position one move from the end wins iff every unrequested
-    left vertex still has an unused neighbor. The strategy, read from the
-    memo, shares the subtree of equal positions, and the last moves of its
-    lines share one `{"pick": r, "next": {}}` per reply r.
+    searched depth first in frames on one explicit stack (`_descend`), so
+    `game_nodes` alone bounds the game. A position one move from the end
+    wins iff every unrequested left vertex still has an unused neighbor.
+    The strategy, read from the memo, shares the subtree of equal
+    positions, and the last moves of its lines share one
+    `{"pick": r, "next": {}}` per reply r.
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
@@ -205,55 +224,44 @@ def online_strategy_exists(g: BipartiteGraph, s: int) -> GameResult:
     full = (1 << width) - 1
     memo: dict[tuple[int, int], bool] = {}
     nodes = 0
-    # The search is at the position state[depth], trying its move
-    # move[depth]; replies[depth] iterates the move's remaining replies and
-    # tried[depth] holds the right vertices used or already tried for it.
-    # `child` is the position to decide next, `won` an outcome to pass up.
-    slots = max(last, 0) + 1            # the root's slot even at last = -1
-    state = [(0, 0)] * slots
-    move, tried, replies = [0] * slots, [0] * slots, [None] * slots
-    child, depth = (0, 0), -1           # the root, as a child of depth -1
-    while (0, 0) not in memo:           # until the root is decided
-        won = memo.get(child)
-        if won is None:
-            nodes += 1
-            if nodes > budget:
-                raise LimitExceeded(f"game tree exceeds {budget} nodes: "
-                                    f"decided {len(memo)} positions")
-            if depth + 1 == last:   # any unused neighbor serves the last move
-                won = memo[child] = all(map(and_, few, repeat(
-                    ~child[1] & full | child[0] << width)))
-            else:
-                depth += 1
-                state[depth] = child
-                move[depth] = -1
-                won = True          # no move is open yet
-        while depth >= 0:
-            requested, used = state[depth]
-            v = move[depth]
-            if won:                 # v is answered: present the next move
-                v += 1
-                while v < nleft and requested >> v & 1:
-                    v += 1
-                if v == nleft:      # every move is answered
-                    memo[state[depth]] = True
-                    depth -= 1
-                    continue
-                move[depth] = v
-                replies[depth] = iter(rows[v])
-                tried[depth] = used
-            seen = tried[depth]
-            for r in replies[depth]:
-                if not seen >> r & 1:
-                    break
-            else:                   # no reply wins v
-                memo[state[depth]] = won = False
-                depth -= 1
+
+    def count():
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise LimitExceeded(f"game tree exceeds {budget} nodes: "
+                                f"decided {len(memo)} positions")
+
+    def last_move(requested, used):     # any unused neighbor serves it
+        count()
+        won = memo[requested, used] = all(map(and_, few, repeat(
+            ~used & full | requested << width)))
+        return won
+
+    def search(requested, used, depth):
+        count()
+        for v in range(nleft):
+            if requested >> v & 1:
                 continue
-            tried[depth] = seen | 1 << r
-            child = (requested | 1 << v, used | 1 << r)
-            break
-    if not memo[0, 0]:
+            tried = used                # right vertices used or tried for v
+            for r in rows[v]:
+                if tried >> r & 1:
+                    continue
+                tried |= 1 << r
+                child = (requested | 1 << v, used | 1 << r)
+                won = memo.get(child)
+                if won is None:
+                    won = (last_move(*child) if depth + 1 == last
+                           else (yield (*child, depth + 1)))
+                if won:
+                    break
+            else:                       # no reply wins v
+                memo[requested, used] = False
+                return False
+        memo[requested, used] = True
+        return True
+
+    if not (last_move(0, 0) if last == 0 else _descend(search, 0, 0, 0)):
         return GameResult(False, None, nodes)
 
     # Read from the memo of plain bools: in a winning position each move's
@@ -348,14 +356,16 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     and the half-rejection audit are checked at every node of the tree.
     The search stops at the first node that fails either check.
 
-    The walk keeps each node's `(requested, used)` bitmasks, which fix the
-    engine's future and its per-layer counts, and steps no session: a
-    child's reply is the greedy rule `_first_free`. A child v passes iff
-    `reach[v] & served`: its distinct base neighbours meet `served`, the
-    node's `_serving_mask`. On a walked path every request was served, so
-    that mask depends on `used` alone and is cached by it. Only the first
-    failing sequence is replayed in a `MatchingSession` and audited by
-    `half_rejection_audit`, for the report.
+    The walk is a recursion on one explicit stack of frames (`_descend`),
+    one per node entered. It keeps each node's `(requested, used)`
+    bitmasks, which fix the engine's future and its per-layer counts, and
+    steps no session: a child's reply is the greedy rule `_first_free`. A
+    child v passes iff `reach[v] & served`: its distinct base neighbours
+    meet `served`, the node's `_serving_mask`, which each frame computes
+    once; on a walked path every request was served, so that mask depends
+    on `used` alone. Only the first failing sequence is replayed in a
+    `MatchingSession` and audited by `half_rejection_audit`, for the
+    report.
 
     Two rules count a passing node's subtree in closed form instead of
     descending into it. A node whose state already headed a subtree that
@@ -394,8 +404,9 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     nleft, width, copies = base.left_size, base.right_size, lg.copies
     top = min(capacity, nleft)
     # below[j]: sequences strictly below a node at depth j
-    below = [sum(math.perm(nleft - j, i) for i in range(1, top - j + 1))
-             for j in range(top + 1)]
+    below = [0] * (top + 1)
+    for j in range(top - 1, -1, -1):
+        below[j] = (nleft - j) * (1 + below[j + 1])
     everyone = (1 << nleft) - 1
     # each left vertex's distinct base neighbours, as a mask
     reach = [sum(1 << r for r in set(row)) for row in base.neighbors]
@@ -438,25 +449,15 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     weak = layer0(root, 0, top)[0]
     if budget > 0 and top > 1 and (not weak or spills(weak, 0, 0)):
         return SequenceSweep(below[0], None, None, certified=1)  # all pass
-    serving = {0: _serving_mask(0, width, copies)}
     passed: set[tuple[int, int]] = set()
     visited = sequences = hits = certificates = 0
-    failure = None                      # the first failing sequence
-    # the walk is at a node of depth `depth`, reached by the requests
-    # path[:depth]; state[depth] holds its (requested, used) bitmasks,
-    # free[depth] its count planes, masks[depth] its `layer0` masks once
-    # computed and todo[depth] the left vertices not yet tried below it
-    path = [0] * top
-    state = [(0, 0)] * top
-    free = [root] * top
-    masks = [None] * top
-    todo = [iter(range(nleft))] + [()] * (top - 1)
-    depth = 0
-    while True:
-        requested, used = state[depth]
-        served = serving[used]
-        cert = masks[depth]
-        for v in todo[depth]:
+
+    def visit(requested, used, planes, depth):
+        # the failing suffix of the node's first failing sequence, or None
+        nonlocal visited, sequences, hits, certificates
+        served = _serving_mask(used, width, copies)
+        cert = None                     # its `layer0` masks once computed
+        for v in range(nleft):
             if requested >> v & 1:
                 continue
             if visited >= budget:
@@ -468,8 +469,7 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
             visited += 1
             sequences += 1
             if not reach[v] & served:   # the first failure ends the walk
-                failure = path[:depth] + [v]
-                break
+                return [v]
             if depth + 1 == top:        # a leaf
                 continue
             reply = _first_free(rows[v], used)
@@ -479,34 +479,23 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
                 sequences += below[depth + 1]
                 continue
             if cert is None:
-                cert = masks[depth] = layer0(free[depth], requested,
-                                             top - depth - 1)
+                cert = layer0(planes, requested, top - depth - 1)
             weak = (cert[0] | cert[1] & cols[reply]) & ~child[0]
             if not weak or spills(weak, child[1], depth + 1):
                 certificates += 1
                 sequences += below[depth + 1]
                 continue
-            if child[1] not in serving:
-                serving[child[1]] = _serving_mask(child[1], width, copies)
-            path[depth] = v             # enter the child
-            depth += 1
-            state[depth] = child
             fresh, borrow = [], cols[reply]
-            for plane in free[depth - 1]:   # one less at the reply's column
+            for plane in planes:        # one less at the reply's column
                 fresh.append(plane ^ borrow)
                 borrow &= ~plane
-            free[depth] = fresh
-            masks[depth] = None
-            todo[depth] = iter(range(nleft))
-            break
-        else:                           # every child passed
-            if depth == 0:
-                break
-            passed.add((requested, used))
-            depth -= 1
-            continue
-        if failure is not None:
-            break
+            failure = yield (*child, fresh, depth + 1)
+            if failure is not None:
+                return [v, *failure]
+        passed.add((requested, used))   # every child passed
+        return None
+
+    failure = _descend(visit, 0, 0, root, 0)
     sweep = SequenceSweep(sequences, None, None, visited, hits, certificates)
     if failure is not None:
         session = MatchingSession(lg, capacity)

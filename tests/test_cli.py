@@ -848,6 +848,27 @@ def test_fp_ext_decode_rejects_negative_ordinal(capsys, tmp_path):
     assert "ordinal -1 out of range" in report["outcome"]["error"]
 
 
+@pytest.mark.parametrize("layer", [-1, -2])
+def test_fp_ext_decode_rejects_negative_layer(capsys, tmp_path, layer):
+    view_path = str(tmp_path / "view.json")
+    run_json(capsys, "ext", "search", "--n", "3", "--k", "2", "--m", "2",
+             "--d", "4", "--eps", "1/2", "--seed", "5", "--out", view_path)
+    set_path = tmp_path / "set.json"
+    set_path.write_text('{"label":"b","k":2,"elements":[6,1,4]}\n')
+    fp_path = tmp_path / "fp.json"
+    code, _ = run_json(capsys, "fp", "encode", "--flavor", "ext", "--views",
+                       view_path, "--set", str(set_path), "--target", "1",
+                       "--out", str(fp_path))
+    assert code == 0
+    doc = json.loads(fp_path.read_text())
+    fp_path.write_text(json.dumps({**doc, "layer": layer}))
+    code, report = run_json(capsys, "fp", "decode", "--flavor", "ext",
+                            "--views", view_path, "--set", str(set_path),
+                            "--fingerprint", str(fp_path))
+    assert code == 1
+    assert f"layer {layer}, outside" in report["outcome"]["error"]
+
+
 def test_demo_om_needs_a_trial(capsys):
     code, report = run_json(capsys, "demo", "om", "--seed", "1",
                             "--trials", "0")

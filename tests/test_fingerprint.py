@@ -260,6 +260,19 @@ def test_extractor_decode_rejects_negative_ordinal(ordinal):
         decode_extractor([uv], s, broken)
 
 
+@pytest.mark.parametrize("layer", [-1, -2])
+def test_extractor_decode_rejects_negative_layer(layer):
+    # on one view, layer -1 would decode through the last view and layer -2
+    # would index past the list
+    uv = uniform_view(2, 2, K=4)
+    s = EnumeratedSet("b", 2, (0, 1))
+    fp = encode_extractor([uv], s, 1)
+    broken = fingerprint_from_doc({**fp.to_doc(), "layer": layer})
+    with pytest.raises(ValueError,
+                       match=f"layer {layer}, outside the 1 views supplied"):
+        decode_extractor([uv], s, broken)
+
+
 # --- two-condition flavor ------------------------------------------------------
 
 def test_uniform_pview_first_neighbor_works():

@@ -639,6 +639,23 @@ def test_refused_game_leaves_no_cycle_to_the_collector(monkeypatch):
     assert garbage == set()
 
 
+def test_refused_sweep_leaves_no_cycle_to_the_collector(monkeypatch):
+    lg = LayeredGraph.build(random_offline_graph(OfflineParams(4, 3, 1), 7), 4)
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=50")
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with pytest.raises(LimitExceeded, match="exceeds 50 nodes") as raised:
+            exhaustive_online_check(lg, 8)
+        del raised  # its traceback would keep the sweep's frames alive
+        gc.collect()
+        garbage = {type(obj).__name__ for obj in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == set()
+
+
 # left vertex v < 2,048 sees right vertex v, and vertex 2,048 sees right
 # vertex 0 alone, which vertex 0 takes: the 2,049th move of a line loses
 CHAIN = BipartiteGraph(12, 2048, 1,
@@ -649,6 +666,13 @@ def test_game_deeper_than_the_interpreter_stack_is_decided():
     # the first line of play is 2,049 moves long, its last one lost
     res = online_strategy_exists(CHAIN, 2049)
     assert (res.exists, res.strategy, res.nodes) == (False, None, 2049)
+
+
+def test_sweep_deeper_than_the_interpreter_stack_is_walked():
+    # each node's first child is entered, and the 2,049th request is rejected
+    sweep = exhaustive_online_check(LayeredGraph.build(CHAIN, 1), 2049)
+    assert (sweep.visited, sweep.sequences, sweep.first_rejection) == \
+        (2049, 2049, list(range(2049)))
 
 
 def test_deep_game_is_refused_by_the_node_budget(monkeypatch):

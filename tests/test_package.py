@@ -3,7 +3,8 @@ declares no dependencies), leaves no self-recursive closure behind, keeps
 per-object caches in `cached_property`s, not in `__dict__`, reads the
 `gen_edges` budget only in `limits.py`, and still has every name the
 benchmark in `bench/` patches or calls, exports only names that something
-outside the tests uses, and uses every private helper it defines."""
+outside the tests uses, uses every private helper it defines, and reads
+every name it imports."""
 
 import ast
 import importlib
@@ -212,3 +213,22 @@ def test_every_private_helper_has_a_use_in_the_library():
     assert len(defined) > 10
     assert sorted(entry for entry in defined
                   if entry.partition(": ")[2] not in used) == []
+
+
+def test_every_import_is_used():
+    # a module-level import that its module never reads is dead weight on
+    # every import of the package; `__init__.py` imports to re-export
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}:{node.lineno}: {name}"
+                           for name in (alias.asname or alias.name.split(".")[0]
+                                        for alias in node.names)
+                           if name not in read]
+    assert unused == []
