@@ -137,7 +137,7 @@ def _series_bound(n: int, k: int, c: int) -> Fraction:
     so b keeps more than E * floor(log2 n) - n - k bits. That bound is
     tested first, so a base it already refuses is not built (5 million
     bits at n=6, c=7); taking E at min(c, 64) keeps n^c small."""
-    limit = sys.get_int_max_str_digits()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 3.10.7+
 
     def refuse(bits: int) -> None:
         # bits: at most the larger bit length of a and b, less one

@@ -246,91 +246,115 @@ def _some_completion_fails(cols, prefix, start: int, r: int, hi, lo) -> bool:
     return False
 
 
-def _exhaustive_walk(view: ExtractorView) -> ExtractorCheck:
-    """Depth-first walk of the size-K subsets in lexicographic order.
+def _subset_walk(N: int, K: int, root, step, name: str, test=None,
+                 cost: int = 0, advice: str = ""):
+    """Depth-first walk of the size-K subsets of range(N) in lexicographic
+    order. Yields (S, state, certified, tests) for each subset S it leaves
+    unsettled and returns (certified, tests).
 
-    A node is a prefix v_1 < ... < v_j, and carries its deficit vector
-    g[y] = D*K - M*e[y], where e counts the prefix's edge endpoints; a child
-    subtracts one scaled count vector from its parent's. At a full subset
-    the positive and negative parts of M*e - D*K have equal mass, so the
-    deviation is sum(max(0, g[y])) / (D*K*M). That missing mass only
-    shrinks as vertices are added, so once a prefix's missing mass is
-    below eps every completion passes: the subtree is certified without
-    being visited and its C(N-1-v_j, K-j) subsets are added to `checked`.
-    The same comparison settles a leaf, so the first failing leaf is the
-    lexicographically first witness, exactly as a plain scan finds it.
-
-    When N * 2^M <= C(N, K) the walk is dual: the whole view is first
-    settled by one exact test over the right sets (`_some_completion_fails`)
-    and passes if that does. Otherwise every inner node the missing mass
-    does not certify gets the same exact test on its subtree, is certified
-    when it passes and entered only when it holds a failure, so the walk
-    goes straight down to the first witness. Every node visited counts
-    against the `subset_nodes` budget, and every exact test 2^M - 1 more.
+    A node is a prefix v_1 < ... < v_j with r = K - j members to come.
+    `step(state, v_j, r)` extends the parent's state (`root` for the empty
+    prefix) by v_j, or returns None when every completion is settled: the
+    subtree is certified unvisited, its C(N-1-v_j, r) subsets counted in
+    `certified`. A given `test(state, v_j + 1, r)` runs on the root and on
+    each inner node the step leaves open, charged `cost` nodes, and
+    certifies the subtree when true. Nodes count against `subset_nodes`.
     """
-    N, K, M, D = view.N, view.K, view.M, view.D
-    counts = view.counts
-    threshold_num = view.eps.numerator * D * K * M   # compare against eps
-    threshold_den = view.eps.denominator             # exactly, as deviation
-    total = math.comb(N, K)
-    dual = N << M <= total
-    right_sets = (1 << M) - 1
-    budget = default_limits().subset_nodes
-    spent = nodes = tests = checked = 0
+    comb, budget = math.comb, default_limits().subset_nodes
+    about = name, N, K, budget, cost, advice
+    spent = tests = certified = 0
+    if test:
+        if cost > budget:
+            raise _refusal(about, 0, 0, 0)
+        spent, tests = cost, 1
+        if test(root, 0, K):
+            return comb(N, K), tests
+    combo, states = [0] * K, [root] * K     # combo[~r] is v_j, states by r
+    r, v = K - 1, 0
+    while True:
+        if v + r >= N:                  # no candidates left at this position
+            if r == K - 1:
+                return certified, tests
+            r += 1
+            v = combo[~r] + 1
+            continue
+        if spent >= budget:
+            raise _refusal(about, spent, tests, certified)
+        spent += 1
+        combo[~r] = v
+        state = step(states[r], v, r)
+        if test and r and state is not None:
+            if spent + cost > budget:
+                raise _refusal(about, spent, tests, certified)
+            spent += cost
+            tests += 1
+            if test(state, v + 1, r):
+                state = None
+        if state is None:
+            certified += comb(N - 1 - v, r)
+        elif r:
+            r -= 1
+            states[r] = state
+        else:
+            yield tuple(combo), state, certified, tests
+        v += 1
 
-    def charge(cost: int) -> None:
-        nonlocal spent
-        spent += cost
-        if spent > budget:
-            work = (f"{nodes} nodes and {tests} subtree tests of "
-                    f"{right_sets} right subsets each" if dual
-                    else f"{nodes} nodes")
-            raise LimitExceeded(
-                f"exhaustive walk exceeded limit {budget} nodes: visited "
-                f"{work}, certified {checked} of the C({N},{K}) = {total} "
-                f"size-K subsets; use sampled mode")
 
-    if dual:
-        DK = D * K
+def _refusal(about, spent: int, tests: int, certified: int) -> LimitExceeded:
+    name, N, K, budget, cost, advice = about
+    nodes = spent - tests * cost
+    work = (f"{nodes} nodes and {tests} subtree tests of {cost} right subsets "
+            f"each" if cost else f"{nodes} nodes")
+    return LimitExceeded(
+        f"{name} exceeded limit {budget} nodes: visited {work}, certified "
+        f"{certified} of the C({N},{K}) = {math.comb(N, K)} size-K "
+        f"subsets{advice}")
+
+
+def _exhaustive_walk(view: ExtractorView) -> ExtractorCheck:
+    """Settle the size-K subsets in lexicographic order by `_subset_walk`.
+
+    A node's state is its deficit vector g[y] = D*K - M*e[y], where e counts
+    the prefix's edge endpoints. At a full subset the positive and negative
+    parts of M*e - D*K have equal mass, so the deviation is sum(max(0,
+    g[y])) / (D*K*M). That missing mass only shrinks as vertices are added,
+    so once a prefix's is below eps every completion passes, and the first
+    leaf left open is the lexicographically first witness.
+
+    When N * 2^M <= C(N, K) the walk is dual: the root, and every inner node
+    the missing mass does not certify, gets the exact test over the right
+    sets (`_some_completion_fails`) at 2^M - 1 nodes. A passing view is
+    settled at the root, a failing one walked straight down to its witness.
+    """
+    N, K, M, DK = view.N, view.K, view.M, view.D * view.K
+    threshold_num = view.eps.numerator * DK * M   # compare against eps
+    threshold_den = view.eps.denominator          # exactly, as deviation
+    scaled = [tuple(M * c for c in cv) for cv in view.counts]
+
+    def step(g, v, r):
+        g = list(map(operator.sub, g, scaled[v]))
+        if sum(filter(_positive, g)) * threshold_den >= threshold_num:
+            return g
+
+    test, cost = None, 0
+    if N << M <= math.comb(N, K):
         need = -(-threshold_num // threshold_den)   # least failing M*e - DK|Y|
         hi = [-(-(need + DK * s) // M) for s in range(M + 1)]
         lo = [(DK * s - need) // M for s in range(M + 1)]
-        cols = [tuple(cv[y] for cv in counts) for y in range(M)]
-        charge(right_sets)
-        tests = 1
-        if not _some_completion_fails(cols, [0] * M, 0, K, hi, lo):
-            return ExtractorCheck("exhaustive", None, None, total, tests)
-    scaled = [tuple(M * c for c in cv) for cv in counts]
-    combo = [0] * K
-    deficits = [[D * K] * M] + [None] * K
-    j, v = 0, 0
-    while True:
-        if v > N - K + j:               # position j has no candidates left
-            if j == 0:
-                return ExtractorCheck("exhaustive", None, None, checked, tests)
-            j -= 1
-            v = combo[j] + 1
-            continue
-        charge(1)
-        nodes += 1
-        combo[j] = v
-        g = list(map(operator.sub, deficits[j], scaled[v]))
-        certified = sum(filter(_positive, g)) * threshold_den < threshold_num
-        if dual and not certified and j < K - 1:
-            charge(right_sets)
-            tests += 1
-            certified = not _some_completion_fails(
-                cols, [(DK - x) // M for x in g], v + 1, K - 1 - j, hi, lo)
-        if certified:
-            checked += math.comb(N - 1 - v, K - 1 - j)
-            v += 1
-        elif j == K - 1:    # a leaf's missing mass is its deviation
-            return ExtractorCheck("exhaustive", tuple(combo), Fraction(
-                sum(filter(_positive, g)), D * K * M), checked + 1, tests)
-        else:
-            j += 1
-            deficits[j] = g
-            v += 1
+        cols, cost = list(zip(*view.counts)), (1 << M) - 1
+
+        def test(g, start, r):
+            return not _some_completion_fails(
+                cols, [(DK - x) // M for x in g], start, r, hi, lo)
+
+    walk = _subset_walk(N, K, [DK] * M, step, "exhaustive walk", test, cost,
+                        "; use sampled mode")
+    try:
+        S, g, checked, tests = next(walk)
+    except StopIteration as done:
+        return ExtractorCheck("exhaustive", None, None, *done.value)
+    return ExtractorCheck("exhaustive", S, Fraction(
+        sum(filter(_positive, g)), DK * M), checked + 1, tests)
 
 
 def _positive(x: int) -> bool:
@@ -460,15 +484,13 @@ def hazard_walk(view: ExtractorView, bad_factor: int = 2):
     vertex, in lexicographic order. Every other size-K subset has empty
     `bad`, `dangerous` and `weakly_dangerous` sets.
 
-    A depth-first walk in the loop shape of `_exhaustive_walk`: a node is a
-    prefix v_1 < ... < v_j and carries its endpoint counts e. No completion
-    of the prefix has a bad vertex when, for every right vertex y, e[y] plus
-    the sum of the K - j largest counts into y among the vertices after v_j
-    is at most the cut; such a subtree is certified and not entered, and
-    its C(N-1-v_j, K-j) subsets are added to `certified`. A leaf left
-    uncertified has a bad vertex and gets the kernel `hazard_report` uses.
-    Counts are packed as in `_CountTable`: one addition and one mask test.
-    Every node visited counts against the `subset_nodes` budget.
+    A `_subset_walk` whose node state is the prefix's endpoint counts e,
+    packed as in `_CountTable`: one addition and one mask test a node. No
+    completion of a prefix v_1 < ... < v_j has a bad vertex when, for every
+    right vertex y, e[y] plus the sum of the K - j largest counts into y
+    among the vertices after v_j is at most the cut; the step certifies
+    such a subtree. A leaf left uncertified has a bad vertex and gets the
+    kernel `hazard_report` uses.
     """
     if bad_factor < 1:
         raise ValueError(f"need bad factor >= 1, got {bad_factor}")
@@ -478,50 +500,27 @@ def hazard_walk(view: ExtractorView, bad_factor: int = 2):
     cut, threshold = scale // M, _bad_threshold(scale, M)
     table = view._table
     packed, high, bias = table.packed, table.high, table.bias(cut)
-    # top[s][r]: field y holds the sum of the r largest counts into y among
-    # the vertices s..N-1, for r <= min(K - 1, N - s)
-    top = [None] * (N + 1)
+    # after[v][r]: field y holds bias plus the sum of the r largest counts
+    # into y among the vertices after v, for r <= min(K - 1, N - 1 - v)
+    after = [None] * N
     largest = [[] for _ in range(M)]    # ascending, at most K - 1 long
-    for s in range(N, -1, -1):
-        if s < N:
-            for col, c in zip(largest, view.counts[s]):
-                bisect.insort(col, c)
-                if len(col) == K:
-                    del col[0]
+    for v in range(N - 1, -1, -1):
         sums = [list(itertools.accumulate(reversed(col), initial=0))
                 for col in largest]
-        top[s] = [table.pack(ys) for ys in zip(*sums)]
-    total = math.comb(N, K)
-    budget = default_limits().subset_nodes
-    nodes = certified = 0
-    combo = [0] * K
-    prefix = [0] * K                    # packed counts of combo[:j]
-    j, v = 0, 0
-    while True:
-        if v > N - K + j:               # position j has no candidates left
-            if j == 0:
-                return
-            j -= 1
-            v = combo[j] + 1
-            continue
-        if nodes >= budget:
-            raise LimitExceeded(
-                f"hazard walk exceeded limit {budget} nodes: visited {nodes} "
-                f"nodes, certified {certified} of the C({N},{K}) = {total} "
-                f"size-K subsets")
-        nodes += 1
-        combo[j] = v
-        e = prefix[j] + packed[v]
-        if not (e + top[v + 1][K - 1 - j] + bias) & high:
-            certified += math.comb(N - 1 - v, K - 1 - j)
-        elif j == K - 1:
-            S = tuple(combo)
-            yield HazardReport(S, *_hazards(rows, S, table.unpack(e), cut),
-                               threshold, bad_factor)
-        else:
-            j += 1
-            prefix[j] = e
-        v += 1
+        after[v] = [table.pack(ys) + bias for ys in zip(*sums)]
+        for col, c in zip(largest, view.counts[v]):
+            bisect.insort(col, c)
+            if len(col) == K:
+                del col[0]
+
+    def step(e, v, r):
+        e += packed[v]
+        if (e + after[v][r]) & high:
+            return e
+
+    for S, e, _, _ in _subset_walk(N, K, 0, step, "hazard walk"):
+        yield HazardReport(S, *_hazards(rows, S, table.unpack(e), cut),
+                           threshold, bad_factor)
 
 
 def truncate(view: ExtractorView, i: int) -> ExtractorView:

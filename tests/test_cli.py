@@ -378,6 +378,8 @@ def test_online_run_layers_are_charged_to_gen_edges(capsys, tmp_path,
      "integer string conversion"),
     (["offline", "bound", "--n", "1", "--k", "0", "--c", "1000000"],
      "needs n >= 2"),
+    (["online", "run", "--graph", "CX", "--layers", "0", "--requests", "-"],
+     "need at least one copy"),
 ])
 def test_unrenderable_or_oversized_is_one_error_report(capsys, cx_path, argv,
                                                        error):
@@ -456,6 +458,17 @@ def test_bad_fraction_is_usage_error(capsys, argv):
                  id="design-intersections-too-large"),
     pytest.param("design", '{"d":6,"block_size":2,"sets":[]}',
                  ["trev", "eval"], "at least one set", id="design-empty"),
+    *(pytest.param("graph", json.dumps({"n": 1, "right_size": 2,
+                                        "max_degree": 2,
+                                        "neighbors": [[0, 1], [1, 0]],
+                                        **bad}),
+                   ["fp", "encode"], message, id=f"graph-{id}")
+      for bad, message, id in (
+          ({"n": -1}, "n_nonnegative: n = -1", "negative-n"),
+          ({"right_size": 0}, "right_size_positive: right_size = 0",
+           "no-right-vertex"),
+          ({"max_degree": -1}, "max_degree_nonnegative: max_degree = -1",
+           "negative-degree"))),
     *(pytest.param(file, "not json", argv, "not valid JSON",
                    id=f"{file}-not-json")
       for file, argv in (("graph", ["fp", "encode"]), ("set", ["fp", "encode"]),
@@ -635,6 +648,44 @@ def test_ext_check_renders_witnesses(capsys, tmp_path):
         "ok", "witness"]
     assert report["outcome"]["witness"] == {"level": 1, "S": [0],
                                             "deviation": "1/2"}
+
+
+@pytest.mark.parametrize("doc, argv, code, message", [
+    pytest.param({}, [], 2,
+                 "graph file has no embedded K/eps; pass --K and --eps",
+                 id="bare-graph"),
+    pytest.param({"K": 8, "eps": "1/2"}, ["--prefix", "3"], 1,
+                 "k = 3 exceeds output length m = 2", id="prefix-above-m"),
+    pytest.param({"max_degree": 3, "neighbors": [[0, 1, 1]] * 8},
+                 ["--K", "2", "--eps", "1/2"], 1,
+                 "degree 3 is not a power of 2", id="degree-3"),
+])
+def test_ext_check_refusals_name_the_fault(capsys, tmp_path, doc, argv, code,
+                                           message):
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps({"n": 3, "right_size": 4, "max_degree": 2,
+                                "neighbors": [[0, 1], [2, 3]] * 4, **doc}))
+    assert main(["ext", "check", "--graph", str(path), *argv]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err == f"omex: {message}\n"
+    else:
+        assert captured.err == ""
+        assert json.loads(captured.out)["outcome"] == {"error": message}
+
+
+@pytest.mark.parametrize("argv", [
+    ["offline", "bound", "--n", "2", "--k", "1"],
+    ["offline", "gen", "--n", "2", "--k", "1", "--seed", "1"],
+])
+def test_series_bound_runs_without_the_digit_limit_api(capsys, monkeypatch,
+                                                       argv):
+    # Python before 3.10.7 has no sys.get_int_max_str_digits
+    code, report = run_json(capsys, *argv)
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    assert run_json(capsys, *argv) == (code, report)
+    assert code == 0 and "error" not in report["outcome"]
 
 
 def test_ext_degree_and_pbound(capsys):

@@ -12,8 +12,8 @@ from omex import (BipartiteGraph, ExtractorView, GraphFormatError,
                   is_extractor, is_prefix_extractor, optimal_degree,
                   optimal_degree_pow2, prefix_failure_bound,
                   random_extractor_search, truncate)
-from omex.extractor import (_log_comb, load_view, next_pow2, save_view,
-                            view_to_json)
+from omex.extractor import (_log_comb, _subset_walk, load_view, next_pow2,
+                            save_view, view_to_json)
 from omex.graph import from_json
 from omex.rng import SplitMix64
 
@@ -177,6 +177,66 @@ def test_dual_limit_message_reports_progress(monkeypatch):
                              r"subsets each, certified 35 of the "
                              r"C\(8,4\) = 70 size-K subsets"):
         is_extractor(dual_witness_view())
+
+
+def test_subset_walk_that_settles_nothing_yields_every_subset():
+    # the state is the prefix itself, so each leaf's state is its subset
+    for N in range(8):
+        for K in range(1, N + 1):
+            walk = list(_subset_walk(N, K, (), lambda p, v, r: p + (v,),
+                                     "test walk"))
+            assert [S for S, _, _, _ in walk] == list(
+                itertools.combinations(range(N), K))
+            assert all(state == S and (certified, tests) == (0, 0)
+                       for S, state, certified, tests in walk)
+
+
+def drive(walk):
+    """(yielded subsets, walk return value) of a `_subset_walk`."""
+    leaves = []
+    while True:
+        try:
+            leaves.append(next(walk)[0])
+        except StopIteration as done:
+            return leaves, done.value
+
+
+@pytest.mark.parametrize("N, K", [(1, 1), (5, 2), (6, 3), (7, 4), (7, 7)])
+@pytest.mark.parametrize("seed", range(3))
+def test_subset_walk_counts_settled_subtrees_and_charges_each_step(
+        monkeypatch, N, K, seed):
+    rng = SplitMix64(seed)
+    settled = {p for r in range(1, K + 1)
+               for p in itertools.combinations(range(N), r)
+               if rng.below(4) == 0}
+    calls = []
+
+    def step(prefix, v, r):
+        prefix += (v,)
+        assert r == K - len(prefix)
+        calls.append(prefix)
+        return None if prefix in settled else prefix
+
+    leaves, (certified, tests) = drive(_subset_walk(N, K, (), step, "test"))
+    assert tests == 0
+    assert certified + len(leaves) == math.comb(N, K)
+    assert leaves == [S for S in itertools.combinations(range(N), K)
+                      if not any(S[:r] in settled for r in range(1, K + 1))]
+    nodes = len(calls)
+    monkeypatch.setenv("OMEX_LIMITS", f"subset_nodes={nodes}")
+    assert drive(_subset_walk(N, K, (), step, "test")) == (
+        leaves, (certified, 0))
+    monkeypatch.setenv("OMEX_LIMITS", f"subset_nodes={nodes - 1}")
+    calls.clear()
+    with pytest.raises(LimitExceeded) as raised:
+        drive(_subset_walk(N, K, (), step, "test"))
+    assert len(calls) == nodes - 1
+    done = sum(math.comb(N - 1 - p[-1], K - len(p))
+               for p in calls if p in settled)
+    assert str(raised.value) == (
+        f"test exceeded limit {nodes - 1} nodes: visited {nodes - 1} nodes, "
+        f"certified {done} of the C({N},{K}) = {math.comb(N, K)} size-K "
+        f"subsets")
 
 
 def test_exact_subtree_test_settles_what_missing_mass_cannot():

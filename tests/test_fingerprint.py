@@ -220,6 +220,25 @@ def test_extractor_runs_out_of_layers():
         encode_extractor(stack, s, 0)
 
 
+def test_extractor_encode_needs_a_view():
+    s = EnumeratedSet("b", 2, (0, 1, 2, 3))
+    with pytest.raises(ValueError, match="^need at least one view$"):
+        encode_extractor([], s, 0)
+
+
+def test_extractor_decode_refuses_a_layer_past_the_chain():
+    # no vertex is dangerous on a uniform view, so the chain is S, () and
+    # has no set at layer 2
+    uv = uniform_view(2, 2, K=4)
+    s = EnumeratedSet("b", 2, (0, 1))
+    fp = encode_extractor([uv], s, 1)
+    assert layer_sets([uv, uv], s.elements) == [(0, 1), ()]
+    broken = fingerprint_from_doc({**fp.to_doc(), "layer": 2})
+    with pytest.raises(ValueError, match="^layer chain ended before the "
+                                         "fingerprint's layer$"):
+        decode_extractor([uv] * 3, s, broken)
+
+
 def test_extractor_layer_capacity_precondition():
     uv = uniform_view(2, 1, K=2)
     s = EnumeratedSet("b", 2, (0, 1, 2))
@@ -368,6 +387,20 @@ def test_weakly_dangerous_target_is_reported():
     s_c = EnumeratedSet("c", 1, (0, 1))
     with pytest.raises(ValueError, match="weakly dangerous"):
         encode_two_conditions(pview, s_b, s_c, 0, bad_factor=1)
+
+
+def test_target_weakly_dangerous_for_the_second_set_is_reported():
+    # full view, bad factor 1: only right vertex 3 (4 edges of S_b) is bad,
+    # and neither edge of 0 lands there; halved, right vertex 1 gets 3
+    # edges of S_c and one of the two edges of 0
+    rows = ((2, 0), (3, 3), (1, 3), (1, 3))
+    pview = ExtractorView(BipartiteGraph(2, 4, 2, rows), 4, Fraction(1, 2))
+    s_b = EnumeratedSet("b", 2, (0, 1, 2, 3))
+    s_c = EnumeratedSet("c", 1, (0, 1))
+    with pytest.raises(ValueError) as raised:
+        encode_two_conditions(pview, s_b, s_c, 0, bad_factor=1)
+    assert str(raised.value) == ("target 0 is weakly dangerous for set 'c' "
+                                 "under the truncated view")
 
 
 def test_two_condition_input_validation():

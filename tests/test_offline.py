@@ -235,6 +235,15 @@ def test_same_seed_same_graph():
     assert random_offline_graph(p, 42) != random_offline_graph(p, 43)
 
 
+def test_draws_refuse_an_empty_range():
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError,
+                       match=r"^below\(\) needs a positive bound$"):
+        rng.below(0)
+    with pytest.raises(ValueError, match="^sample larger than population$"):
+        rng.sample(3, 4)
+
+
 def test_generated_shape_n2k1c2():
     g = random_offline_graph(OfflineParams(2, 1, 2), 5)
     assert g.right_size == 8

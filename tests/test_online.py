@@ -538,6 +538,12 @@ def test_limits_refuse_non_integer_values(monkeypatch, value):
     assert str(raised.value) == want
 
 
+def test_limits_skip_empty_entries(monkeypatch):
+    assert Limits().override("subset_nodes=100,") == Limits(subset_nodes=100)
+    monkeypatch.setenv("OMEX_LIMITS", " , game_nodes=7,,")
+    assert default_limits() == Limits(game_nodes=7)
+
+
 def test_guards_refuse_a_negative_budget(monkeypatch):
     # a budget that bypasses `override` is below every count, so each
     # guard refuses before the first node

@@ -205,6 +205,12 @@ def test_decode_all_zeros_exactly_00():
     assert list_decode(CodeTable(2, DELTA), "0000") == ["00"]
 
 
+def test_decode_refuses_a_word_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^word length 3 != codeword length "
+                                         "4$"):
+        list_decode(CodeTable(2, DELTA), "010")
+
+
 def test_decode_matches_brute_oracle_exhaustively_nmsg2():
     code = CodeTable(2, DELTA)
     for w in range(16):
