@@ -387,15 +387,15 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     i = t, covers every node below. Every node that is not a leaf is
     tested, the root only when its children are not leaves and the
     budget allows a node. A parent tests its children with two masks of
-    its unrequested left vertices, computed once from counts it keeps
-    bit-sliced: `low`, those with fewer free layer-0 neighbours than a
-    child needs, and `tight`, those with exactly as many. A reply at base vertex r of layer 0 takes one from
-    the vertices whose rows meet r, and a higher reply none, so a child's
-    weak vertices are those it has not requested in `low`, or in `tight`
-    with a row meeting r. Both rules skip only passing subtrees, so the
-    first failing node, its prefix and `sequences` are those of the full
-    walk. The `subset_nodes` budget bounds the nodes visited; a budget of
-    0 or below refuses at the first child.
+    its unrequested left vertices, counted once from `used`: `low`, those
+    with fewer distinct base neighbours free in layer 0 than a child
+    needs, and `tight`, those with exactly as many. A reply at base
+    vertex r of layer 0 takes one from the vertices whose rows meet r,
+    and a higher reply none, so a child's weak vertices are those it has
+    not requested in `low`, or in `tight` with a row meeting r. Both rules
+    skip only passing subtrees, so the first failing node, its prefix and
+    `sequences` are those of the full walk. `subset_nodes` bounds the
+    nodes visited; a budget of 0 or below refuses at the first child.
     """
     if capacity < 1:
         raise ValueError(f"need capacity >= 1, got {capacity}")
@@ -407,28 +407,22 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
     below = [0] * (top + 1)
     for j in range(top - 1, -1, -1):
         below[j] = (nleft - j) * (1 + below[j + 1])
-    everyone = (1 << nleft) - 1
     # each left vertex's distinct base neighbours, as a mask
     reach = [sum(1 << r for r in set(row)) for row in base.neighbors]
     # at right vertex r, the left vertices whose rows meet r in layer 0
     cols = [sum(1 << v for v, mask in enumerate(reach) if mask >> r & 1)
             for r in range(width)] + [0] * (width * copies - width)
-    # the left vertices' counts of distinct base neighbours free in layer
-    # 0, bit-sliced: plane b holds those whose count has bit b set
-    sizes = [mask.bit_count() for mask in reach]
-    bits = max(sizes + [top]).bit_length()
-    root = [sum(1 << v for v, c in enumerate(sizes) if c >> b & 1)
-            for b in range(bits)]
 
-    def layer0(planes, requested: int, need: int) -> tuple[int, int]:
-        # `low` and `tight` for `need`, comparing counts from the top bit
-        low, tight = 0, everyone & ~requested
-        for b in range(bits - 1, -1, -1):
-            if need >> b & 1:
-                low |= tight & ~planes[b]
-                tight &= planes[b]
-            else:
-                tight &= ~planes[b]
+    def layer0(requested: int, used: int, need: int) -> tuple[int, int]:
+        # `low` and `tight` for `need`, counting free layer-0 neighbours
+        low = tight = 0
+        for v, mask in enumerate(reach):
+            free = (mask & ~used).bit_count()
+            if free <= need and not requested >> v & 1:
+                if free < need:
+                    low |= 1 << v
+                else:
+                    tight |= 1 << v
         return low, tight
 
     def spills(weak: int, used: int, depth: int) -> bool:
@@ -446,13 +440,13 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
 
     if top == 0:                        # no left vertex: no sequence
         return SequenceSweep(0, None, None)
-    weak = layer0(root, 0, top)[0]
+    weak = layer0(0, 0, top)[0]
     if budget > 0 and top > 1 and (not weak or spills(weak, 0, 0)):
         return SequenceSweep(below[0], None, None, certified=1)  # all pass
     passed: set[tuple[int, int]] = set()
     visited = sequences = hits = certificates = 0
 
-    def visit(requested, used, planes, depth):
+    def visit(requested, used, depth):
         # the failing suffix of the node's first failing sequence, or None
         nonlocal visited, sequences, hits, certificates
         served = _serving_mask(used, width, copies)
@@ -479,23 +473,19 @@ def exhaustive_online_check(lg: LayeredGraph, capacity: int) -> SequenceSweep:
                 sequences += below[depth + 1]
                 continue
             if cert is None:
-                cert = layer0(planes, requested, top - depth - 1)
+                cert = layer0(requested, used, top - depth - 1)
             weak = (cert[0] | cert[1] & cols[reply]) & ~child[0]
             if not weak or spills(weak, child[1], depth + 1):
                 certificates += 1
                 sequences += below[depth + 1]
                 continue
-            fresh, borrow = [], cols[reply]
-            for plane in planes:        # one less at the reply's column
-                fresh.append(plane ^ borrow)
-                borrow &= ~plane
-            failure = yield (*child, fresh, depth + 1)
+            failure = yield (*child, depth + 1)
             if failure is not None:
                 return [v, *failure]
         passed.add((requested, used))   # every child passed
         return None
 
-    failure = _descend(visit, 0, 0, root, 0)
+    failure = _descend(visit, 0, 0, 0)
     sweep = SequenceSweep(sequences, None, None, visited, hits, certificates)
     if failure is not None:
         session = MatchingSession(lg, capacity)

@@ -18,7 +18,8 @@ from functools import partial
 from .extractor import ExtractorView
 from .graph import (INT, ROWS, BipartiteGraph, GraphInvariantError, load,
                     read_fields, save)
-from .limits import charge_edges, check_draw_bits
+from .limits import (LimitExceeded, charge_edges, check_draw_bits,
+                     default_limits)
 from .rng import SplitMix64
 
 
@@ -90,9 +91,9 @@ def greedy_weak_design(block_size: int, m: int, d: int,
                        seed: int) -> WeakDesign:
     """Randomized greedy construction: draw candidate blocks until one keeps
     the partial intersection sum within m - 1, restarting from scratch when
-    a slot cannot be filled. Deterministic given the seed; raises when the
-    budget runs out, or at once when no design of this shape exists (the
-    caller should raise d)."""
+    a slot cannot be filled. Deterministic given the seed; charges each
+    candidate's draws and tests to `subset_nodes`, and raises when a budget
+    runs out, or at once when no design of this shape exists (raise d)."""
     if block_size < 1:
         raise ValueError("block_size must be positive")
     if d < block_size:
@@ -100,19 +101,27 @@ def greedy_weak_design(block_size: int, m: int, d: int,
     if m < 1:
         raise ValueError("m must be positive")
     # set i has i terms 2^a >= 1 + a in a sum of at most m - 1, so it
-    # shares at most j = m - 1 - i coordinates with the sets before it
-    need = block_size + sum(max(0, block_size - j) for j in range(m - 1))
+    # shares at most j = m - 1 - i coordinates with the sets before it;
+    # of the terms max(0, block_size - j), j < m - 1, the first t are > 0
+    t = min(m - 1, block_size)
+    need = block_size + t * block_size - t * (t - 1) // 2
     if d < need:
         raise RuntimeError(
             f"no weak design exists for (block_size={block_size}, m={m}, "
             f"d={d}): set i shares at most m - 1 - i coordinates with the "
             f"sets before it, so d >= {need}; raise d")
+    budget, spent = default_limits().subset_nodes, 0
     rng = SplitMix64(seed)
-    for _ in range(GREEDY_RESTARTS):
+    for restart in range(GREEDY_RESTARTS):
         sets: list[tuple[int, ...]] = []
         masks: list[int] = []
         for _ in range(m):
             for _ in range(GREEDY_TRIES_PER_SET):
+                spent += block_size + len(masks)   # draws, then tests
+                if spent > budget:
+                    raise LimitExceeded(
+                        f"weak design search exceeds {budget} steps: placed "
+                        f"{len(sets)} of {m} sets after {restart} restarts")
                 draw = rng.sample(d, block_size)
                 mask = sum(1 << x for x in draw)
                 if sum(2 ** (mask & prev).bit_count() for prev in masks) <= m - 1:

@@ -810,6 +810,19 @@ def test_trev_design_eval_decode(capsys, tmp_path):
     assert report["outcome"]["messages"] == ["01"]
 
 
+def test_trev_design_search_is_charged_to_subset_nodes(capsys):
+    # every candidate fits a bound of m - 1 = 999,999, so each costs its 2
+    # draws and one test per set placed, and 3,160 sets spend 5,000,000
+    started = time.monotonic()
+    code, report = run_json(capsys, "trev", "design", "--l", "2", "--m",
+                            "1000000", "--d", "40", "--seed", "1")
+    assert time.monotonic() - started < 5
+    assert code == 1
+    assert report["outcome"] == {
+        "error": "weak design search exceeds 5000000 steps: placed 3160 of "
+                 "1000000 sets after 0 restarts"}
+
+
 def test_fp_match_roundtrip_via_files(capsys, tmp_path):
     base_path = str(tmp_path / "base.json")
     run_json(capsys, "offline", "gen", "--n", "2", "--k", "1", "--seed", "7",

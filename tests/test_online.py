@@ -598,15 +598,19 @@ def test_sweep_frontier_sparse_bases(n, k, counts):
             sweep.certified) == counts
 
 
-def test_sweep_frontier_c1_n5_k3():
+@pytest.mark.parametrize("seed, counts", [
+    (1, (441_739_287_424, 170_021, 10_392, 153_787)),
+    (11, (441_739_287_424, 178_005, 10_387, 161_501)),
+])
+def test_sweep_frontier_c1_n5_k3(seed, counts):
     # the (5, 3) c=1 sweep counts all sum of P(32, j), j = 1..8, sequences;
     # hall_check at s = 8 is refused at default limits, so the four copies
-    # are stacked without it
-    base = random_offline_graph(OfflineParams(5, 3, 1), 1)
+    # are stacked without it; (sequences, visited, memo_hits, certified)
+    base = random_offline_graph(OfflineParams(5, 3, 1), seed)
     sweep = exhaustive_online_check(LayeredGraph.build(base, 4), 8)
     assert sweep.ok
     assert (sweep.sequences, sweep.visited, sweep.memo_hits,
-            sweep.certified) == (441_739_287_424, 170_021, 10_392, 153_787)
+            sweep.certified) == counts
 
 
 def test_layered_refuses_negative_k():

@@ -232,3 +232,45 @@ def test_every_import_is_used():
                                         for alias in node.names)
                            if name not in read]
     assert unused == []
+
+
+def _own_bindings(func) -> set[str]:
+    """Names `func` binds in its own scope: assignment, loop, `with` and
+    `except` targets, not those of nested functions, classes or
+    comprehensions, nor names it declares global or nonlocal."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+    bound, declared = set(), set()
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, scopes):
+            continue
+        if isinstance(node, ast.comprehension):
+            stack += [node.iter, *node.ifs]
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        stack += ast.iter_child_nodes(node)
+    return bound - declared
+
+
+def test_every_local_is_read():
+    # a local that neither its function nor a function nested in it reads
+    # is work done for nothing, most often the leftover of a refactor;
+    # `_` names a value dropped on purpose
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, functions):
+                continue
+            read = {node.id for node in ast.walk(func)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            dead += [f"{path.name}: {func.name}.{name}"
+                     for name in sorted(_own_bindings(func) - read - {"_"})]
+    assert dead == []

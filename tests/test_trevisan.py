@@ -163,6 +163,38 @@ def test_greedy_argument_validation():
         greedy_weak_design(0, 2, 4, seed=1)
 
 
+def test_greedy_search_is_charged_to_subset_nodes(monkeypatch):
+    # seed 3 places each of the 4 sets at its first draw, so the candidates
+    # cost 2 draws plus 0, 1, 2 and 3 intersection tests: 14 in all
+    drawn = []
+
+    class Counted(SplitMix64):
+        def sample(self, n, k):
+            drawn.append(k)
+            return super().sample(n, k)
+    monkeypatch.setattr(trevisan, "SplitMix64", Counted)
+    design = greedy_weak_design(2, 4, 10, seed=3)
+    assert drawn == [2] * 4
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=14")
+    assert greedy_weak_design(2, 4, 10, seed=3) == design
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=13")
+    with pytest.raises(LimitExceeded, match="^weak design search exceeds 13 "
+                       "steps: placed 3 of 4 sets after 0 restarts$"):
+        greedy_weak_design(2, 4, 10, seed=3)
+
+
+def test_greedy_budget_spans_restarts(monkeypatch):
+    # (3, 5, 12) at seed 2 gives up on its first family and places all
+    # five sets in its second, 1,865 steps in all
+    design = greedy_weak_design(3, 5, 12, seed=2)
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=1865")
+    assert greedy_weak_design(3, 5, 12, seed=2) == design
+    monkeypatch.setenv("OMEX_LIMITS", "subset_nodes=1864")
+    with pytest.raises(LimitExceeded, match="placed 4 of 5 sets after 1 "
+                       "restarts$"):
+        greedy_weak_design(3, 5, 12, seed=2)
+
+
 # --- Hadamard encode / decode -----------------------------------------------
 
 def test_encode_examples():
